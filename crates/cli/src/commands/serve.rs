@@ -29,7 +29,9 @@ pub const USAGE: &str = "amf-qos serve [--listen HOST:PORT | --metrics-addr HOST
 [--io-timeout-ms MS] [--max-body-bytes N] [--max-conns N] \
 [--max-requests-per-conn N] [--idle-timeout-ms MS] [--samples N] [--seed S] \
 [--shards K] [--data TRIPLET_FILE] [--telemetry-log PATH] [--interval-ms MS] \
-[--max-log-bytes N] [--flight-log PATH] [--run-ms MS]";
+[--max-log-bytes N] [--flight-log PATH] [--run-ms MS]\n  \
+--shards K  workers for relaxed or fault-plan batch ingestion; serve ingests \
+in parity, which always runs on the calling thread, so it spawns no shard workers";
 
 /// Runs the subcommand.
 ///

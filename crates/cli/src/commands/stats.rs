@@ -10,7 +10,9 @@ use qos_linalg::stats as lstats;
 use qos_service::{QosPredictionService, QosRecord, ServiceConfig};
 
 /// Usage text for the subcommand.
-pub const USAGE: &str = "amf-qos stats [--scale small|medium|full] | amf-qos stats --data DENSE_FILE | amf-qos stats --obs [--samples N] [--seed S] [--shards K]";
+pub const USAGE: &str = "amf-qos stats [--scale small|medium|full] | amf-qos stats --data DENSE_FILE | amf-qos stats --obs [--samples N] [--seed S] [--shards K]\n  \
+--shards K  workers for relaxed or fault-plan batch ingestion; --obs ingests \
+in parity, which always runs on the calling thread";
 
 /// Runs the subcommand.
 ///
@@ -53,7 +55,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 }
 
 /// `amf-qos stats --obs`: feed a deterministic synthetic stream through the
-/// prediction service (guard on, sharded ingestion) and print the merged
+/// prediction service (guard on, batched parity ingestion) and print the merged
 /// `amf-obs/v1` snapshot. The output is pure JSON so it can be piped to
 /// `jq`; everything is derived from `--seed`, so repeated runs produce the
 /// same counter values (latency histograms naturally vary).

@@ -1464,6 +1464,7 @@ impl FastLane {
     where
         I: IntoIterator<Item = (usize, usize, f64)>,
     {
+        let started = std::time::Instant::now();
         let mut n = 0u64;
         for (user, service, raw) in samples {
             if self.options.record_history {
@@ -1483,12 +1484,16 @@ impl FastLane {
         self.applied += n;
         if n > 0 {
             // The fast lane has no dispatcher, but its ingestion still shows
-            // up on the engine counters (one "chunk" per feed call) so
-            // obs-level invariants — samples in means jobs dispatched — hold
-            // across every lane.
+            // up on the engine counters (one "chunk" per feed call, timed as
+            // shard 0's apply) so obs-level invariants — samples in means
+            // jobs dispatched, applies have a latency — hold across every
+            // lane.
             let metrics = crate::obs::engine_metrics();
             metrics.chunks_dispatched.inc();
             metrics.jobs_dispatched.add(n);
+            metrics
+                .fast_chunk_apply_ns
+                .record_duration(started.elapsed());
         }
     }
 

@@ -111,6 +111,11 @@ pub(crate) fn guard_metrics() -> &'static GuardMetrics {
 pub(crate) struct EngineMetrics {
     pub chunks_dispatched: Arc<Counter>,
     pub jobs_dispatched: Arc<Counter>,
+    /// `engine.chunk_apply_ns.shard-0` as timed by the in-thread lane (one
+    /// record per `feed_batch` call). Cached here because that lane is
+    /// rebuilt for every service batch; threaded workers register their
+    /// own `shard-K` handles per spawn, which alias this one for `K = 0`.
+    pub fast_chunk_apply_ns: Arc<Histogram>,
     pub queue_full: Arc<Counter>,
     pub worker_panics: Arc<Counter>,
     pub respawns: Arc<Counter>,
@@ -135,6 +140,7 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
         EngineMetrics {
             chunks_dispatched: reg.counter("engine.chunks_dispatched"),
             jobs_dispatched: reg.counter("engine.jobs_dispatched"),
+            fast_chunk_apply_ns: reg.histogram_labeled("engine.chunk_apply_ns", "shard-0"),
             queue_full: reg.counter("engine.queue_full"),
             worker_panics: reg.counter("engine.worker_panics"),
             respawns: reg.counter("engine.respawns"),

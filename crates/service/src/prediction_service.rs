@@ -21,10 +21,12 @@
 //! * **Ingestion** — garbage records are quarantined with exact counters
 //!   ([`QosPredictionService::guard_stats`]); a bounded input queue sheds
 //!   load under backpressure ([`QosPredictionService::offer`]) rather than
-//!   blocking the reporting path, counting every dropped record; sharded
-//!   batch training survives worker crashes (respawn + journal replay in
-//!   [`amf_core::ShardedEngine`]) and falls back to sequential application
-//!   if the engine cannot be built at all.
+//!   blocking the reporting path, counting every dropped record. Parity
+//!   batches train on the calling thread; the threaded batch paths
+//!   (relaxed consistency, or an injected [`FaultPlan`]) survive worker
+//!   crashes (respawn + journal replay in [`amf_core::ShardedEngine`]) and
+//!   fall back to sequential application if the engine cannot be built at
+//!   all.
 //! * **Prediction** — [`QosPredictionService::predict_degraded`] never
 //!   returns an error or a non-finite value: when the model cannot price a
 //!   pair (unknown or cold entities, mid-recovery), it walks a fallback
@@ -68,11 +70,12 @@ pub struct ServiceConfig {
     pub history_cap: usize,
     /// Replay stopping criteria used by [`QosPredictionService::idle`].
     pub replay: amf_core::trainer::ReplayOptions,
-    /// Worker threads/lock stripes used by batched ingestion
+    /// Worker threads of the threaded batch lanes
     /// ([`QosPredictionService::drain_inputs`] and
-    /// [`QosPredictionService::submit_batch`]). `1` keeps ingestion on the
-    /// calling thread; results are identical either way (the sharded engine
-    /// preserves per-entity stream order).
+    /// [`QosPredictionService::submit_batch`]): the relaxed lane, and
+    /// batches run under an injected [`FaultPlan`]. Parity ingestion always
+    /// runs on the calling thread and ignores this knob — threaded parity
+    /// is bitwise-equal to it and slower at every `K`.
     pub shards: usize,
     /// Engine consistency mode for batched ingestion.
     /// [`amf_core::Consistency::Parity`] (the default) is bitwise identical
@@ -398,8 +401,10 @@ impl QosPredictionService {
         false
     }
 
-    /// Applies all queued channel records — through the sharded engine when
-    /// `config.shards > 1`. Returns how many were accepted for training.
+    /// Applies all queued channel records as one
+    /// [`QosPredictionService::submit_batch`] — on the calling thread under
+    /// parity, through `config.shards` workers under relaxed consistency or
+    /// an injected fault plan. Returns how many were accepted for training.
     pub fn drain_inputs(&self) -> usize {
         let mut batch = Vec::new();
         while let Ok(record) = self.input_rx.try_recv() {
@@ -429,14 +434,17 @@ impl QosPredictionService {
     /// Input handling + online updating for a whole batch of records.
     ///
     /// Identities are registered and admitted records logged exactly like
-    /// [`QosPredictionService::submit`]; the model updates are applied by a
-    /// [`amf_core::ShardedEngine`] with `config.shards` workers (sequentially
-    /// when `shards <= 1` in parity mode). Under the default parity
-    /// consistency, per-entity stream order is preserved and the resulting
-    /// model is identical to one-by-one submission; under relaxed
-    /// consistency it is statistically equivalent instead. Returns the
-    /// number of records accepted for training (quarantined records are
-    /// counted in [`ServiceStats::rejected`], not here).
+    /// [`QosPredictionService::submit`]. Under the default parity
+    /// consistency the model updates run on the calling thread (the
+    /// engine's in-thread lane, [`amf_core::AmfModel::observe`] in stream
+    /// order), so the resulting model is identical to one-by-one submission
+    /// and the cost is one SGD step per sample whatever the model's size.
+    /// Only relaxed consistency and batches under an injected
+    /// [`FaultPlan`] build a [`amf_core::ShardedEngine`] with
+    /// `config.shards` workers; relaxed results are statistically
+    /// equivalent instead of identical. Returns the number of records
+    /// accepted for training (quarantined records are counted in
+    /// [`ServiceStats::rejected`], not here).
     pub fn submit_batch(&self, records: Vec<QosRecord>) -> usize {
         if records.is_empty() {
             return 0;
@@ -448,34 +456,33 @@ impl QosPredictionService {
                 samples.push((user, service, record.timestamp, record.value));
             }
         }
-        let n = samples.len();
-        if n == 0 {
+        if samples.is_empty() {
             return 0;
         }
+        let plan = self.fault_plan.lock().clone();
+        // Threaded parity is bitwise-equal to the in-thread lane and slower
+        // at every K, so only the relaxed lane and the chaos hook (which
+        // needs a worker thread to kill) get `config.shards` workers.
+        let threaded = self.config.consistency == amf_core::Consistency::Relaxed || plan.is_some();
+        let shards = if threaded { self.config.shards } else { 1 };
+        let options = amf_core::EngineOptions::with_consistency(shards, self.config.consistency);
         let mut trainer = self.trainer.lock();
-        if self.config.shards > 1 || self.config.consistency == amf_core::Consistency::Relaxed {
-            let plan = self.fault_plan.lock().clone();
-            let options = amf_core::EngineOptions::with_consistency(
-                self.config.shards,
-                self.config.consistency,
-            );
-            match trainer.feed_batch_sharded_with(samples.clone(), options, plan) {
-                Ok((fed, faults)) => {
-                    self.absorb_fault_stats(faults);
-                    return fed;
+        match trainer.feed_batch_sharded_with(samples.iter().copied(), options, plan) {
+            Ok((fed, faults)) => {
+                self.absorb_fault_stats(faults);
+                fed
+            }
+            Err(_) => {
+                // The engine could not be built (invalid options, thread
+                // exhaustion): degrade to sequential application rather
+                // than dropping the batch or panicking.
+                self.degraded.store(true, Ordering::Relaxed);
+                for &(user, service, timestamp, value) in &samples {
+                    trainer.feed(user, service, timestamp, value);
                 }
-                Err(_) => {
-                    // The engine could not be built (invalid options, thread
-                    // exhaustion): degrade to sequential application rather
-                    // than dropping the batch or panicking.
-                    self.degraded.store(true, Ordering::Relaxed);
-                }
+                samples.len()
             }
         }
-        for (user, service, timestamp, value) in samples {
-            trainer.feed(user, service, timestamp, value);
-        }
-        n
     }
 
     /// Input handling + online updating for one record: registers identities,
@@ -713,9 +720,12 @@ impl QosPredictionService {
         self.services.lock().leave(name)
     }
 
-    /// Attaches a deterministic fault script to subsequent sharded batch
-    /// ingestion ([`QosPredictionService::submit_batch`] with
-    /// `config.shards > 1`) — the test/chaos hook proving recovery claims.
+    /// Attaches a deterministic fault script to subsequent batch ingestion
+    /// ([`QosPredictionService::submit_batch`]) — the test/chaos hook
+    /// proving recovery claims. While a plan is attached, parity batches
+    /// leave the in-thread lane for a threaded engine with `config.shards`
+    /// workers, even at one shard, so there is a worker for the plan to
+    /// kill.
     pub fn inject_fault_plan(&self, plan: Arc<FaultPlan>) {
         *self.fault_plan.lock() = Some(plan);
     }
@@ -725,7 +735,8 @@ impl QosPredictionService {
         *self.fault_plan.lock() = None;
     }
 
-    /// Cumulative fault counters across all sharded ingestion so far.
+    /// Cumulative fault counters across all threaded batch ingestion so
+    /// far.
     pub fn fault_stats(&self) -> FaultStats {
         *self.fault_stats.lock()
     }

@@ -2,7 +2,8 @@
 //! sentinel inside [`AmfModel`] must stay silent on a stationary QoS stream
 //! (zero false alarms) and must fire when the stream's regime genuinely
 //! shifts. The sharded engine must carry the per-worker alarm counts back
-//! into the merged model.
+//! into the merged model, and a prediction service ingesting in small
+//! batches must keep one sentinel across batches whatever its shard count.
 //!
 //! The drifting phase is a *bimodal* regime (each sample is either ~0.1s or
 //! ~16s): a pure level shift is absorbed by online SGD within a couple of
@@ -16,6 +17,7 @@
 //! asserted with `==`/`>`, never with tolerance.
 
 use amf_core::{AmfConfig, AmfModel, EngineOptions, ShardedEngine};
+use qos_service::{QosPredictionService, QosRecord, ServiceConfig};
 
 const USERS: usize = 12;
 const SERVICES: usize = 20;
@@ -123,4 +125,39 @@ fn engine_merges_per_shard_alarm_counts() {
         model.windowed_accuracy().window_len,
         amf_core::ACCURACY_WINDOW
     );
+}
+
+#[test]
+fn sharded_parity_service_keeps_its_sentinel_across_batches() {
+    // Serve-sized 8-record batches: a service that restarted its detectors
+    // per batch (one engine per batch, fresh per-worker sentinels) would
+    // never accumulate enough evidence to alarm at `shards: 4`.
+    let alarms = |shards: usize| {
+        let service = QosPredictionService::new(ServiceConfig {
+            shards,
+            ..ServiceConfig::default()
+        });
+        let records: Vec<QosRecord> = stationary_stream(SEED, PHASE)
+            .into_iter()
+            .chain(bimodal_stream(SEED ^ 0xFF, PHASE))
+            .enumerate()
+            .map(|(t, (u, s, value))| QosRecord {
+                user: format!("user-{u}"),
+                service: format!("svc-{s}"),
+                timestamp: t as u64,
+                value,
+            })
+            .collect();
+        for batch in records.chunks(8) {
+            service.submit_batch(batch.to_vec());
+        }
+        service.drift_alarms()
+    };
+    let sequential = alarms(1);
+    let sharded = alarms(4);
+    assert!(
+        sharded.0 + sharded.1 > 0,
+        "regime shift went undetected by a 4-shard service: {sharded:?}"
+    );
+    assert_eq!(sharded, sequential, "shard count changed the alarm counts");
 }
