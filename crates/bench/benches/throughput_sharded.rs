@@ -1,17 +1,19 @@
 //! Online-update ingestion throughput: sequential [`amf_core::AmfModel`]
-//! versus the sharded concurrent engine at K ∈ {1, 2, 4, 8} shards, in both
-//! parity (bitwise-exact) and relaxed (lock-free fast lane) consistency.
+//! versus the engine at K ∈ {1, 2, 4, 8} shards, in both parity (in-thread,
+//! bitwise-exact: K changes nothing) and relaxed (K lock-free workers)
+//! consistency.
 //!
 //! Reports samples/sec per configuration (printed directly, since that is
 //! the quantity the scalability claim is about) and times one full
 //! feed+drain pass per K under Criterion.
 //!
-//! The speedup is bounded by the physical core count: on a single-core host
-//! every K degenerates to sequential throughput minus coordination overhead;
-//! K=4 reaching ≥2× the K=1 rate requires ≥4 cores. The parity tests
-//! (`tests/engine_parity.rs`) guarantee parity-mode *results* are identical
-//! at every K, and `tests/relaxed_parity.rs` bounds the relaxed lane's
-//! accuracy gap, so this bench is purely about wall-clock.
+//! The relaxed speedup is bounded by the physical core count: on a
+//! single-core host every K degenerates to sequential throughput minus
+//! coordination overhead; K=4 reaching ≥2× the K=1 rate requires ≥4 cores.
+//! The parity tests (`tests/engine_parity.rs`) guarantee parity-mode
+//! *results* are identical at every K, and `tests/relaxed_parity.rs` bounds
+//! the relaxed lane's accuracy gap, so this bench is purely about
+//! wall-clock.
 
 use amf_core::{AmfConfig, AmfModel, Consistency, EngineOptions, ShardedEngine};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

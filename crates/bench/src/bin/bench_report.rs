@@ -7,8 +7,9 @@
 //!
 //! 1. **Feed throughput** — online updates per second, sequential
 //!    (`AmfModel::observe`) and through the [`ShardedEngine`] at
-//!    K ∈ {1, 4, 8} in both parity (bitwise-exact) and relaxed (lock-free
-//!    fast lane) consistency modes;
+//!    K ∈ {1, 4, 8} in both parity (in-thread, bitwise-exact, so K only
+//!    names the options) and relaxed (K lock-free workers) consistency
+//!    modes;
 //! 2. **Single-pair predict latency** — `AmfModel::predict` over a scan of
 //!    all pairs;
 //! 3. **Candidate ranking** — the adaptation framework's per-task query:
@@ -20,9 +21,8 @@
 //! with `jq` without gating on absolute numbers. The document embeds the
 //! run's own `amf-obs/v1` observability snapshot under `"obs"` — the timed
 //! sections exercise the real instrumented paths, so the snapshot carries a
-//! stage-level latency breakdown (sampled `model.observe_ns`, per-shard
-//! `engine.chunk_apply_ns`, `engine.drain_ns`) alongside the aggregate
-//! rates:
+//! stage-level latency breakdown (sampled `model.observe_ns`, the
+//! in-thread lane's `engine.chunk_apply_ns`) alongside the aggregate rates:
 //!
 //! ```text
 //! bench-report [--quick] [--out PATH] [--label NAME] [--merge-before PATH]

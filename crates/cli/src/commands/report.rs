@@ -4,8 +4,7 @@
 //! `amf-qos serve --telemetry-log`) and prints accuracy/throughput/health
 //! trends across the recorded interval snapshots: windowed MRE and NMAE at
 //! the first and last snapshot plus their extremes, ingest and drift-alarm
-//! deltas, and queue-depth high-watermarks. Pure text; the raw log stays
-//! `jq`-friendly.
+//! deltas. Pure text; the raw log stays `jq`-friendly.
 
 use super::CliError;
 use crate::args::Args;
@@ -25,7 +24,6 @@ struct Point {
     accepted: u64,
     updates: u64,
     alarms: u64,
-    outbox_hwm: f64,
 }
 
 impl Point {
@@ -54,7 +52,6 @@ impl Point {
             updates: counter("service.updates").unwrap_or(0),
             alarms: counter("model.drift_alarms.user").unwrap_or(0)
                 + counter("model.drift_alarms.service").unwrap_or(0),
-            outbox_hwm: gauge("engine.outbox_depth_hwm").unwrap_or(0.0),
         })
     }
 }
@@ -120,8 +117,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
          model updates     {} -> {} (+{})\n\
          windowed MRE      {}\n\
          windowed NMAE     {}\n\
-         drift alarms      +{} over the span; end state {health}\n\
-         outbox depth hwm  {:.0}",
+         drift alarms      +{} over the span; end state {health}",
         points.len(),
         first.seq,
         final_point.seq,
@@ -135,7 +131,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         trend(&points, |p| p.mre).unwrap_or_else(na),
         trend(&points, |p| p.nmae).unwrap_or_else(na),
         final_point.alarms.saturating_sub(first.alarms),
-        final_point.outbox_hwm,
     ))
 }
 
@@ -154,7 +149,7 @@ mod tests {
              \"counters\":{{\"service.accepted\":{accepted},\"service.updates\":{accepted},\
              \"model.drift_alarms.user\":{alarms}}},\
              \"gauges\":{{\"model.mre_w\":{mre:.4},\"model.nmae_w\":{:.4},\
-             \"model.drift_healthy\":1.0,\"engine.outbox_depth_hwm\":3.0}},\
+             \"model.drift_healthy\":1.0}},\
              \"histograms\":{{}}}}}}",
             qos_obs::TS_SCHEMA,
             qos_obs::SCHEMA,

@@ -28,10 +28,8 @@ pub const USAGE: &str = "amf-qos serve [--listen HOST:PORT | --metrics-addr HOST
 [--addr-file PATH] [--workers N] [--max-pending N] [--deadline-ms MS] \
 [--io-timeout-ms MS] [--max-body-bytes N] [--max-conns N] \
 [--max-requests-per-conn N] [--idle-timeout-ms MS] [--samples N] [--seed S] \
-[--shards K] [--data TRIPLET_FILE] [--telemetry-log PATH] [--interval-ms MS] \
-[--max-log-bytes N] [--flight-log PATH] [--run-ms MS]\n  \
---shards K  workers for relaxed or fault-plan batch ingestion; serve ingests \
-in parity, which always runs on the calling thread, so it spawns no shard workers";
+[--data TRIPLET_FILE] [--telemetry-log PATH] [--interval-ms MS] \
+[--max-log-bytes N] [--flight-log PATH] [--run-ms MS]";
 
 /// Runs the subcommand.
 ///
@@ -42,7 +40,6 @@ in parity, which always runs on the calling thread, so it spawns no shard worker
 pub fn run(args: &Args) -> Result<String, CliError> {
     let samples: u64 = args.parse_or("samples", 20_000)?;
     let seed: u64 = args.parse_or("seed", 42)?;
-    let shards: usize = args.parse_or("shards", 4)?;
     let run_ms: u64 = args.parse_or("run-ms", 0)?;
     let interval_ms: u64 = args.parse_or("interval-ms", 200)?;
     let max_log_bytes: u64 = args.parse_or("max-log-bytes", 4 * 1024 * 1024)?;
@@ -60,9 +57,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         .get("listen")
         .or_else(|| args.get("metrics-addr"))
         .unwrap_or("127.0.0.1:0");
-    if shards == 0 {
-        return Err(CliError("--shards must be at least 1".into()));
-    }
     if workers == 0 {
         return Err(CliError("--workers must be at least 1".into()));
     }
@@ -75,12 +69,9 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         ));
     }
 
-    let config = ServiceConfig {
-        shards,
-        ..ServiceConfig::default()
-    };
     let service = Arc::new(
-        QosPredictionService::try_new(config).map_err(|e| CliError(format!("service: {e}")))?,
+        QosPredictionService::try_new(ServiceConfig::default())
+            .map_err(|e| CliError(format!("service: {e}")))?,
     );
 
     // Warm the model BEFORE publishing the port, so a supervisor that
@@ -294,8 +285,6 @@ mod tests {
             "serve",
             "--samples",
             "3000",
-            "--shards",
-            "2",
             "--addr-file",
             &addr_file.to_string_lossy(),
             "--telemetry-log",
@@ -376,8 +365,6 @@ mod tests {
             "serve",
             "--samples",
             "500",
-            "--shards",
-            "2",
             "--addr-file",
             &addr_path,
             "--run-ms",
@@ -393,11 +380,6 @@ mod tests {
         assert!(out.contains("requests"));
         assert!(out.contains("0 panics"), "{out}");
         std::fs::remove_file(addr_file).unwrap();
-    }
-
-    #[test]
-    fn zero_shards_rejected() {
-        assert!(run(&args(&["serve", "--shards", "0"])).is_err());
     }
 
     #[test]
@@ -417,8 +399,6 @@ mod tests {
             &data.to_string_lossy(),
             "--samples",
             "10",
-            "--shards",
-            "1",
         ]))
         .unwrap();
         assert!(out.contains("10 samples fed"), "{out}");

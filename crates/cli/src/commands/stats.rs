@@ -10,9 +10,7 @@ use qos_linalg::stats as lstats;
 use qos_service::{QosPredictionService, QosRecord, ServiceConfig};
 
 /// Usage text for the subcommand.
-pub const USAGE: &str = "amf-qos stats [--scale small|medium|full] | amf-qos stats --data DENSE_FILE | amf-qos stats --obs [--samples N] [--seed S] [--shards K]\n  \
---shards K  workers for relaxed or fault-plan batch ingestion; --obs ingests \
-in parity, which always runs on the calling thread";
+pub const USAGE: &str = "amf-qos stats [--scale small|medium|full] | amf-qos stats --data DENSE_FILE | amf-qos stats --obs [--samples N] [--seed S]";
 
 /// Runs the subcommand.
 ///
@@ -62,17 +60,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 fn run_obs(args: &Args) -> Result<String, CliError> {
     let samples: u64 = args.parse_or("samples", 2_000)?;
     let seed: u64 = args.parse_or("seed", 42)?;
-    let shards: usize = args.parse_or("shards", 4)?;
-    if shards == 0 {
-        return Err(CliError("--shards must be at least 1".into()));
-    }
-
-    let config = ServiceConfig {
-        shards,
-        ..ServiceConfig::default()
-    };
-    let service =
-        QosPredictionService::try_new(config).map_err(|e| CliError(format!("service: {e}")))?;
+    let service = QosPredictionService::try_new(ServiceConfig::default())
+        .map_err(|e| CliError(format!("service: {e}")))?;
 
     // Deterministic LCG stream over a small entity grid; ~5% of the samples
     // are deliberately invalid (NaN / negative / out-of-range) so the guard
@@ -151,15 +140,7 @@ mod tests {
 
     #[test]
     fn obs_mode_emits_schema_valid_json() {
-        let out = run(&args(&[
-            "stats",
-            "--obs",
-            "--samples",
-            "500",
-            "--shards",
-            "2",
-        ]))
-        .unwrap();
+        let out = run(&args(&["stats", "--obs", "--samples", "500"])).unwrap();
         let doc = qos_obs::Json::parse(&out).expect("obs output must be pure JSON");
         assert_eq!(
             doc.get("schema").and_then(qos_obs::Json::as_str),
@@ -180,11 +161,6 @@ mod tests {
         // Unknown entities walk the fallback ladder; with data present they
         // land on the global mean rather than the hard default.
         assert!(counter("service.predict_source.global-mean") > 0);
-    }
-
-    #[test]
-    fn obs_mode_rejects_zero_shards() {
-        assert!(run(&args(&["stats", "--obs", "--shards", "0"])).is_err());
     }
 
     #[test]

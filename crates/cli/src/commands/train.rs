@@ -17,22 +17,24 @@ pub const USAGE: &str = "amf-qos train --data TRIPLETS --out MODEL [--attr rt|tp
 /// Runs the subcommand.
 ///
 /// `--consistency relaxed` routes ingestion through the lock-free relaxed
-/// engine lane (statistically equivalent, not bitwise; see DESIGN.md §13) —
-/// useful with `--shards >= 2` where the parity engine pays an ordering tax.
-/// `--guard` screens the stream through a [`SampleGuard`] (quarantining
-/// NaN/∞, non-positive, and out-of-range values) and reports the quarantine
-/// diagnostics. `--fault-plan` parses a deterministic fault script
+/// engine lane with `--shards` worker threads (statistically equivalent,
+/// not bitwise; see DESIGN.md §13). Parity ingests on the calling thread
+/// and ignores `--shards`. `--guard` screens the stream through a
+/// [`SampleGuard`] (quarantining NaN/∞, non-positive, and out-of-range
+/// values) and reports the quarantine diagnostics. `--fault-plan` parses a
+/// deterministic fault script
 /// (`seed=N;kill=W@J[:mid];stall=W@J:MS;drop=P;dup=P;reorder=N;`
 /// `conn-reset=P;slow-read=P;blackhole=P` — entries split on `;` or `,`,
 /// and the network verbs also accept the `verb@rate` shorthand, e.g.
 /// `conn-reset@0.05,slow-read@0.02`): the stream mutations
-/// (drop/duplicate/reorder) are applied to the input, and with
-/// `--shards >= 2` the kill/stall script is injected into the shard workers
-/// to exercise crash recovery — training must still complete. The network
-/// verbs are *rejected* here: they only fire in `amf-qos loadtest`'s
-/// client-side fault injection against a live `amf-qos serve` endpoint, and
-/// silently accepting them would make a training run look fault-hardened
-/// when nothing was injected.
+/// (drop/duplicate/reorder) are applied to the input, and the kill/stall
+/// script is injected into the relaxed workers to exercise crash recovery
+/// — training must still complete. Under parity there is no worker to
+/// target, so the engine rejects a kill/stall script with an error naming
+/// `--consistency relaxed`. The network verbs are *rejected* here: they
+/// only fire in `amf-qos loadtest`'s client-side fault injection against a
+/// live `amf-qos serve` endpoint, and silently accepting them would make a
+/// training run look fault-hardened when nothing was injected.
 ///
 /// # Errors
 ///
@@ -92,35 +94,27 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     }
 
     let mut trainer = AmfTrainer::new(config)?;
-    if shards > 1 || consistency == amf_core::Consistency::Relaxed {
-        // Concurrent ingestion. In parity mode results are identical to the
-        // sequential feed (the engine preserves per-entity stream order); in
-        // relaxed mode the lock-free lane trades bitwise equality for
-        // throughput with a statistically-bounded accuracy gap. A fault
-        // plan's kill/stall script rides along to exercise crash
-        // containment: parity workers respawn and replay their journal,
-        // relaxed workers resume at-least-once from progress watermarks.
-        let (_, faults) = trainer.feed_batch_sharded_with(
-            stream.iter().copied(),
-            amf_core::EngineOptions::with_consistency(shards, consistency),
-            fault_plan.clone(),
-        )?;
-        if faults != amf_core::FaultStats::default() {
-            notes.push_str(&format!(
-                "\nfault recovery: {} worker panics ({} injected), {} respawns, \
-                 {} jobs replayed, {} samples lost, {} workers abandoned",
-                faults.worker_panics,
-                faults.injected_panics,
-                faults.respawns,
-                faults.jobs_replayed,
-                faults.samples_lost,
-                faults.abandoned_workers
-            ));
-        }
-    } else {
-        for &(u, s, t, v) in &stream {
-            trainer.feed(u, s, t, v);
-        }
+    // Parity applies the stream in order on this thread, identical to
+    // feeding it one sample at a time; relaxed trades bitwise equality for
+    // worker-thread throughput with a statistically bounded accuracy gap.
+    // A fault plan's kill/stall script rides along to exercise relaxed
+    // crash containment; the engine rejects it under parity.
+    let (_, faults) = trainer.feed_batch_sharded_with(
+        stream.iter().copied(),
+        amf_core::EngineOptions::with_consistency(shards, consistency),
+        fault_plan,
+    )?;
+    if faults != amf_core::FaultStats::default() {
+        notes.push_str(&format!(
+            "\nfault recovery: {} worker panics ({} injected), {} respawns, \
+             {} jobs replayed, {} samples lost, {} workers abandoned",
+            faults.worker_panics,
+            faults.injected_panics,
+            faults.respawns,
+            faults.jobs_replayed,
+            faults.samples_lost,
+            faults.abandoned_workers
+        ));
     }
     let mut options = qos_eval::methods::replay_options_for(stream.len());
     if max_replays > 0 {
@@ -342,46 +336,55 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_kill_still_trains_to_parity() {
+    fn fault_plan_kill_recovers_under_relaxed() {
         let data = temp_path("data5.txt");
+        let model = temp_path("faulted5.amf");
         write_samples(&data, 80);
-        let clean_model = temp_path("clean5.amf");
-        let faulted_model = temp_path("faulted5.amf");
-        run(&args(&[
-            "--data",
-            &data,
-            "--out",
-            &clean_model,
-            "--max-replays",
-            "1000",
-            "--shards",
-            "2",
-        ]))
-        .unwrap();
         let summary = run(&args(&[
             "--data",
             &data,
             "--out",
-            &faulted_model,
+            &model,
             "--max-replays",
             "1000",
+            "--consistency",
+            "relaxed",
             "--shards",
             "2",
             "--fault-plan",
             "seed=7;kill=0@0",
         ]))
         .unwrap();
+        assert!(summary.contains("trained on 80 samples"), "{summary}");
         assert!(summary.contains("fault recovery"), "{summary}");
         assert!(summary.contains("1 respawns"), "{summary}");
-        // Recovery replays the journal: the crashed run converges to the
-        // byte-identical model.
-        assert_eq!(
-            std::fs::read(&clean_model).unwrap(),
-            std::fs::read(&faulted_model).unwrap()
-        );
-        for p in [data, clean_model, faulted_model] {
+        assert!(summary.contains("0 samples lost"), "{summary}");
+        for p in [data, model] {
             std::fs::remove_file(p).unwrap();
         }
+    }
+
+    #[test]
+    fn fault_plan_kill_under_parity_names_relaxed() {
+        // Parity ingests on the calling thread: a kill has no worker to
+        // target, at any shard count, and must not be silently ignored.
+        let data = temp_path("data11.txt");
+        write_samples(&data, 20);
+        for shards in ["1", "4"] {
+            let err = run(&args(&[
+                "--data",
+                &data,
+                "--out",
+                &temp_path("never6.amf"),
+                "--shards",
+                shards,
+                "--fault-plan",
+                "seed=7;kill=0@0",
+            ]))
+            .unwrap_err();
+            assert!(err.0.contains("--consistency relaxed"), "{}", err.0);
+        }
+        std::fs::remove_file(data).unwrap();
     }
 
     #[test]

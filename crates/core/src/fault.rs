@@ -1,22 +1,23 @@
 //! Deterministic fault injection (`FaultPlan`) for the ingestion pipeline.
 //!
-//! The fault-tolerance claims of [`crate::engine::ShardedEngine`] — a killed
-//! shard worker loses no accepted samples, replay preserves per-entity
-//! order, mid-update crashes roll back — are only worth anything if they are
-//! *provable*. A [`FaultPlan`] is a seed-driven script of faults that tests
-//! (and `amf-qos train --fault-plan`) replay deterministically:
+//! The fault-tolerance claims of [`crate::engine::ShardedEngine`]'s relaxed
+//! lane — a killed worker loses no accepted samples, a mid-update death
+//! re-applies its sample, a worker that keeps dying is abandoned with exact
+//! loss accounting — are only worth anything if they are *provable*. A
+//! [`FaultPlan`] is a seed-driven script of faults that tests (and
+//! `amf-qos train --fault-plan`) replay deterministically:
 //!
 //! * **Stream faults** ([`FaultPlan::mutate_stream`]) — drop, duplicate, and
 //!   locally reorder samples, simulating a lossy, janky transport between
 //!   QoS managers and the prediction service;
-//! * **Worker kills** ([`FaultPlan::crash_point`]) — panic shard worker `W`
-//!   when it is about to apply its `N`-th job, either *before* it touches
-//!   any state ([`KillPhase::Before`], a clean thread death) or *mid-update*
-//!   ([`KillPhase::Mid`], after the SGD step mutated factors but before the
-//!   ordering tickets committed — the nastiest crash point, which exercises
-//!   the engine's in-flight state rollback);
-//! * **Stalls** — put a worker to sleep at a given job, forcing queue
-//!   backpressure so load-shedding paths can be driven deterministically.
+//! * **Worker kills** ([`FaultPlan::crash_point`]) — panic relaxed worker
+//!   `W` when it is about to apply its `N`-th job, either *before* it
+//!   touches any state ([`KillPhase::Before`], a clean thread death) or
+//!   *mid-update* ([`KillPhase::Mid`], after the user side of the sample is
+//!   written but before the service side is — a genuinely partial sample,
+//!   which recovery re-applies whole);
+//! * **Stalls** — put a worker to sleep at a given job, so one worker lags
+//!   the others deterministically.
 //! * **Network faults** ([`FaultPlan::net_fault`]) — per-request transport
 //!   misbehaviour for the serving plane's load harness (`amf-qos loadtest`):
 //!   connection resets mid-request, byte-trickled slow reads, and black-hole
@@ -24,9 +25,11 @@
 //!   the engine ignores them; [`NetFault`] consumers (the loadtest client)
 //!   replay them deterministically against a live `amf-qos serve` endpoint.
 //!
-//! Each kill/stall fires exactly once (consumed atomically), so a respawned
-//! worker replaying the same job does not die again — exactly like a real
-//! transient fault.
+//! Kills and stalls target worker threads, so they only run under
+//! [`crate::engine::Consistency::Relaxed`]: parity ingests on the calling
+//! thread and rejects them ([`FaultPlan::targets_workers`]). Each kill/stall
+//! fires exactly once (consumed atomically), so a resumed worker re-running
+//! the same job does not die again — exactly like a real transient fault.
 //!
 //! Plans parse from a compact spec string (the CLI's `--fault-plan` flag):
 //!
@@ -46,9 +49,9 @@ use std::time::Duration;
 pub enum KillPhase {
     /// Before the job touches any model state: a clean worker death.
     Before,
-    /// After the SGD step mutated the two entities but before their ordering
-    /// tickets committed — simulates a crash mid-update, leaving torn state
-    /// for the engine's rollback to repair.
+    /// After the SGD step wrote the user side of the sample but before the
+    /// service side — simulates a crash mid-update; recovery re-applies the
+    /// whole sample.
     Mid,
 }
 
@@ -202,7 +205,7 @@ impl FaultPlan {
     }
 
     /// Schedules worker `worker` to sleep `pause` before applying its
-    /// `at_job`-th job (drives queue backpressure deterministically).
+    /// `at_job`-th job (makes one worker lag the others deterministically).
     pub fn stall_worker(mut self, worker: usize, at_job: u64, pause: Duration) -> Self {
         self.stalls.push(Stall {
             worker,
@@ -293,12 +296,18 @@ impl FaultPlan {
             .count()
     }
 
+    /// Whether any kill or stall is scheduled — verbs that need a worker
+    /// thread to target, which only the relaxed engine lane has.
+    pub fn targets_workers(&self) -> bool {
+        !self.kills.is_empty() || !self.stalls.is_empty()
+    }
+
     /// Whether any stream-level fault (drop/duplicate/reorder) is configured.
     pub fn mutates_stream(&self) -> bool {
         self.drop_rate > 0.0 || self.duplicate_rate > 0.0 || self.reorder_window > 0
     }
 
-    /// Engine hook: called by shard worker `worker` around its `job`-th
+    /// Engine hook: called by relaxed worker `worker` around its `job`-th
     /// application. Sleeps on a scheduled stall; panics (with an
     /// [`InjectedCrash`] payload) on a scheduled kill matching `phase`.
     /// Each fault fires at most once.

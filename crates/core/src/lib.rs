@@ -62,9 +62,7 @@ pub mod weights;
 
 pub use config::{AmfConfig, LossKind};
 pub use diagnostics::{ModelDiagnostics, QuarantineDiagnostics};
-pub use engine::{
-    Consistency, EngineOptions, FaultEvent, FaultStats, FeedOutcome, ShardedEngine, ShedPolicy,
-};
+pub use engine::{Consistency, EngineOptions, FaultEvent, FaultStats, ShardedEngine};
 pub use expiry::ObservationStore;
 pub use fault::{FaultContext, FaultPlan, KillPhase, NetFault};
 pub use guard::{GuardConfig, GuardStats, QuarantinedSample, RejectReason, SampleGuard};

@@ -129,9 +129,10 @@ pub(crate) enum EntityKind {
 ///
 /// Derived from the model seed and the entity's `(kind, id)` alone — *not*
 /// from registration order — so that any two components that materialize the
-/// same entity (the sequential [`AmfModel`], a [`crate::engine::ShardedEngine`]
-/// worker, a restored checkpoint registering fresh ids) produce bit-identical
-/// factors. This is what makes sequential-vs-sharded parity well defined.
+/// same entity (the sequential [`AmfModel`], a relaxed
+/// [`crate::engine::ShardedEngine`] worker, a restored checkpoint registering
+/// fresh ids) produce bit-identical factors. This is what makes the relaxed
+/// lane comparable to the sequential model entity for entity.
 pub(crate) fn entity_seed(model_seed: u64, kind: EntityKind, id: usize) -> u64 {
     let tag: u64 = match kind {
         EntityKind::User => 0x75,    // 'u'
@@ -513,10 +514,10 @@ impl AmfModel {
         }
     }
 
-    /// Disassembles the model for the engine's sharded execution: factor
-    /// slabs plus the streaming-telemetry state, which the engine carries as
-    /// its merge base so windowed accuracy stays continuous across
-    /// sequential → sharded → sequential transitions.
+    /// Disassembles the model for the engine's relaxed lane: factor slabs
+    /// plus the streaming-telemetry state, which the lane carries as its
+    /// merge base so windowed accuracy stays continuous across
+    /// sequential → relaxed → sequential transitions.
     pub(crate) fn into_parts(self) -> (FactorSlab, FactorSlab, AccuracyWindow, DriftSentinel) {
         (self.users, self.services, self.accuracy, self.sentinel)
     }
@@ -527,8 +528,9 @@ impl AmfModel {
 /// state pair, given as disjoint slab borrows.
 ///
 /// This is the *only* per-sample mutation in the crate: [`AmfModel::observe`]
-/// and every [`crate::engine::ShardedEngine`] worker funnel through it, which
-/// is what makes sequential and sharded execution comparable update-for-update.
+/// and every relaxed [`crate::engine::ShardedEngine`] worker funnel through it,
+/// which is what makes sequential and relaxed execution comparable
+/// update-for-update.
 /// No allocation happens here — the factors are in-place slab slices and the
 /// trackers are plain `Copy` cells.
 #[allow(clippy::too_many_arguments)]

@@ -105,32 +105,21 @@ pub(crate) fn guard_metrics() -> &'static GuardMetrics {
     })
 }
 
-/// Engine-side dispatcher/worker counters. Dispatch-side increments happen
-/// per *chunk* (already amortized); worker-side chunk timing costs two
-/// `Instant::now` reads per chunk of up to `chunk_size` samples.
+/// Engine-side counters. Dispatch counters move once per in-thread feed
+/// call or relaxed micro-batch (already amortized); the fault counters only
+/// move when a relaxed worker dies.
 pub(crate) struct EngineMetrics {
     pub chunks_dispatched: Arc<Counter>,
     pub jobs_dispatched: Arc<Counter>,
-    /// `engine.chunk_apply_ns.shard-0` as timed by the in-thread lane (one
-    /// record per `feed_batch` call). Cached here because that lane is
-    /// rebuilt for every service batch; threaded workers register their
-    /// own `shard-K` handles per spawn, which alias this one for `K = 0`.
-    pub fast_chunk_apply_ns: Arc<Histogram>,
-    pub queue_full: Arc<Counter>,
+    /// `engine.chunk_apply_ns.shard-0`: one record per in-thread
+    /// `feed_batch` call. Cached here because that lane is rebuilt for
+    /// every service batch.
+    pub chunk_apply_ns: Arc<Histogram>,
     pub worker_panics: Arc<Counter>,
     pub respawns: Arc<Counter>,
     pub jobs_replayed: Arc<Counter>,
-    pub samples_shed: Arc<Counter>,
     pub samples_lost: Arc<Counter>,
     pub workers_abandoned: Arc<Counter>,
-    /// Chunks parked dispatcher-side waiting for worker queues (set each
-    /// pump — a live queue-depth signal).
-    pub outbox_depth: Arc<Gauge>,
-    /// High-watermark of `outbox_depth` over the engine's lifetime.
-    pub outbox_depth_hwm: Arc<Gauge>,
-    /// Load imbalance across shards: max per-shard applied jobs divided by
-    /// the mean (1.0 = perfectly balanced; refreshed each pump).
-    pub shard_imbalance: Arc<Gauge>,
 }
 
 pub(crate) fn engine_metrics() -> &'static EngineMetrics {
@@ -140,17 +129,12 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
         EngineMetrics {
             chunks_dispatched: reg.counter("engine.chunks_dispatched"),
             jobs_dispatched: reg.counter("engine.jobs_dispatched"),
-            fast_chunk_apply_ns: reg.histogram_labeled("engine.chunk_apply_ns", "shard-0"),
-            queue_full: reg.counter("engine.queue_full"),
+            chunk_apply_ns: reg.histogram_labeled("engine.chunk_apply_ns", "shard-0"),
             worker_panics: reg.counter("engine.worker_panics"),
             respawns: reg.counter("engine.respawns"),
             jobs_replayed: reg.counter("engine.jobs_replayed"),
-            samples_shed: reg.counter("engine.samples_shed"),
             samples_lost: reg.counter("engine.samples_lost"),
             workers_abandoned: reg.counter("engine.workers_abandoned"),
-            outbox_depth: reg.gauge("engine.outbox_depth"),
-            outbox_depth_hwm: reg.gauge("engine.outbox_depth_hwm"),
-            shard_imbalance: reg.gauge("engine.shard_imbalance"),
         }
     })
 }

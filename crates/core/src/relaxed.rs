@@ -1,12 +1,11 @@
-//! The relaxed-consistency (Hogwild-style) parallel fast lane.
+//! The relaxed-consistency (Hogwild-style) parallel lane — the engine's only
+//! worker lane.
 //!
-//! The bitwise-parity engine ([`crate::engine`]) buys sequential equivalence
-//! with ordering tickets, bounded channels, and per-chunk stripe mutexes —
-//! and `BENCH_CORE.json` showed that tax clearly: sequential feed ran ~4×
-//! faster than any sharded configuration. This module trades *bitwise* for
+//! The parity lane ([`crate::engine`]) applies samples on the calling thread,
+//! which caps ingestion at one core. This module trades *bitwise* for
 //! *statistically bounded* equivalence, the property incremental SGD
 //! actually needs: small reorderings of commuting updates perturb the final
-//! factors, but windowed MRE/NMAE stays within an ε of the parity engine
+//! factors, but windowed MRE/NMAE stays within an ε of the sequential model
 //! (enforced by `tests/relaxed_parity.rs` against the golden stream).
 //!
 //! # Design
@@ -39,18 +38,18 @@
 //! guard (no other worker wedges) and the fan-in records a
 //! [`FaultEvent`]. Recovery restarts the dead worker's partition from its
 //! progress watermark, *re-applying the in-flight sample* — at-least-once,
-//! versus the parity engine's journal-replay exactly-once. The weaker
-//! guarantee is deliberate: a duplicated SGD micro-step is statistically
-//! invisible (the ε harness runs under fault injection to prove it), and
-//! dropping the journal is part of what makes this lane fast. The
-//! *update count* still counts each accepted sample exactly once, so the
-//! no-lost-update invariant remains exact. A worker that keeps dying past
-//! [`crate::engine::EngineOptions::max_respawns`] rounds forfeits the rest
-//! of its partition (`samples_lost`, engine degraded) instead of looping
-//! forever.
+//! not exactly-once. The weaker guarantee is deliberate: a duplicated SGD
+//! micro-step is statistically invisible (the ε harness runs under fault
+//! injection to prove it), and keeping no journal is part of what makes
+//! this lane fast. The *update count* still counts each accepted sample
+//! exactly once, so the no-lost-update invariant remains exact. When the
+//! dead workers are still dying after
+//! [`crate::engine::EngineOptions::max_respawns`] resume rounds, each one
+//! is abandoned: the rest of its partition is counted as `samples_lost`
+//! and the engine reports degraded, instead of looping forever.
 
 use crate::config::AmfConfig;
-use crate::engine::{Consistency, EngineOptions, FaultEvent, FaultStats, FeedOutcome};
+use crate::engine::{Consistency, EngineOptions, FaultEvent, FaultStats};
 use crate::fault::{FaultPlan, InjectedCrash, KillPhase};
 use crate::model::{apply_observation, AmfModel, EntityKind, EntityState, FactorSlab};
 use crate::online::UpdateOutcome;
@@ -196,9 +195,9 @@ impl AtomicSlab {
 }
 
 /// Per-worker streaming telemetry, folded into the base at snapshot time in
-/// worker order (same merge rule as the parity engine). Re-applied samples
-/// after a crash push twice — telemetry is best-effort in relaxed mode,
-/// matching the at-least-once application contract.
+/// worker order. Re-applied samples after a crash push twice — telemetry is
+/// best-effort in relaxed mode, matching the at-least-once application
+/// contract.
 struct WorkerTelemetry {
     window: AccuracyWindow,
     sentinel: DriftSentinel,
@@ -285,8 +284,10 @@ pub(crate) struct RelaxedLane {
     lost: u64,
     /// Samples re-applied after a crash (the at-least-once duplicates).
     replayed: u64,
-    /// Resume rounds run after worker deaths.
+    /// Worker restarts after a death.
     respawns: u64,
+    /// Workers given up on with their partition unfinished.
+    abandoned: u64,
     degraded: bool,
     faults: Vec<FaultEvent>,
     /// Per-worker lifetime sample counters — the `at_job` coordinate space
@@ -346,6 +347,7 @@ impl RelaxedLane {
             lost: 0,
             replayed: 0,
             respawns: 0,
+            abandoned: 0,
             degraded: false,
             faults: Vec::new(),
             worker_seq: vec![0; k],
@@ -394,7 +396,7 @@ impl RelaxedLane {
             respawns: self.respawns,
             jobs_replayed: self.replayed,
             samples_lost: self.lost,
-            abandoned_workers: 0,
+            abandoned_workers: self.abandoned,
         }
     }
 
@@ -420,20 +422,6 @@ impl RelaxedLane {
             if self.pending.len() >= self.options.relaxed_batch {
                 self.flush();
             }
-        }
-    }
-
-    /// Relaxed admission is synchronous (the flush applies the batch before
-    /// returning), so there is never queue pressure to shed against.
-    pub(crate) fn feed_batch_shedding<I>(&mut self, samples: I) -> FeedOutcome
-    where
-        I: IntoIterator<Item = (usize, usize, f64)>,
-    {
-        let before = self.submitted;
-        self.feed_batch(samples);
-        FeedOutcome {
-            queued: self.submitted - before,
-            shed: 0,
         }
     }
 
@@ -483,8 +471,8 @@ impl RelaxedLane {
 
     /// Applies the buffered micro-batch with one scoped fan-out: partition
     /// by `user % K`, spawn `K` workers over the shared slabs, fan in. Dead
-    /// workers are resumed from their progress watermark, bounded by the
-    /// respawn budget.
+    /// workers are resumed from their progress watermark; once the respawn
+    /// budget is spent, the workers still unfinished are abandoned.
     fn flush(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -505,44 +493,58 @@ impl RelaxedLane {
         // Per-worker progress through its partition; persists across resume
         // rounds, published by the worker *after* each sample applies.
         let progress: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
+        let unfinished = |w: usize| (progress[w].load(Ordering::Acquire) as usize) < parts[w].len();
+        let trace = qos_obs::global().trace();
         let mut rounds = 0u32;
         loop {
             let deaths = self.run_round(&parts, &progress);
             if deaths.is_empty() {
                 break;
             }
-            let metrics = crate::obs::engine_metrics();
+            rounds += 1;
+            let give_up = rounds > self.options.max_respawns;
             for death in deaths {
                 metrics.worker_panics.inc();
-                qos_obs::global()
-                    .trace()
-                    .event("engine_worker_panic", death.message.clone());
+                trace.event("engine_worker_panic", death.message.clone());
+                let w = death.worker;
                 // The sample in flight at death re-applies on resume:
                 // at-least-once, counted as a replay.
-                if (progress[death.worker].load(Ordering::Acquire) as usize)
-                    < parts[death.worker].len()
-                {
+                if unfinished(w) {
                     self.replayed += 1;
                     metrics.jobs_replayed.inc();
                 }
                 self.faults.push(death);
+                if !give_up {
+                    self.respawns += 1;
+                    metrics.respawns.inc();
+                    trace.event(
+                        "engine_respawn",
+                        format!(
+                            "worker {w} resuming at job {}",
+                            progress[w].load(Ordering::Acquire)
+                        ),
+                    );
+                }
             }
-            rounds += 1;
-            if rounds > self.options.max_respawns {
-                // Give up on the remainder rather than looping forever on a
-                // worker that keeps dying.
+            if give_up {
+                // Stop resuming a worker that keeps dying: the rest of its
+                // partition is lost, and the engine reports degraded.
                 self.degraded = true;
+                for (w, part) in parts.iter().enumerate().filter(|&(w, _)| unfinished(w)) {
+                    let lost = (part.len() as u64) - progress[w].load(Ordering::Acquire);
+                    self.abandoned += 1;
+                    metrics.workers_abandoned.inc();
+                    trace.event("engine_abandon", format!("worker {w} lost {lost} jobs"));
+                }
                 break;
             }
-            self.respawns += 1;
-            metrics.respawns.inc();
         }
 
         let applied_now: u64 = progress.iter().map(|p| p.load(Ordering::Acquire)).sum();
         let lost_now = batch.len() as u64 - applied_now;
         if lost_now > 0 {
             self.lost += lost_now;
-            crate::obs::engine_metrics().samples_lost.add(lost_now);
+            metrics.samples_lost.add(lost_now);
         }
         self.applied += applied_now;
         for (w, part) in parts.iter().enumerate() {

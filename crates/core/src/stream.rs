@@ -145,7 +145,7 @@ impl AccuracyWindow {
     }
 
     /// Appends `other`'s samples (oldest-first) into this window — the
-    /// deterministic merge the sharded engine uses to fold per-worker
+    /// deterministic merge the relaxed engine lane uses to fold per-worker
     /// windows back into the model's. Later pushes evict earlier ones as
     /// usual.
     pub fn absorb(&mut self, other: &AccuracyWindow) {

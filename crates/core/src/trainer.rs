@@ -139,16 +139,14 @@ impl AmfTrainer {
     }
 
     /// Batch variant of [`AmfTrainer::feed`] that applies the online updates
-    /// through a [`crate::engine::ShardedEngine`] with `options.shards`
-    /// worker threads. Under the default
-    /// [`Consistency::Parity`](crate::engine::Consistency) mode, results are
-    /// identical to feeding the samples one by one (the engine preserves
-    /// per-entity stream order, which pins down the execution bit-for-bit);
-    /// only the wall-clock differs. Under
-    /// [`Consistency::Relaxed`](crate::engine::Consistency) the lock-free
-    /// fast lane is statistically equivalent instead (windowed accuracy
-    /// within the ε pinned by `tests/relaxed_parity.rs`). Returns the number
-    /// of samples applied.
+    /// through a [`crate::engine::ShardedEngine`]. Under the default
+    /// [`Consistency::Parity`](crate::engine::Consistency) the engine applies
+    /// the samples on the calling thread in stream order, so results are
+    /// identical to feeding them one by one. Under
+    /// [`Consistency::Relaxed`](crate::engine::Consistency) `options.shards`
+    /// worker threads apply them instead, statistically equivalent rather
+    /// than bitwise (windowed accuracy within the ε pinned by
+    /// `tests/relaxed_parity.rs`). Returns the number of samples applied.
     ///
     /// # Errors
     ///
@@ -167,15 +165,18 @@ impl AmfTrainer {
     }
 
     /// Like [`AmfTrainer::feed_batch_sharded`], with an optional
-    /// [`FaultPlan`](crate::fault::FaultPlan) attached to the engine so the
-    /// batch exercises worker kills, stalls, and recovery deterministically.
-    /// Also returns the engine's [`FaultStats`](crate::engine::FaultStats)
-    /// so callers can report what the run survived.
+    /// [`FaultPlan`](crate::fault::FaultPlan) attached to the engine so a
+    /// relaxed batch exercises worker kills, stalls, and recovery
+    /// deterministically. Also returns the engine's
+    /// [`FaultStats`](crate::engine::FaultStats) so callers can report what
+    /// the run survived.
     ///
     /// # Errors
     ///
-    /// Returns [`AmfError::InvalidConfig`] when `options` is invalid; the
-    /// trainer's model is untouched in that case.
+    /// Returns [`AmfError::InvalidConfig`] when `options` is invalid or a
+    /// kill/stall plan meets parity
+    /// ([`EngineOptions::validate`](crate::engine::EngineOptions::validate));
+    /// the trainer is untouched in that case.
     pub fn feed_batch_sharded_with<I>(
         &mut self,
         samples: I,
@@ -185,7 +186,7 @@ impl AmfTrainer {
     where
         I: IntoIterator<Item = (usize, usize, u64, f64)>,
     {
-        options.validate()?;
+        options.validate(plan.as_deref())?;
         let samples: Vec<(usize, usize, u64, f64)> = samples.into_iter().collect();
         for &(user, service, timestamp, value) in &samples {
             self.advance_clock(timestamp);
@@ -460,6 +461,19 @@ mod tests {
         );
         assert!(err.is_err());
         assert_eq!(t.model().predict(0, 0), before);
+        assert_eq!(t.store().len(), 1);
+        // A kill plan has no worker to target under parity: rejected before
+        // the model or the store is touched.
+        let kill =
+            crate::fault::FaultPlan::new(0).kill_worker(0, 0, crate::fault::KillPhase::Before);
+        let err = t.feed_batch_sharded_with(
+            vec![(1, 1, 1, 2.0)],
+            crate::engine::EngineOptions::with_shards(2),
+            Some(std::sync::Arc::new(kill)),
+        );
+        assert!(err.is_err());
+        assert_eq!(t.model().predict(0, 0), before);
+        assert_eq!(t.model().update_count(), 1);
         assert_eq!(t.store().len(), 1);
     }
 

@@ -22,8 +22,8 @@
 //! [`f64x4_runtime`] reports whether the host has 256-bit vector units
 //! (AVX). Callers use it to pick between a lane-structured kernel and the
 //! plain scalar loop; because both are bitwise identical, the choice affects
-//! only speed, never results — which is what lets the bitwise-parity engine
-//! and the relaxed fast lane share one dispatch decision.
+//! only speed, never results — which is what lets the sequential model and
+//! the engine's relaxed lane share one dispatch decision.
 
 use std::sync::OnceLock;
 

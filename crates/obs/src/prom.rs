@@ -34,7 +34,6 @@ pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 /// `service.predict_source` could mis-split it.
 const LABELED_FAMILIES: &[(&str, &str)] = &[
     ("engine.chunk_apply_ns", "shard"),
-    ("engine.shard_backlog", "shard"),
     ("guard.rejected", "reason"),
     ("model.drift_alarms", "side"),
     ("service.predict_source", "source"),
@@ -440,21 +439,21 @@ mod tests {
         // (all zero) with the +Inf bucket present, or a scraper that joins
         // `_count` against `_bucket` breaks on a freshly-started process.
         let reg = MetricsRegistry::new();
-        let _ = reg.histogram("engine.drain_ns");
+        let _ = reg.histogram("model.observe_ns");
         let text = render_prometheus(&reg.snapshot_json(false));
         let samples = parse_exposition(&text).expect("output parses");
         assert_eq!(
-            sample(&samples, "amf_engine_drain_ns_bucket{le=\"+Inf\"}"),
+            sample(&samples, "amf_model_observe_ns_bucket{le=\"+Inf\"}"),
             Some(0.0)
         );
-        assert_eq!(sample(&samples, "amf_engine_drain_ns_sum"), Some(0.0));
-        assert_eq!(sample(&samples, "amf_engine_drain_ns_count"), Some(0.0));
+        assert_eq!(sample(&samples, "amf_model_observe_ns_sum"), Some(0.0));
+        assert_eq!(sample(&samples, "amf_model_observe_ns_count"), Some(0.0));
         let bucket_lines = samples
             .iter()
-            .filter(|(k, _)| k.starts_with("amf_engine_drain_ns_bucket{"))
+            .filter(|(k, _)| k.starts_with("amf_model_observe_ns_bucket{"))
             .count();
         assert_eq!(bucket_lines, BUCKETS);
-        assert!(text.contains("# TYPE amf_engine_drain_ns histogram"));
+        assert!(text.contains("# TYPE amf_model_observe_ns histogram"));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::metrics::Histogram;
 /// span duration for span-close events.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Static event name (e.g. `"engine_drain"`).
+    /// Static event name (e.g. `"engine_respawn"`).
     pub name: &'static str,
     /// Optional dynamic detail (shard id, sample count, ...).
     pub detail: String,

@@ -5,7 +5,7 @@
 //! `mio`/`epoll` wrappers this module declares the one libc symbol it
 //! needs (`poll` — POSIX, linked into every Rust binary already) behind a
 //! safe interface. This is the only `unsafe` in the crate, confined to
-//! [`sys`]: a single FFI call whose argument is a `&mut [PollFd]` slice
+//! `sys`: a single FFI call whose argument is a `&mut [PollFd]` slice
 //! whose pointer/length pair is valid by construction.
 //!
 //! The [`Waker`] is a self-connected loopback TCP pair (the same idiom the

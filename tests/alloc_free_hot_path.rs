@@ -1,17 +1,18 @@
 //! Allocation accounting for the two ingestion hot paths.
 //!
 //! The contiguous-slab refactor promises that steady-state training does not
-//! touch the heap: the sequential `observe` path performs *zero* allocations
-//! per sample, and the sharded engine's dispatch/apply path allocates only
-//! per *chunk* (channel sends, journal growth), never per sample. This suite
-//! pins both properties with a counting global allocator.
+//! touch the heap: the sequential `observe` path — and the engine's parity
+//! lane, which is that path on the calling thread — performs *zero*
+//! allocations per sample, and the relaxed lane allocates only per
+//! *micro-batch* (partition buffers, scoped worker threads), never per
+//! sample. This suite pins both properties with a counting global allocator.
 //!
 //! It lives in its own integration-test binary (own process) so the
 //! `#[global_allocator]` cannot interfere with any other suite, and runs all
 //! phases from a single `#[test]` so no concurrent test thread pollutes the
 //! counters. Two counters with different scopes:
 //!
-//! * The sequential phase uses a *thread-scoped* counter (a const-initialized
+//! * The in-thread phase uses a *thread-scoped* counter (a const-initialized
 //!   TLS flag gates it), because the property under test is "the measuring
 //!   thread performs zero allocations". A process-global counter is not
 //!   usable here: while the test thread runs, the libtest harness's main
@@ -19,10 +20,10 @@
 //!   allocates its per-thread parking `Context` the first time a thread
 //!   blocks — two allocations that land inside the measured window on some
 //!   runs and before it on others.
-//! * The engine phase uses a *process-global* counter on purpose: its
-//!   numbers must include everything the shard workers do.
+//! * The relaxed phase uses a *process-global* counter on purpose: its
+//!   numbers must include everything the worker threads do.
 
-use amf_core::{AmfConfig, AmfModel, EngineOptions, ShardedEngine};
+use amf_core::{AmfConfig, AmfModel, Consistency, EngineOptions, ShardedEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,7 +34,7 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static THREAD_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Set only on the measuring thread during the sequential phase. Const
+    /// Set only on the measuring thread during the in-thread phase. Const
     /// initialization keeps the TLS access itself allocation-free, and
     /// `try_with` keeps the allocator safe during thread teardown.
     static COUNT_THIS_THREAD: Cell<bool> = const { Cell::new(false) };
@@ -93,7 +94,8 @@ fn hot_paths_do_not_allocate_per_sample() {
 
     let data = stream(SAMPLES, USERS, SERVICES);
 
-    // --- Phase 1: sequential observe is exactly allocation-free. ---
+    // --- Phase 1: sequential observe, and the parity engine lane that runs
+    // it on the calling thread, are exactly allocation-free. ---
     let mut model = AmfModel::new(AmfConfig::response_time()).unwrap();
     // Warmup registers every entity (slab growth) and exercises each branch
     // of the update (trackers, clamps) before measurement starts.
@@ -116,13 +118,29 @@ fn hot_paths_do_not_allocate_per_sample() {
          the fused slab kernel must stay off the heap"
     );
 
-    // --- Phase 2: sharded dispatch/apply allocates per chunk, not per
+    let mut engine = ShardedEngine::from_model(model, EngineOptions::with_shards(4)).unwrap();
+    // Warmup: the engine's metric handles register on first use.
+    engine.feed_batch(data[..1000].iter().copied());
+    COUNT_THIS_THREAD.with(|flag| flag.set(true));
+    let before = THREAD_ALLOCATIONS.load(Ordering::Relaxed);
+    engine.feed_batch(data.iter().copied());
+    engine.drain();
+    let in_thread_allocs = THREAD_ALLOCATIONS.load(Ordering::Relaxed) - before;
+    COUNT_THIS_THREAD.with(|flag| flag.set(false));
+    assert_eq!(
+        in_thread_allocs, 0,
+        "the in-thread K=4 engine allocated {in_thread_allocs} times over {SAMPLES} \
+         samples; parity ingestion must stay off the heap"
+    );
+
+    // --- Phase 2: the relaxed lane allocates per micro-batch, not per
     // sample. ---
-    let options = EngineOptions::with_shards(4);
-    let chunk = options.chunk_size;
-    let mut engine = ShardedEngine::from_model(model, options).unwrap();
-    // Warmup: every entity gets a stripe slot, every queue/journal/outbox
-    // reaches steady capacity.
+    let mut engine = ShardedEngine::from_model(
+        engine.into_model(),
+        EngineOptions::with_consistency(4, Consistency::Relaxed),
+    )
+    .unwrap();
+    // Warmup: the atomic slabs reach full size.
     engine.feed_batch(data.iter().copied());
     engine.drain();
 
@@ -131,19 +149,19 @@ fn hot_paths_do_not_allocate_per_sample() {
     engine.drain();
     let engine_allocs = allocations() - before;
 
-    // Each chunk costs a bounded number of allocations (the pending buffer
-    // regrowing after `mem::take`, the channel send, amortized journal
-    // growth); the per-sample budget must stay far below one. The bound is
-    // generous — ~2 orders of magnitude above steady state — so it only
-    // trips on a reintroduced per-sample clone, not on scheduler jitter.
-    let chunks = SAMPLES.div_ceil(chunk) as u64;
-    let budget = chunks * 64;
+    // Each micro-batch costs a bounded number of allocations (partition
+    // buffers, the pending buffer regrowing after `mem::take`, one scoped
+    // thread per worker); the per-sample budget must stay far below one.
+    // The bound — one allocation per four samples — is ~25× above steady
+    // state, so it only trips on a reintroduced per-sample allocation, not
+    // on scheduler jitter.
+    let budget = (SAMPLES / 4) as u64;
     assert!(
         engine_allocs < budget,
-        "sharded ingest allocated {engine_allocs} times for {SAMPLES} samples \
-         ({chunks} chunks); budget {budget} — a per-sample allocation crept in"
+        "relaxed ingest allocated {engine_allocs} times for {SAMPLES} samples; \
+         budget {budget} — a per-sample allocation crept in"
     );
-    // And the model comes back out without touching the per-sample paths.
+    // And the model comes back out with every sample counted.
     let final_model = engine.into_model();
-    assert!(final_model.update_count() >= (2 * SAMPLES + 1000) as u64 - SAMPLES as u64);
+    assert_eq!(final_model.update_count(), (4 * SAMPLES + 2 * 1000) as u64);
 }

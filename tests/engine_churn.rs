@@ -1,7 +1,7 @@
 //! Integration: ShardedEngine under churn — users and services joining
-//! (`ensure_user`/`ensure_service`) while shard workers are mid-stream —
-//! must lose no updates, panic nowhere, and stay bit-identical to the
-//! sequential model.
+//! (`ensure_user`/`ensure_service`) between feed waves — must lose no
+//! updates, panic nowhere, and stay bit-identical to the sequential model
+//! under parity (within the relaxed ε under relaxed consistency).
 
 mod support;
 
@@ -21,20 +21,12 @@ fn joins_interleaved_with_feeding_lose_nothing() {
 
     // Sequential reference: same interleaving of joins and observations.
     let mut reference = AmfModel::new(AmfConfig::response_time()).unwrap();
-    let mut engine = ShardedEngine::new(
-        AmfConfig::response_time(),
-        EngineOptions {
-            shards: 4,
-            chunk_size: 32,
-            ..EngineOptions::default()
-        },
-    )
-    .unwrap();
+    let mut engine =
+        ShardedEngine::new(AmfConfig::response_time(), EngineOptions::with_shards(4)).unwrap();
 
     for (wave, chunk) in stream.chunks(500).enumerate() {
         // A churn wave between feed waves: brand-new ids join with no
-        // observation, while workers are still applying the previous wave
-        // (feed_batch only queues — no drain here).
+        // observation (no drain in between).
         let new_user = spec.users + wave;
         let new_service = spec.services + 2 * wave;
         engine.ensure_user(new_user);
@@ -59,8 +51,8 @@ fn joins_interleaved_with_feeding_lose_nothing() {
 
 #[test]
 fn join_of_entity_with_queued_samples_is_benign() {
-    // ensure_* of an id that already has samples in flight must neither
-    // reset its factors nor disturb its ticket sequence.
+    // ensure_* of an id that already has samples applied must not reset
+    // its factors.
     let spec = StreamSpec {
         users: 6,
         services: 10,
@@ -161,20 +153,20 @@ fn service_layer_churn_with_sharded_ingestion() {
 #[test]
 fn churn_with_worker_kill_stays_in_mae_band() {
     // The fault-injected churn variant: users join and services leave
-    // between waves while a shard worker is killed mid-stream. Recovery
-    // must lose nothing, so the faulted service's predictions stay within
-    // a tight MAE band of (here: bitwise equal to) an unfaulted twin.
-    use amf_core::{FaultPlan, KillPhase};
+    // between waves while a relaxed worker is killed mid-update. Recovery
+    // must lose nothing, and the faulted service's windowed MRE and NMAE
+    // stay within the relaxed lane's ε (`tests/relaxed_parity.rs`) of a
+    // sequential twin fed the same waves — at-least-once recovery rules out
+    // a bitwise band.
+    use amf_core::{Consistency, FaultPlan, KillPhase};
     use std::sync::Arc;
 
-    let make = || {
-        QosPredictionService::new(ServiceConfig {
-            shards: 3,
-            ..Default::default()
-        })
-    };
-    let clean = make();
-    let faulted = make();
+    let clean = QosPredictionService::new(ServiceConfig::default());
+    let faulted = QosPredictionService::new(ServiceConfig {
+        shards: 3,
+        consistency: Consistency::Relaxed,
+        ..Default::default()
+    });
     faulted.inject_fault_plan(Arc::new(FaultPlan::new(17).kill_worker(
         1,
         0,
@@ -213,51 +205,55 @@ fn churn_with_worker_kill_stays_in_mae_band() {
 
     let faults = faulted.fault_stats();
     assert_eq!(faults.worker_panics, 1, "the scripted kill must fire");
+    assert_eq!(faults.respawns, 1);
     assert_eq!(faults.samples_lost, 0);
     let stats = faulted.stats();
     assert_eq!(stats.updates, total, "recovery lost updates under churn");
+    assert_eq!(stats.updates, stats.accepted);
     assert!(!stats.degraded);
 
-    // MAE band: mean |faulted - clean| over the whole grid. Journal replay
-    // gives exact parity, so the band is tight; the assertion allows a hair
-    // of slack to stay meaningful if recovery semantics ever relax.
-    let mut diff = 0.0;
-    let mut n = 0usize;
     for u in 0..7 {
         for s in 0..11 {
-            let a = clean.predict_ids(u, s).unwrap();
-            let b = faulted.predict_ids(u, s).unwrap();
-            assert!(a.is_finite() && b.is_finite());
-            diff += (a - b).abs();
-            n += 1;
+            let p = faulted.predict_ids(u, s).unwrap();
+            assert!(p.is_finite(), "({u},{s}): {p}");
         }
     }
-    assert!(
-        diff / n as f64 <= 1e-9,
-        "MAE drift {} after recovery",
-        diff / n as f64
-    );
+    let (want, got) = (clean.windowed_accuracy(), faulted.windowed_accuracy());
+    for (metric, want, got) in [
+        ("MRE", want.mre.unwrap(), got.mre.unwrap()),
+        ("NMAE", want.nmae.unwrap(), got.nmae.unwrap()),
+    ] {
+        eprintln!("churn+kill {metric}: faulted {got:.5} vs sequential {want:.5}");
+        assert!(
+            (got - want).abs() <= 0.04_f64.max(0.25 * want),
+            "{metric} drift after recovery: faulted {got} vs sequential {want}"
+        );
+    }
 }
 
 #[test]
 fn many_engines_start_and_stop_cleanly() {
-    // Worker threads must always shut down (Drop path included), even when
-    // the engine is abandoned with work still queued.
+    // Engines must always shut down cleanly (Drop path included), even
+    // when dropped with samples still buffered in the relaxed lane.
+    use amf_core::Consistency;
+
     let stream = qos_stream(StreamSpec {
         users: 5,
         services: 8,
         samples: 400,
         seed: 55,
     });
-    for shards in [1usize, 2, 8] {
-        for _ in 0..3 {
-            let mut engine = ShardedEngine::new(
-                AmfConfig::response_time(),
-                EngineOptions::with_shards(shards),
-            )
-            .unwrap();
-            engine.feed_batch(stream.iter().copied());
-            drop(engine); // no drain: Drop joins the workers
+    for consistency in [Consistency::Parity, Consistency::Relaxed] {
+        for shards in [1usize, 2, 8] {
+            for _ in 0..3 {
+                let mut engine = ShardedEngine::new(
+                    AmfConfig::response_time(),
+                    EngineOptions::with_consistency(shards, consistency),
+                )
+                .unwrap();
+                engine.feed_batch(stream.iter().copied());
+                drop(engine); // no drain
+            }
         }
     }
 }

@@ -2,8 +2,8 @@
 //! pipeline — guard → sharded engine → predictions — must reproduce a
 //! committed fixture to 1e-12.
 //!
-//! The engine suites already pin *internal* consistency (sharded ==
-//! sequential, replay == no-fault). This suite pins *external* behavior
+//! The engine suites already pin *internal* consistency (engine ==
+//! sequential). This suite pins *external* behavior
 //! across time: if any change to the transform, the SGD step, the adaptive
 //! weights, the guard's admission rules, or the engine's ordering shifts a
 //! prediction or a final EMA by more than 1e-12, the fixture diff says so —
@@ -19,7 +19,9 @@
 //! then commit the updated `tests/fixtures/golden_trace.txt` and explain the
 //! shift in the PR description.
 
-use amf_core::{AmfConfig, AmfModel, EngineOptions, GuardConfig, SampleGuard, ShardedEngine};
+use amf_core::{
+    AmfConfig, AmfModel, EngineOptions, GuardConfig, GuardStats, SampleGuard, ShardedEngine,
+};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -69,16 +71,22 @@ fn raw_stream() -> Vec<(usize, usize, f64)> {
         .collect()
 }
 
-/// Runs the pipeline and renders the canonical trace document: admission
-/// tallies, probe-grid predictions, and the final per-entity EMA errors.
-/// Floats are printed with 17 significant digits — enough to round-trip an
-/// f64 exactly, so the committed fixture *is* the bit pattern.
-fn render_trace() -> String {
-    let config = AmfConfig::response_time();
+/// Screens the raw stream through the guard: the admitted samples, plus the
+/// guard's verdict tallies.
+fn admitted_stream(config: &AmfConfig) -> (Vec<(usize, usize, f64)>, GuardStats) {
     let mut guard = SampleGuard::new(GuardConfig {
         outlier_gate: false,
-        ..GuardConfig::for_amf(&config)
+        ..GuardConfig::for_amf(config)
     });
+    let admitted = raw_stream()
+        .into_iter()
+        .filter(|&(user, service, value)| guard.admit(user, service, value).is_ok())
+        .collect();
+    (admitted, guard.stats())
+}
+
+/// The pipeline's model: the admitted stream through a 4-shard engine.
+fn engine_model(config: AmfConfig, admitted: &[(usize, usize, f64)]) -> AmfModel {
     let mut engine = ShardedEngine::new(
         config,
         EngineOptions {
@@ -87,17 +95,19 @@ fn render_trace() -> String {
         },
     )
     .expect("valid engine options");
-
-    let mut admitted = Vec::new();
-    for (user, service, value) in raw_stream() {
-        if guard.admit(user, service, value).is_ok() {
-            admitted.push((user, service, value));
-        }
-    }
     engine.feed_batch(admitted.iter().copied());
-    let model: AmfModel = engine.into_model();
+    engine.into_model()
+}
 
-    let stats = guard.stats();
+/// Runs the pipeline and renders the canonical trace document: admission
+/// tallies, probe-grid predictions, and the final per-entity EMA errors.
+/// Floats are printed with 17 significant digits — enough to round-trip an
+/// f64 exactly, so the committed fixture *is* the bit pattern.
+fn render_trace() -> String {
+    let config = AmfConfig::response_time();
+    let (admitted, stats) = admitted_stream(&config);
+    let model = engine_model(config, &admitted);
+
     let mut out = String::new();
     let _ = writeln!(out, "golden-trace/v1");
     let _ = writeln!(
@@ -126,10 +136,11 @@ fn render_trace() -> String {
         let _ = writeln!(out, "e_s {service} {e:.17e}");
     }
     // Streaming-accuracy telemetry is part of the pinned surface: the
-    // windowed MRE/NMAE over the last ACCURACY_WINDOW admitted samples
-    // (merged deterministically from the per-shard windows), and the drift
-    // sentinel's alarm counts — which must stay at zero on this stationary
-    // stream (a nonzero count here is a false alarm by construction).
+    // windowed MRE/NMAE over the last ACCURACY_WINDOW admitted samples, and
+    // the drift sentinel's alarm counts — which must stay at zero on this
+    // stationary stream (a nonzero count here is a false alarm by
+    // construction). `engine_telemetry_matches_sequential_oracle` ties
+    // these lines to the sequential model, not just to the fixture.
     let accuracy = model.windowed_accuracy();
     let _ = writeln!(
         out,
@@ -221,4 +232,27 @@ fn trace_is_reproducible_within_process() {
     // nondeterministic" (a real ordering bug) when the conformance test
     // fails.
     assert_eq!(render_trace(), render_trace());
+}
+
+#[test]
+fn engine_telemetry_matches_sequential_oracle() {
+    // The fixture's `mre`, `nmae` and `drift alarms` lines must be the
+    // sequential model's own values for the same admitted stream — checked
+    // here in-process, so a fixture regeneration cannot paper over an
+    // engine whose telemetry drifts from the oracle.
+    let config = AmfConfig::response_time();
+    let (admitted, _) = admitted_stream(&config);
+    let engine = engine_model(config, &admitted);
+    let mut oracle = AmfModel::new(config).expect("valid config");
+    for &(user, service, value) in &admitted {
+        oracle.observe(user, service, value);
+    }
+    let (got, want) = (engine.windowed_accuracy(), oracle.windowed_accuracy());
+    assert_eq!(got.mre, want.mre, "windowed MRE");
+    assert_eq!(got.nmae, want.nmae, "windowed NMAE");
+    assert_eq!(
+        engine.drift_sentinel().alarms(),
+        oracle.drift_sentinel().alarms(),
+        "drift alarm counts"
+    );
 }

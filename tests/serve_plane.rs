@@ -16,15 +16,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn service(queue_capacity: usize) -> Arc<QosPredictionService> {
+fn service(input_queue_capacity: usize) -> Arc<QosPredictionService> {
     Arc::new(QosPredictionService::new(ServiceConfig {
-        input_queue_capacity: queue_capacity,
+        input_queue_capacity,
         ..ServiceConfig::default()
     }))
 }
 
-fn plane(config: ServeConfig, queue_capacity: usize) -> ServePlane {
-    ServePlane::start("127.0.0.1:0", service(queue_capacity), config).expect("bind plane")
+fn plane(config: ServeConfig, input_queue_capacity: usize) -> ServePlane {
+    ServePlane::start("127.0.0.1:0", service(input_queue_capacity), config).expect("bind plane")
 }
 
 /// Sends raw bytes and reads whatever comes back (empty when the server
