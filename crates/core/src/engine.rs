@@ -795,4 +795,45 @@ mod tests {
         assert!(model.update_count() > 0);
         assert!(engine_stats_finite(&model));
     }
+
+    #[test]
+    fn relaxed_respawn_budget_degrades_instead_of_hanging() {
+        // A zero budget gives up on the first death. The kill lands
+        // mid-update, so the sample in flight is half applied; it counts
+        // as lost, not applied.
+        let plan = FaultPlan::new(0).kill_worker(0, 10, KillPhase::Mid);
+        let samples = stream(400, 4, 6);
+        let mut engine = ShardedEngine::from_model_with_plan(
+            AmfModel::new(AmfConfig::response_time()).unwrap(),
+            EngineOptions {
+                relaxed_batch: 128,
+                max_respawns: 0,
+                ..EngineOptions::with_consistency(2, Consistency::Relaxed)
+            },
+            Some(Arc::new(plan)),
+        )
+        .unwrap();
+        engine.feed_batch(samples[..200].iter().copied());
+        engine.drain(); // must terminate
+        let stats = engine.fault_stats();
+        assert_eq!(stats.worker_panics, 1);
+        assert_eq!(stats.respawns, 0);
+        assert_eq!(stats.abandoned_workers, 1);
+        assert!(stats.samples_lost > 0);
+        assert!(engine.is_degraded());
+        // A degraded engine keeps ingesting: later batches apply in full,
+        // and the degraded flag stays set.
+        engine.feed_batch(samples[200..].iter().copied());
+        engine.drain();
+        assert_eq!(engine.fault_stats().samples_lost, stats.samples_lost);
+        assert!(engine.is_degraded());
+        let model = engine.into_model();
+        assert_eq!(
+            model.update_count() + stats.samples_lost,
+            samples.len() as u64
+        );
+        assert!(model.update_count() > 0);
+        assert!(model.update_count() < samples.len() as u64);
+        assert!(engine_stats_finite(&model));
+    }
 }
