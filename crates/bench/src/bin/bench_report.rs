@@ -6,10 +6,9 @@
 //! (339 users × 5825 services, the scale of the paper's dataset #1):
 //!
 //! 1. **Feed throughput** — online updates per second, sequential
-//!    (`AmfModel::observe`) and through the [`ShardedEngine`] at
-//!    K ∈ {1, 4, 8} in both parity (in-thread, bitwise-exact, so K only
-//!    names the options) and relaxed (K lock-free workers) consistency
-//!    modes;
+//!    (`AmfModel::observe`) and through [`AmfTrainer::feed_batch`] in
+//!    256-sample batches, the serving plane's batch size (clock, store
+//!    upsert and the same update, on the calling thread);
 //! 2. **Single-pair predict latency** — `AmfModel::predict` over a scan of
 //!    all pairs;
 //! 3. **Candidate ranking** — the adaptation framework's per-task query:
@@ -17,12 +16,14 @@
 //!    (`AmfModel::rank_candidates` vs. the naive per-pair `predict` scan).
 //!
 //! Output is a JSON document (default `BENCH_CORE.json` in the working
-//! directory) with a stable schema (`amf-bench-core/v2`) so CI can check it
+//! directory) with a stable schema (`amf-bench-core/v3`) so CI can check it
 //! with `jq` without gating on absolute numbers. The document embeds the
 //! run's own `amf-obs/v1` observability snapshot under `"obs"` — the timed
 //! sections exercise the real instrumented paths, so the snapshot carries a
-//! stage-level latency breakdown (sampled `model.observe_ns`, the
-//! in-thread lane's `engine.chunk_apply_ns`) alongside the aggregate rates:
+//! stage-level latency breakdown (sampled `model.observe_ns`, the batch
+//! path's `engine.chunk_apply_ns`) alongside the aggregate rates. Only the
+//! `feed_batch` arm moves the `engine.*` counters, so they count exactly
+//! its samples and batches:
 //!
 //! ```text
 //! bench-report [--quick] [--out PATH] [--label NAME] [--merge-before PATH]
@@ -32,7 +33,7 @@
 //! previously captured report under `"before"` so a single file carries the
 //! before/after trajectory of a change.
 
-use amf_core::{AmfConfig, AmfModel, Consistency, EngineOptions, ShardedEngine};
+use amf_core::{AmfConfig, AmfModel, AmfTrainer};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -42,7 +43,7 @@ struct Workload {
     users: usize,
     services: usize,
     feed_samples: usize,
-    sharded_samples: usize,
+    batch_samples: usize,
     rank_queries: usize,
     top_k: usize,
 }
@@ -53,7 +54,7 @@ impl Workload {
             users: 339,
             services: 5825,
             feed_samples: 1_000_000,
-            sharded_samples: 200_000,
+            batch_samples: 200_000,
             rank_queries: 339,
             top_k: 10,
         }
@@ -64,7 +65,7 @@ impl Workload {
             users: 64,
             services: 512,
             feed_samples: 120_000,
-            sharded_samples: 30_000,
+            batch_samples: 30_000,
             rank_queries: 64,
             top_k: 10,
         }
@@ -122,59 +123,33 @@ fn feed_sequential(w: &Workload, out: &mut String) {
     );
 }
 
-fn feed_sharded(w: &Workload, out: &mut String) {
-    let stream = qos_stream(w.sharded_samples, w.users, w.services);
-    let mut entries = Vec::new();
-    for shards in [1usize, 4, 8] {
-        let mut engine = ShardedEngine::from_model(
-            warmed_model(w),
-            EngineOptions {
-                shards,
-                ..EngineOptions::default()
-            },
-        )
-        .expect("valid options");
-        let start = Instant::now();
-        engine.feed_batch(stream.iter().copied());
-        engine.drain();
-        let secs = start.elapsed().as_secs_f64();
-        let rate = w.sharded_samples as f64 / secs;
-        println!(
-            "feed_sharded (K={shards})     {:>9} samples  {:>8.3} s  {:>12.0} samples/s",
-            w.sharded_samples, secs, rate
-        );
-        entries.push(format!(
-            "{{\"shards\": {shards}, \"samples\": {}, \"secs\": {:.6}, \"samples_per_sec\": {:.1}}}",
-            w.sharded_samples, secs, rate
-        ));
-    }
-    let _ = writeln!(out, "    \"feed_sharded\": [{}],", entries.join(", "));
-}
+/// Samples per [`AmfTrainer::feed_batch`] call: one `POST /v1/observe` batch
+/// of the serving plane.
+const BATCH: usize = 256;
 
-fn feed_relaxed(w: &Workload, out: &mut String) {
-    let stream = qos_stream(w.sharded_samples, w.users, w.services);
-    let mut entries = Vec::new();
-    for shards in [1usize, 4, 8] {
-        let mut engine = ShardedEngine::from_model(
-            warmed_model(w),
-            EngineOptions::with_consistency(shards, Consistency::Relaxed),
-        )
-        .expect("valid options");
-        let start = Instant::now();
-        engine.feed_batch(stream.iter().copied());
-        engine.drain();
-        let secs = start.elapsed().as_secs_f64();
-        let rate = w.sharded_samples as f64 / secs;
-        println!(
-            "feed_relaxed (K={shards})     {:>9} samples  {:>8.3} s  {:>12.0} samples/s",
-            w.sharded_samples, secs, rate
-        );
-        entries.push(format!(
-            "{{\"shards\": {shards}, \"samples\": {}, \"secs\": {:.6}, \"samples_per_sec\": {:.1}}}",
-            w.sharded_samples, secs, rate
-        ));
+fn feed_batch(w: &Workload, out: &mut String) {
+    let mut trainer = AmfTrainer::new(AmfConfig::response_time()).expect("valid config");
+    *trainer.model_mut() = warmed_model(w);
+    let stream: Vec<(usize, usize, u64, f64)> = qos_stream(w.batch_samples, w.users, w.services)
+        .into_iter()
+        .enumerate()
+        .map(|(t, (u, s, v))| (u, s, t as u64, v))
+        .collect();
+    let start = Instant::now();
+    for batch in stream.chunks(BATCH) {
+        black_box(trainer.feed_batch(batch.iter().copied()));
     }
-    let _ = writeln!(out, "    \"feed_relaxed\": [{}],", entries.join(", "));
+    let secs = start.elapsed().as_secs_f64();
+    let rate = w.batch_samples as f64 / secs;
+    println!(
+        "feed_batch ({BATCH})       {:>9} samples  {:>8.3} s  {:>12.0} samples/s",
+        w.batch_samples, secs, rate
+    );
+    let _ = writeln!(
+        out,
+        "    \"feed_batch\": {{\"batch\": {BATCH}, \"samples\": {}, \"secs\": {:.6}, \"samples_per_sec\": {:.1}}},",
+        w.batch_samples, secs, rate
+    );
 }
 
 fn predict_and_rank(w: &Workload, out: &mut String) {
@@ -293,13 +268,12 @@ fn main() {
 
     let mut results = String::new();
     feed_sequential(&w, &mut results);
-    feed_sharded(&w, &mut results);
-    feed_relaxed(&w, &mut results);
+    feed_batch(&w, &mut results);
     predict_and_rank(&w, &mut results);
 
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"amf-bench-core/v2\",");
+    let _ = writeln!(json, "  \"schema\": \"amf-bench-core/v3\",");
     if !label.is_empty() {
         let _ = writeln!(json, "  \"label\": \"{label}\",");
     }
@@ -313,7 +287,7 @@ fn main() {
     );
     let _ = write!(json, "  \"results\": {{\n{results}  }},");
     // Observability snapshot of the run itself: the timed sections above
-    // executed real `observe`/engine/guard paths, so the global `amf-obs/v1`
+    // executed real `observe` and `feed_batch` paths, so the global `amf-obs/v1`
     // registry now carries their sampled latency histograms and counters.
     // Embedding it gives every BENCH_CORE.json a stage-level latency
     // breakdown alongside the aggregate rates.

@@ -95,6 +95,32 @@ impl Args {
         }
     }
 
+    /// Rejects every flag and switch that `usage` does not name as
+    /// `--name`, so a misspelled or retired flag fails instead of being
+    /// silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgsError`] naming each unknown flag.
+    pub fn reject_unknown(&self, usage: &str) -> Result<(), ArgsError> {
+        let known: Vec<&str> = usage
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect();
+        let mut unknown: Vec<String> = self
+            .flags
+            .keys()
+            .chain(&self.switches)
+            .filter(|name| !known.contains(&name.as_str()))
+            .map(|name| format!("--{name}"))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort_unstable();
+        Err(ArgsError(format!("unknown flag {}", unknown.join(", "))))
+    }
+
     /// Whether a boolean switch was given.
     #[allow(dead_code)] // exercised by tests; kept for subcommand symmetry
     pub fn switch(&self, name: &str) -> bool {
@@ -139,6 +165,19 @@ mod tests {
     fn negative_numbers_are_values() {
         let a = parse(&["train", "--alpha", "-0.007"]);
         assert_eq!(a.parse_or("alpha", 0.0f64).unwrap(), -0.007);
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        let usage = "amf-qos train --data FILE [--attr rt|tp] [--guard]";
+        let ok = parse(&["train", "--data", "f", "--attr", "tp", "--guard"]);
+        assert!(ok.reject_unknown(usage).is_ok());
+        let err = parse(&["train", "--data", "f", "--shards", "4", "--gaurd"])
+            .reject_unknown(usage)
+            .unwrap_err();
+        assert_eq!(err.0, "unknown flag --gaurd, --shards");
+        // Placeholders and alternatives in the usage text are not flags.
+        assert!(parse(&["x", "--rt", "1"]).reject_unknown(usage).is_err());
     }
 
     #[test]

@@ -7,34 +7,26 @@ use amf_core::{
     SampleGuard,
 };
 use qos_dataset::io;
-use std::sync::Arc;
 
 /// Usage text for the subcommand.
 pub const USAGE: &str = "amf-qos train --data TRIPLETS --out MODEL [--attr rt|tp] \
 [--alpha A] [--lambda L] [--beta B] [--eta E] [--dim D] [--seed S] [--max-replays N] \
-[--shards K] [--consistency parity|relaxed] [--guard] [--fault-plan SPEC]";
+[--guard] [--fault-plan SPEC]";
 
 /// Runs the subcommand.
 ///
-/// `--consistency relaxed` routes ingestion through the lock-free relaxed
-/// engine lane with `--shards` worker threads (statistically equivalent,
-/// not bitwise; see DESIGN.md §13). Parity ingests on the calling thread
-/// and ignores `--shards`. `--guard` screens the stream through a
-/// [`SampleGuard`] (quarantining NaN/∞, non-positive, and out-of-range
-/// values) and reports the quarantine diagnostics. `--fault-plan` parses a
-/// deterministic fault script
-/// (`seed=N;kill=W@J[:mid];stall=W@J:MS;drop=P;dup=P;reorder=N;`
-/// `conn-reset=P;slow-read=P;blackhole=P` — entries split on `;` or `,`,
-/// and the network verbs also accept the `verb@rate` shorthand, e.g.
-/// `conn-reset@0.05,slow-read@0.02`): the stream mutations
-/// (drop/duplicate/reorder) are applied to the input, and the kill/stall
-/// script is injected into the relaxed workers to exercise crash recovery
-/// — training must still complete. Under parity there is no worker to
-/// target, so the engine rejects a kill/stall script with an error naming
-/// `--consistency relaxed`. The network verbs are *rejected* here: they
-/// only fire in `amf-qos loadtest`'s client-side fault injection against a
-/// live `amf-qos serve` endpoint, and silently accepting them would make a
-/// training run look fault-hardened when nothing was injected.
+/// The stream is fed in order on the calling thread
+/// ([`AmfTrainer::feed_batch`]), then replayed to convergence. `--guard`
+/// screens the stream through a [`SampleGuard`] (quarantining NaN/∞,
+/// non-positive, and out-of-range values) and reports the quarantine
+/// diagnostics. `--fault-plan` parses a deterministic fault script
+/// (`seed=N;drop=P;dup=P;reorder=N` — entries split on `;` or `,`) and
+/// applies its stream mutations to the input. The network verbs
+/// (`conn-reset`, `slow-read`, `blackhole`) are *rejected* here: they only
+/// fire in `amf-qos loadtest`'s client-side fault injection against a live
+/// `amf-qos serve` endpoint, and silently accepting them would make a
+/// training run look fault-hardened when nothing was injected. The removed
+/// worker verbs `kill` and `stall` are rejected by name.
 ///
 /// # Errors
 ///
@@ -45,21 +37,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let attr = parse_attribute(args)?;
     let config = amf_config_from(args, attr)?;
     let max_replays: usize = args.parse_or("max-replays", 0usize)?;
-    let shards: usize = args.parse_or("shards", 1usize)?;
-    if shards == 0 {
-        return Err(CliError("--shards must be >= 1".into()));
-    }
-    let consistency: amf_core::Consistency = match args.get("consistency") {
-        Some(text) => text
-            .parse()
-            .map_err(|e: String| CliError(format!("--consistency: {e}")))?,
-        None => amf_core::Consistency::Parity,
-    };
     let fault_plan = match args.get("fault-plan") {
-        Some(spec) => Some(Arc::new(
+        Some(spec) => Some(
             FaultPlan::parse_in(spec, FaultContext::Training)
                 .map_err(|e| CliError(format!("--fault-plan: {e}")))?,
-        )),
+        ),
         None => None,
     };
 
@@ -94,28 +76,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     }
 
     let mut trainer = AmfTrainer::new(config)?;
-    // Parity applies the stream in order on this thread, identical to
-    // feeding it one sample at a time; relaxed trades bitwise equality for
-    // worker-thread throughput with a statistically bounded accuracy gap.
-    // A fault plan's kill/stall script rides along to exercise relaxed
-    // crash containment; the engine rejects it under parity.
-    let (_, faults) = trainer.feed_batch_sharded_with(
-        stream.iter().copied(),
-        amf_core::EngineOptions::with_consistency(shards, consistency),
-        fault_plan,
-    )?;
-    if faults != amf_core::FaultStats::default() {
-        notes.push_str(&format!(
-            "\nfault recovery: {} worker panics ({} injected), {} respawns, \
-             {} jobs replayed, {} samples lost, {} workers abandoned",
-            faults.worker_panics,
-            faults.injected_panics,
-            faults.respawns,
-            faults.jobs_replayed,
-            faults.samples_lost,
-            faults.abandoned_workers
-        ));
-    }
+    trainer.feed_batch(stream.iter().copied());
     let mut options = qos_eval::methods::replay_options_for(stream.len());
     if max_replays > 0 {
         options.max_iterations = max_replays;
@@ -185,104 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_training_matches_sequential() {
-        let data = temp_path("data3.txt");
-        write_samples(&data, 80);
-        let seq_model = temp_path("seq.amf");
-        let shard_model = temp_path("shard.amf");
-        run(&args(&[
-            "--data",
-            &data,
-            "--out",
-            &seq_model,
-            "--max-replays",
-            "2000",
-        ]))
-        .unwrap();
-        let summary = run(&args(&[
-            "--data",
-            &data,
-            "--out",
-            &shard_model,
-            "--max-replays",
-            "2000",
-            "--shards",
-            "4",
-        ]))
-        .unwrap();
-        assert!(summary.contains("trained on 80 samples"));
-        // Same feed results (engine parity) + same replay stream => identical
-        // saved models.
-        assert_eq!(
-            std::fs::read(&seq_model).unwrap(),
-            std::fs::read(&shard_model).unwrap()
-        );
-        for p in [data, seq_model, shard_model] {
-            std::fs::remove_file(p).unwrap();
-        }
-    }
-
-    #[test]
-    fn relaxed_consistency_trains_and_saves() {
-        let data = temp_path("data8.txt");
-        let model = temp_path("model8.amf");
-        write_samples(&data, 80);
-        let summary = run(&args(&[
-            "--data",
-            &data,
-            "--out",
-            &model,
-            "--max-replays",
-            "500",
-            "--shards",
-            "4",
-            "--consistency",
-            "relaxed",
-        ]))
-        .unwrap();
-        assert!(summary.contains("trained on 80 samples"), "{summary}");
-        let restored = persistence::load_file(&model).unwrap();
-        assert_eq!(restored.num_users(), 5);
-        assert_eq!(restored.num_services(), 8);
-        assert!(restored.update_count() > 0);
-        std::fs::remove_file(data).unwrap();
-        std::fs::remove_file(model).unwrap();
-    }
-
-    #[test]
-    fn rejects_unknown_consistency() {
-        let data = temp_path("data9.txt");
-        write_samples(&data, 10);
-        let err = run(&args(&[
-            "--data",
-            &data,
-            "--out",
-            &temp_path("never4.amf"),
-            "--consistency",
-            "eventual",
-        ]))
-        .unwrap_err();
-        assert!(err.0.contains("consistency"), "{}", err.0);
-        std::fs::remove_file(data).unwrap();
-    }
-
-    #[test]
-    fn rejects_zero_shards() {
-        let data = temp_path("data4.txt");
-        write_samples(&data, 10);
-        let err = run(&args(&[
-            "--data",
-            &data,
-            "--out",
-            &temp_path("never2.amf"),
-            "--shards",
-            "0",
-        ]));
-        assert!(err.is_err());
-        std::fs::remove_file(data).unwrap();
-    }
-
-    #[test]
     fn rejects_missing_data_file() {
         let err = run(&args(&[
             "--data",
@@ -336,53 +199,23 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_kill_recovers_under_relaxed() {
-        let data = temp_path("data5.txt");
-        let model = temp_path("faulted5.amf");
-        write_samples(&data, 80);
-        let summary = run(&args(&[
-            "--data",
-            &data,
-            "--out",
-            &model,
-            "--max-replays",
-            "1000",
-            "--consistency",
-            "relaxed",
-            "--shards",
-            "2",
-            "--fault-plan",
-            "seed=7;kill=0@0",
-        ]))
-        .unwrap();
-        assert!(summary.contains("trained on 80 samples"), "{summary}");
-        assert!(summary.contains("fault recovery"), "{summary}");
-        assert!(summary.contains("1 respawns"), "{summary}");
-        assert!(summary.contains("0 samples lost"), "{summary}");
-        for p in [data, model] {
-            std::fs::remove_file(p).unwrap();
-        }
-    }
-
-    #[test]
-    fn fault_plan_kill_under_parity_names_relaxed() {
-        // Parity ingests on the calling thread: a kill has no worker to
-        // target, at any shard count, and must not be silently ignored.
+    fn fault_plan_kill_is_rejected_naming_the_verb() {
+        // No worker thread exists to kill or stall: the verbs are gone, and
+        // a spec that still uses them fails instead of training unfaulted.
         let data = temp_path("data11.txt");
         write_samples(&data, 20);
-        for shards in ["1", "4"] {
+        for (spec, verb) in [("seed=7;kill=0@0", "kill"), ("stall=0@1:5", "stall")] {
             let err = run(&args(&[
                 "--data",
                 &data,
                 "--out",
                 &temp_path("never6.amf"),
-                "--shards",
-                shards,
                 "--fault-plan",
-                "seed=7;kill=0@0",
+                spec,
             ]))
             .unwrap_err();
-            assert!(err.0.contains("--consistency relaxed"), "{}", err.0);
+            assert!(err.0.contains("--fault-plan"), "{}", err.0);
+            assert!(err.0.contains(&format!("'{verb}'")), "{}", err.0);
         }
         std::fs::remove_file(data).unwrap();
     }

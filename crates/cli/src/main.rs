@@ -47,50 +47,31 @@ report      summarize an amf-obs-ts/v1 telemetry JSONL log\n\
 run a subcommand without flags to see its usage";
 
 /// Dispatches one parsed command line; exposed for the integration tests.
+/// A flag the subcommand's usage line does not name is an error.
 fn dispatch(args: &Args) -> Result<String, commands::CliError> {
-    match args.positional(0) {
-        Some("generate") => {
-            commands::generate::run(args).map_err(|e| usage_hint(e, commands::generate::USAGE))
-        }
-        Some("train") => {
-            commands::train::run(args).map_err(|e| usage_hint(e, commands::train::USAGE))
-        }
-        Some("predict") => {
-            commands::predict::run(args).map_err(|e| usage_hint(e, commands::predict::USAGE))
-        }
-        Some("evaluate") => {
-            commands::evaluate::run(args).map_err(|e| usage_hint(e, commands::evaluate::USAGE))
-        }
-        Some("experiment") => commands::experiment::run(args),
-        Some("stats") => {
-            commands::stats::run(args).map_err(|e| usage_hint(e, commands::stats::USAGE))
-        }
-        Some("diagnose") => {
-            commands::diagnose::run(args).map_err(|e| usage_hint(e, commands::diagnose::USAGE))
-        }
-        Some("simulate") => {
-            commands::simulate::run(args).map_err(|e| usage_hint(e, commands::simulate::USAGE))
-        }
-        Some("serve") => {
-            commands::serve::run(args).map_err(|e| usage_hint(e, commands::serve::USAGE))
-        }
-        Some("loadtest") => {
-            commands::loadtest::run(args).map_err(|e| usage_hint(e, commands::loadtest::USAGE))
-        }
-        Some("scenario") => {
-            commands::scenario::run(args).map_err(|e| usage_hint(e, commands::scenario::USAGE))
-        }
-        Some("trace") => {
-            commands::trace::run(args).map_err(|e| usage_hint(e, commands::trace::USAGE))
-        }
-        Some("report") => {
-            commands::report::run(args).map_err(|e| usage_hint(e, commands::report::USAGE))
-        }
-        Some(other) => Err(commands::CliError(format!(
-            "unknown subcommand '{other}'\n\n{USAGE}"
-        ))),
-        None => Err(commands::CliError(USAGE.to_string())),
-    }
+    type Run = fn(&Args) -> Result<String, commands::CliError>;
+    use commands::*;
+    let (run, usage): (Run, &str) = match args.positional(0) {
+        Some("generate") => (generate::run, generate::USAGE),
+        Some("train") => (train::run, train::USAGE),
+        Some("predict") => (predict::run, predict::USAGE),
+        Some("evaluate") => (evaluate::run, evaluate::USAGE),
+        Some("experiment") => (experiment::run, experiment::USAGE),
+        Some("stats") => (stats::run, stats::USAGE),
+        Some("diagnose") => (diagnose::run, diagnose::USAGE),
+        Some("simulate") => (simulate::run, simulate::USAGE),
+        Some("serve") => (serve::run, serve::USAGE),
+        Some("loadtest") => (loadtest::run, loadtest::USAGE),
+        Some("scenario") => (scenario::run, scenario::USAGE),
+        Some("trace") => (trace::run, trace::USAGE),
+        Some("report") => (report::run, report::USAGE),
+        Some(other) => return Err(CliError(format!("unknown subcommand '{other}'\n\n{USAGE}"))),
+        None => return Err(CliError(USAGE.to_string())),
+    };
+    args.reject_unknown(usage)
+        .map_err(CliError::from)
+        .and_then(|()| run(args))
+        .map_err(|e| usage_hint(e, usage))
 }
 
 fn usage_hint(e: commands::CliError, usage: &str) -> commands::CliError {
@@ -144,6 +125,30 @@ mod tests {
         let err = dispatch(&parse(&["train"])).unwrap_err();
         assert!(err.to_string().contains("--data"));
         assert!(err.to_string().contains("usage:"));
+    }
+
+    #[test]
+    fn unknown_flags_fail_naming_the_flag() {
+        // `--consistency` and `--shards` selected the removed relaxed lane;
+        // accepting them now would quietly train sequentially instead.
+        for (flag, value) in [
+            ("--consistency", "relaxed"),
+            ("--shards", "4"),
+            ("--max-replay", "9"),
+        ] {
+            let err = dispatch(&parse(&[
+                "train", "--data", "d.txt", "--out", "m.amf", flag, value,
+            ]))
+            .unwrap_err();
+            assert!(
+                err.0.starts_with(&format!("unknown flag {flag}\n")),
+                "{}",
+                err.0
+            );
+            assert!(err.0.contains("usage: amf-qos train"), "{}", err.0);
+        }
+        let err = dispatch(&parse(&["stats", "--verbose"])).unwrap_err();
+        assert!(err.0.contains("unknown flag --verbose"), "{}", err.0);
     }
 
     #[test]

@@ -1,110 +1,33 @@
 //! Deterministic fault injection (`FaultPlan`) for the ingestion pipeline.
 //!
-//! The fault-tolerance claims of [`crate::engine::ShardedEngine`]'s relaxed
-//! lane — a killed worker loses no accepted samples, a mid-update death
-//! re-applies its sample, a worker that keeps dying is abandoned with exact
-//! loss accounting — are only worth anything if they are *provable*. A
-//! [`FaultPlan`] is a seed-driven script of faults that tests (and
-//! `amf-qos train --fault-plan`) replay deterministically:
+//! A [`FaultPlan`] is a seed-driven script of faults that tests,
+//! `amf-qos train --fault-plan` and `amf-qos loadtest` replay
+//! deterministically:
 //!
 //! * **Stream faults** ([`FaultPlan::mutate_stream`]) — drop, duplicate, and
 //!   locally reorder samples, simulating a lossy, janky transport between
 //!   QoS managers and the prediction service;
-//! * **Worker kills** ([`FaultPlan::crash_point`]) — panic relaxed worker
-//!   `W` when it is about to apply its `N`-th job, either *before* it
-//!   touches any state ([`KillPhase::Before`], a clean thread death) or
-//!   *mid-update* ([`KillPhase::Mid`], after the user side of the sample is
-//!   written but before the service side is — a genuinely partial sample,
-//!   which recovery re-applies whole);
-//! * **Stalls** — put a worker to sleep at a given job, so one worker lags
-//!   the others deterministically.
 //! * **Network faults** ([`FaultPlan::net_fault`]) — per-request transport
 //!   misbehaviour for the serving plane's load harness (`amf-qos loadtest`):
 //!   connection resets mid-request, byte-trickled slow reads, and black-hole
 //!   connections that open but never speak. These are *client-side* verbs:
-//!   the engine ignores them; [`NetFault`] consumers (the loadtest client)
-//!   replay them deterministically against a live `amf-qos serve` endpoint.
+//!   [`NetFault`] consumers (the loadtest client) replay them against a live
+//!   `amf-qos serve` endpoint.
 //!
-//! Kills and stalls target worker threads, so they only run under
-//! [`crate::engine::Consistency::Relaxed`]: parity ingests on the calling
-//! thread and rejects them ([`FaultPlan::targets_workers`]). Each kill/stall
-//! fires exactly once (consumed atomically), so a resumed worker re-running
-//! the same job does not die again — exactly like a real transient fault.
+//! Ingestion runs on the calling thread, so there is no worker to kill or
+//! stall: a spec with the former `kill=` or `stall=` verbs is a parse error
+//! that names the verb.
 //!
 //! Plans parse from a compact spec string (the CLI's `--fault-plan` flag):
 //!
 //! ```
 //! use amf_core::fault::FaultPlan;
 //!
-//! let plan = FaultPlan::parse("seed=7;kill=1@500;kill=0@900:mid;drop=0.02;dup=0.01;reorder=8")?;
-//! assert_eq!(plan.kill_count(), 2);
+//! let plan = FaultPlan::parse("seed=7;drop=0.02;dup=0.01;reorder=8")?;
+//! assert!(plan.mutates_stream());
+//! assert!(FaultPlan::parse("kill=1@500").unwrap_err().contains("kill"));
 //! # Ok::<(), String>(())
 //! ```
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
-
-/// Where in the apply path a planned kill fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KillPhase {
-    /// Before the job touches any model state: a clean worker death.
-    Before,
-    /// After the SGD step wrote the user side of the sample but before the
-    /// service side — simulates a crash mid-update; recovery re-applies the
-    /// whole sample.
-    Mid,
-}
-
-#[derive(Debug)]
-struct Kill {
-    worker: usize,
-    /// Fires when the worker's applied-job count equals this.
-    at_job: u64,
-    phase: KillPhase,
-    fired: AtomicBool,
-}
-
-impl Clone for Kill {
-    fn clone(&self) -> Self {
-        Self {
-            worker: self.worker,
-            at_job: self.at_job,
-            phase: self.phase,
-            fired: AtomicBool::new(self.fired.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Stall {
-    worker: usize,
-    at_job: u64,
-    pause: Duration,
-    fired: AtomicBool,
-}
-
-impl Clone for Stall {
-    fn clone(&self) -> Self {
-        Self {
-            worker: self.worker,
-            at_job: self.at_job,
-            pause: self.pause,
-            fired: AtomicBool::new(self.fired.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// Panic payload of an injected worker kill, so recovery code and panic
-/// hooks can tell scripted faults from genuine bugs.
-#[derive(Debug, Clone, Copy)]
-pub struct InjectedCrash {
-    /// The worker the plan killed.
-    pub worker: usize,
-    /// The per-worker job index the kill fired at.
-    pub at_job: u64,
-    /// The phase it fired in.
-    pub phase: KillPhase,
-}
 
 /// A network-level fault to inject on one request (client-side verbs used by
 /// the serving-plane load harness).
@@ -142,11 +65,11 @@ impl NetFault {
 /// reads as "the run survived the faults" when no fault ever fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultContext {
-    /// Offline/online training ingestion (`amf-qos train`): stream verbs and
-    /// worker kill/stall scripts apply; network verbs are inert.
+    /// Offline/online training ingestion (`amf-qos train`): stream verbs
+    /// apply; network verbs are inert.
     Training,
     /// Scenario/regime harnesses driving a prediction service in-process:
-    /// same engine-side surface as training, no live transport.
+    /// same stream verbs as training, no live transport.
     Scenario,
     /// The serving-plane load harness (`amf-qos loadtest`): every verb,
     /// including the client-side network faults, is live.
@@ -173,8 +96,6 @@ impl FaultContext {
 #[derive(Debug, Default, Clone)]
 pub struct FaultPlan {
     seed: u64,
-    kills: Vec<Kill>,
-    stalls: Vec<Stall>,
     drop_rate: f64,
     duplicate_rate: f64,
     reorder_window: usize,
@@ -190,30 +111,6 @@ impl FaultPlan {
             seed,
             ..Self::default()
         }
-    }
-
-    /// Schedules worker `worker` to panic when about to apply its
-    /// `at_job`-th job (0-based, counted per worker across respawns).
-    pub fn kill_worker(mut self, worker: usize, at_job: u64, phase: KillPhase) -> Self {
-        self.kills.push(Kill {
-            worker,
-            at_job,
-            phase,
-            fired: AtomicBool::new(false),
-        });
-        self
-    }
-
-    /// Schedules worker `worker` to sleep `pause` before applying its
-    /// `at_job`-th job (makes one worker lag the others deterministically).
-    pub fn stall_worker(mut self, worker: usize, at_job: u64, pause: Duration) -> Self {
-        self.stalls.push(Stall {
-            worker,
-            at_job,
-            pause,
-            fired: AtomicBool::new(false),
-        });
-        self
     }
 
     /// Sets the stream drop probability (each sample independently).
@@ -283,64 +180,9 @@ impl FaultPlan {
         }
     }
 
-    /// Number of scheduled kills.
-    pub fn kill_count(&self) -> usize {
-        self.kills.len()
-    }
-
-    /// Number of kills that have fired so far.
-    pub fn kills_fired(&self) -> usize {
-        self.kills
-            .iter()
-            .filter(|k| k.fired.load(Ordering::Relaxed))
-            .count()
-    }
-
-    /// Whether any kill or stall is scheduled — verbs that need a worker
-    /// thread to target, which only the relaxed engine lane has.
-    pub fn targets_workers(&self) -> bool {
-        !self.kills.is_empty() || !self.stalls.is_empty()
-    }
-
     /// Whether any stream-level fault (drop/duplicate/reorder) is configured.
     pub fn mutates_stream(&self) -> bool {
         self.drop_rate > 0.0 || self.duplicate_rate > 0.0 || self.reorder_window > 0
-    }
-
-    /// Engine hook: called by relaxed worker `worker` around its `job`-th
-    /// application. Sleeps on a scheduled stall; panics (with an
-    /// [`InjectedCrash`] payload) on a scheduled kill matching `phase`.
-    /// Each fault fires at most once.
-    pub fn crash_point(&self, worker: usize, job: u64, phase: KillPhase) {
-        if phase == KillPhase::Before {
-            for stall in &self.stalls {
-                if stall.worker == worker
-                    && stall.at_job == job
-                    && stall
-                        .fired
-                        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                {
-                    std::thread::sleep(stall.pause);
-                }
-            }
-        }
-        for kill in &self.kills {
-            if kill.worker == worker
-                && kill.at_job == job
-                && kill.phase == phase
-                && kill
-                    .fired
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                std::panic::panic_any(InjectedCrash {
-                    worker,
-                    at_job: job,
-                    phase,
-                });
-            }
-        }
     }
 
     /// Applies the configured stream faults to `samples` deterministically
@@ -385,8 +227,6 @@ impl FaultPlan {
     /// | key | value | meaning |
     /// |---|---|---|
     /// | `seed` | integer | stream/network-fault RNG seed |
-    /// | `kill` | `W@N` or `W@N:mid` | kill worker `W` at its `N`-th job |
-    /// | `stall` | `W@N:MS` | stall worker `W` for `MS` ms at job `N` |
     /// | `drop` | probability | per-sample drop rate |
     /// | `dup` | probability | per-sample duplication rate |
     /// | `reorder` | integer | local reorder window |
@@ -396,7 +236,9 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message naming the offending entry.
+    /// Returns a human-readable message naming the offending entry. The
+    /// former worker verbs `kill` and `stall` get their own message: no
+    /// worker thread exists to target.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::default();
         for entry in spec
@@ -425,49 +267,11 @@ impl FaultPlan {
                         .parse()
                         .map_err(|_| format!("fault-plan seed '{value}': not an integer"))?;
                 }
-                "kill" => {
-                    let (worker, rest) = value
-                        .split_once('@')
-                        .ok_or_else(|| format!("fault-plan kill '{value}': expected W@N"))?;
-                    let (at, phase) = match rest.split_once(':') {
-                        Some((at, "mid")) => (at, KillPhase::Mid),
-                        Some((at, "before")) => (at, KillPhase::Before),
-                        Some((_, other)) => {
-                            return Err(format!(
-                                "fault-plan kill phase '{other}': expected before|mid"
-                            ))
-                        }
-                        None => (rest, KillPhase::Before),
-                    };
-                    plan = plan.kill_worker(
-                        worker
-                            .trim()
-                            .parse()
-                            .map_err(|_| format!("fault-plan kill worker '{worker}'"))?,
-                        at.trim()
-                            .parse()
-                            .map_err(|_| format!("fault-plan kill tick '{at}'"))?,
-                        phase,
-                    );
-                }
-                "stall" => {
-                    let parts: Vec<&str> = value.split(['@', ':']).collect();
-                    if parts.len() != 3 {
-                        return Err(format!("fault-plan stall '{value}': expected W@N:MS"));
-                    }
-                    let worker = parts[0]
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("fault-plan stall worker '{}'", parts[0]))?;
-                    let at = parts[1]
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("fault-plan stall tick '{}'", parts[1]))?;
-                    let ms: u64 = parts[2]
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("fault-plan stall ms '{}'", parts[2]))?;
-                    plan = plan.stall_worker(worker, at, Duration::from_millis(ms));
+                verb @ ("kill" | "stall") => {
+                    return Err(format!(
+                        "fault-plan verb '{verb}' was removed: ingestion runs on the \
+                         calling thread, so there is no worker to {verb}"
+                    ))
                 }
                 "drop" => {
                     plan.drop_rate = parse_rate("drop", value)?;
@@ -520,8 +324,7 @@ impl FaultPlan {
             return Err(format!(
                 "fault-plan: network verb(s) {} are inert in the {} context — they only \
                  fire in `amf-qos loadtest`'s client-side injection against a live serve \
-                 endpoint; remove them or use stream verbs (drop/dup/reorder) and worker \
-                 kill/stall scripts instead",
+                 endpoint; remove them or use stream verbs (drop/dup/reorder) instead",
                 offending.join(", "),
                 context.label()
             ));
@@ -532,8 +335,7 @@ impl FaultPlan {
 
 /// Canonical spec rendering: `;`-separated `key=value` entries that
 /// [`FaultPlan::parse`] accepts back — `parse(display(p))` reproduces the
-/// plan's configuration exactly (fired-state of kills/stalls is runtime
-/// bookkeeping, not configuration, and is not rendered).
+/// plan's configuration exactly.
 impl std::fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut sep = "";
@@ -543,24 +345,6 @@ impl std::fmt::Display for FaultPlan {
             r
         };
         item(f, format!("seed={}", self.seed))?;
-        for kill in &self.kills {
-            let phase = match kill.phase {
-                KillPhase::Before => "",
-                KillPhase::Mid => ":mid",
-            };
-            item(f, format!("kill={}@{}{phase}", kill.worker, kill.at_job))?;
-        }
-        for stall in &self.stalls {
-            item(
-                f,
-                format!(
-                    "stall={}@{}:{}",
-                    stall.worker,
-                    stall.at_job,
-                    stall.pause.as_millis()
-                ),
-            )?;
-        }
         for (key, rate) in [
             ("drop", self.drop_rate),
             ("dup", self.duplicate_rate),
@@ -617,25 +401,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kills_fire_exactly_once() {
-        let plan = FaultPlan::new(0).kill_worker(1, 5, KillPhase::Before);
-        // Wrong worker / wrong job / wrong phase: no panic.
-        plan.crash_point(0, 5, KillPhase::Before);
-        plan.crash_point(1, 4, KillPhase::Before);
-        plan.crash_point(1, 5, KillPhase::Mid);
-        assert_eq!(plan.kills_fired(), 0);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan.crash_point(1, 5, KillPhase::Before)
-        }))
-        .unwrap_err();
-        let crash = err.downcast_ref::<InjectedCrash>().expect("typed payload");
-        assert_eq!(crash.worker, 1);
-        assert_eq!(plan.kills_fired(), 1);
-        // Replay of the same job after respawn: consumed, no second panic.
-        plan.crash_point(1, 5, KillPhase::Before);
-    }
-
-    #[test]
     fn stream_mutation_is_deterministic() {
         let samples: Vec<u32> = (0..500).collect();
         let plan = FaultPlan::new(9)
@@ -676,34 +441,19 @@ mod tests {
 
     #[test]
     fn parse_round_trips_the_readme_example() {
-        let plan =
-            FaultPlan::parse("seed=7; kill=1@500; kill=0@900:mid; drop=0.02; dup=0.01; reorder=8")
-                .unwrap();
+        let plan = FaultPlan::parse("seed=7; drop=0.02; dup=0.01; reorder=8").unwrap();
         assert_eq!(plan.seed, 7);
-        assert_eq!(plan.kill_count(), 2);
-        assert_eq!(plan.kills[0].phase, KillPhase::Before);
-        assert_eq!(plan.kills[1].phase, KillPhase::Mid);
         assert_eq!(plan.drop_rate, 0.02);
+        assert_eq!(plan.duplicate_rate, 0.01);
         assert_eq!(plan.reorder_window, 8);
         assert!(plan.mutates_stream());
     }
 
     #[test]
-    fn parse_stall() {
-        let plan = FaultPlan::parse("stall=2@100:250").unwrap();
-        assert_eq!(plan.stalls.len(), 1);
-        assert_eq!(plan.stalls[0].pause, Duration::from_millis(250));
-    }
-
-    #[test]
     fn parse_rejects_garbage() {
         for bad in [
-            "kill=1",
-            "kill=x@5",
-            "kill=1@5:late",
             "drop=2.0",
             "drop=x",
-            "stall=1@2",
             "warp=9",
             "seed",
             "conn-reset@2.0",
@@ -713,7 +463,20 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted: {bad}");
         }
-        assert!(FaultPlan::parse("").unwrap().kills.is_empty());
+        assert!(!FaultPlan::parse("").unwrap().mutates_stream());
+    }
+
+    #[test]
+    fn parse_rejects_worker_verbs_naming_them() {
+        for (spec, verb) in [
+            ("seed=7;kill=0@0", "kill"),
+            ("kill=1@500:mid;drop=0.1", "kill"),
+            ("stall=2@100:250", "stall"),
+        ] {
+            let err = FaultPlan::parse(spec).unwrap_err();
+            assert!(err.contains(&format!("'{verb}'")), "{spec}: {err}");
+            assert!(err.contains("removed"), "{spec}: {err}");
+        }
     }
 
     #[test]
@@ -735,10 +498,8 @@ mod tests {
     #[test]
     fn parse_in_rejects_network_verbs_outside_serving() {
         for context in [FaultContext::Training, FaultContext::Scenario] {
-            // Engine-side verbs stay accepted.
-            let plan =
-                FaultPlan::parse_in("seed=7;kill=1@500;drop=0.02;reorder=4", context).unwrap();
-            assert_eq!(plan.kill_count(), 1);
+            // Stream verbs stay accepted.
+            let plan = FaultPlan::parse_in("seed=7;drop=0.02;reorder=4", context).unwrap();
             assert!(plan.mutates_stream());
             // Every network verb, alone or mixed in, is a hard error that
             // names the offending verbs and the context.
@@ -773,10 +534,10 @@ mod tests {
     #[test]
     fn display_parse_round_trips() {
         let specs = [
-            "seed=7;kill=1@500;kill=0@900:mid;stall=2@100:250;drop=0.02;dup=0.01;reorder=8",
+            "seed=7;drop=0.02;dup=0.01;reorder=8",
             "seed=3;conn-reset=0.05;slow-read=0.02;blackhole=0.01",
             "seed=0",
-            "seed=9;kill=0@1:mid;conn-reset=0.5",
+            "seed=9;drop=0.5;conn-reset=0.5",
         ];
         for spec in specs {
             let plan = FaultPlan::parse(spec).unwrap();

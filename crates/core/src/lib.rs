@@ -47,7 +47,6 @@
 
 pub mod config;
 pub mod diagnostics;
-pub mod engine;
 pub mod expiry;
 pub mod fault;
 pub mod guard;
@@ -55,16 +54,14 @@ pub mod model;
 pub(crate) mod obs;
 pub mod online;
 pub mod persistence;
-pub(crate) mod relaxed;
 pub mod stream;
 pub mod trainer;
 pub mod weights;
 
 pub use config::{AmfConfig, LossKind};
 pub use diagnostics::{ModelDiagnostics, QuarantineDiagnostics};
-pub use engine::{Consistency, EngineOptions, FaultEvent, FaultStats, ShardedEngine};
 pub use expiry::ObservationStore;
-pub use fault::{FaultContext, FaultPlan, KillPhase, NetFault};
+pub use fault::{FaultContext, FaultPlan, NetFault};
 pub use guard::{GuardConfig, GuardStats, QuarantinedSample, RejectReason, SampleGuard};
 pub use model::AmfModel;
 pub use stream::{
@@ -73,6 +70,47 @@ pub use stream::{
 };
 pub use trainer::{AmfTrainer, TrainReport};
 pub use weights::ErrorTracker;
+
+// `servebench/layers` names these three items, and the benchmark's files
+// change only in benchmark changes: they exist only for that call site,
+// change no behaviour, and go with it in the next change to the benchmark.
+#[doc(hidden)]
+pub use servebench_compat::*;
+#[doc(hidden)]
+pub mod servebench_compat {
+    use crate::AmfTrainer;
+    use std::convert::Infallible;
+    /// Batches always apply on the calling thread, in stream order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub enum Consistency {
+        /// Bitwise the sequential model.
+        #[default]
+        Parity,
+    }
+
+    /// Holds nothing: no option changes how a batch is applied.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct EngineOptions;
+
+    impl EngineOptions {
+        /// Ignores both arguments.
+        pub fn with_consistency(_shards: usize, _consistency: Consistency) -> Self {
+            Self
+        }
+    }
+
+    impl AmfTrainer {
+        /// Forwards to [`AmfTrainer::feed_batch`]; no plan can be passed.
+        pub fn feed_batch_sharded_with<I: IntoIterator<Item = (usize, usize, u64, f64)>>(
+            &mut self,
+            samples: I,
+            _options: EngineOptions,
+            _plan: Option<Infallible>,
+        ) -> Result<(usize, ()), Infallible> {
+            Ok((self.feed_batch(samples), ()))
+        }
+    }
+}
 
 /// Error type for AMF configuration and persistence.
 #[derive(Debug)]

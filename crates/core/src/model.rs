@@ -129,10 +129,9 @@ pub(crate) enum EntityKind {
 ///
 /// Derived from the model seed and the entity's `(kind, id)` alone — *not*
 /// from registration order — so that any two components that materialize the
-/// same entity (the sequential [`AmfModel`], a relaxed
-/// [`crate::engine::ShardedEngine`] worker, a restored checkpoint registering
-/// fresh ids) produce bit-identical factors. This is what makes the relaxed
-/// lane comparable to the sequential model entity for entity.
+/// same entity (a model fed in stream order, one that registered the id
+/// eagerly, a restored checkpoint registering fresh ids) produce
+/// bit-identical factors.
 pub(crate) fn entity_seed(model_seed: u64, kind: EntityKind, id: usize) -> u64 {
     let tag: u64 = match kind {
         EntityKind::User => 0x75,    // 'u'
@@ -433,7 +432,7 @@ impl AmfModel {
 
     /// Resets the drift sentinel — detector state and alarm counters — so a
     /// new scenario or regime run starts with a clean drift baseline instead
-    /// of inheriting alarms merged in from previous shard runs. See
+    /// of inheriting alarms from a previous run. See
     /// [`DriftSentinel::reset`].
     pub fn reset_drift_sentinel(&mut self) {
         self.sentinel.reset();
@@ -490,37 +489,6 @@ impl AmfModel {
         model.updates = updates;
         Ok(model)
     }
-
-    /// Reassembles a model from parts whose config/transform pair was already
-    /// validated together (the engine's snapshot path) — infallible, so
-    /// assembling a snapshot can never panic or error at runtime.
-    pub(crate) fn restore_parts(
-        config: AmfConfig,
-        transform: QosTransform,
-        users: FactorSlab,
-        services: FactorSlab,
-        updates: u64,
-        accuracy: AccuracyWindow,
-        sentinel: DriftSentinel,
-    ) -> Self {
-        Self {
-            config,
-            transform,
-            users,
-            services,
-            updates,
-            accuracy,
-            sentinel,
-        }
-    }
-
-    /// Disassembles the model for the engine's relaxed lane: factor slabs
-    /// plus the streaming-telemetry state, which the lane carries as its
-    /// merge base so windowed accuracy stays continuous across
-    /// sequential → relaxed → sequential transitions.
-    pub(crate) fn into_parts(self) -> (FactorSlab, FactorSlab, AccuracyWindow, DriftSentinel) {
-        (self.users, self.services, self.accuracy, self.sentinel)
-    }
 }
 
 /// Applies one full online update — transform, SGD step (Eq. 16–17), and the
@@ -528,9 +496,7 @@ impl AmfModel {
 /// state pair, given as disjoint slab borrows.
 ///
 /// This is the *only* per-sample mutation in the crate: [`AmfModel::observe`]
-/// and every relaxed [`crate::engine::ShardedEngine`] worker funnel through it,
-/// which is what makes sequential and relaxed execution comparable
-/// update-for-update.
+/// funnels every sample through it.
 /// No allocation happens here — the factors are in-place slab slices and the
 /// trackers are plain `Copy` cells.
 #[allow(clippy::too_many_arguments)]

@@ -1,5 +1,5 @@
 //! Cached handles into the process-global `qos-obs` registry for amf-core's
-//! static instrumentation (model, guard, engine).
+//! static instrumentation (model, guard, batch ingestion).
 //!
 //! Each subsystem registers its metrics exactly once (first touch, behind a
 //! `OnceLock`) and records through the cached `Arc` handles afterwards —
@@ -105,21 +105,13 @@ pub(crate) fn guard_metrics() -> &'static GuardMetrics {
     })
 }
 
-/// Engine-side counters. Dispatch counters move once per in-thread feed
-/// call or relaxed micro-batch (already amortized); the fault counters only
-/// move when a relaxed worker dies.
+/// Batch-ingestion counters: one chunk of `n` jobs per non-empty
+/// [`crate::AmfTrainer::feed_batch`] call.
 pub(crate) struct EngineMetrics {
     pub chunks_dispatched: Arc<Counter>,
     pub jobs_dispatched: Arc<Counter>,
-    /// `engine.chunk_apply_ns.shard-0`: one record per in-thread
-    /// `feed_batch` call. Cached here because that lane is rebuilt for
-    /// every service batch.
+    /// `engine.chunk_apply_ns.shard-0`: one record per `feed_batch` call.
     pub chunk_apply_ns: Arc<Histogram>,
-    pub worker_panics: Arc<Counter>,
-    pub respawns: Arc<Counter>,
-    pub jobs_replayed: Arc<Counter>,
-    pub samples_lost: Arc<Counter>,
-    pub workers_abandoned: Arc<Counter>,
 }
 
 pub(crate) fn engine_metrics() -> &'static EngineMetrics {
@@ -130,11 +122,6 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
             chunks_dispatched: reg.counter("engine.chunks_dispatched"),
             jobs_dispatched: reg.counter("engine.jobs_dispatched"),
             chunk_apply_ns: reg.histogram_labeled("engine.chunk_apply_ns", "shard-0"),
-            worker_panics: reg.counter("engine.worker_panics"),
-            respawns: reg.counter("engine.respawns"),
-            jobs_replayed: reg.counter("engine.jobs_replayed"),
-            samples_lost: reg.counter("engine.samples_lost"),
-            workers_abandoned: reg.counter("engine.workers_abandoned"),
         }
     })
 }

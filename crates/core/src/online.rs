@@ -89,7 +89,7 @@ pub fn sgd_step(
     // vector units take the f64x4 lane kernel. All kernels are bit-for-bit
     // identical (the lane ops are the same scalar IEEE operations, the dot
     // stays a sequential fold), so the dispatch decision affects throughput
-    // only — bitwise parity between sequential, sharded, and SIMD-enabled
+    // only — bitwise parity between sequential, batched, and SIMD-enabled
     // runs is preserved. The property tests below pin lane-vs-scalar and
     // lane-vs-reference agreement.
     if qos_linalg::simd::f64x4_runtime() {
@@ -123,7 +123,7 @@ fn sgd_step_dyn(
     // Fused scalar path. Every floating-point operation below happens in the
     // same order as the original two-kernel formulation (`vector::dot` then
     // `sigmoid`/`sigmoid_derivative` then the update loop), which is what the
-    // bitwise sequential-vs-sharded parity suite pins down:
+    // bitwise sequential-vs-batched parity suite pins down:
     // * the dot accumulates left-to-right from 0.0, exactly like
     //   `vector::dot`'s sequential fold;
     // * `g · (1 − g)` is the identity `sigmoid_derivative` computes

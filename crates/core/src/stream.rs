@@ -132,37 +132,6 @@ impl AccuracyWindow {
         let sum_act: f64 = self.act[..self.len].iter().sum();
         (sum_act > 0.0).then(|| sum_abs / sum_act)
     }
-
-    /// Visits the window's samples oldest-first as
-    /// `(r, g_reconstructed_is_not_stored, …)` — internal merge order.
-    fn for_each_ordered(&self, mut f: impl FnMut(f64, f64, f64)) {
-        let cap = self.rel.len();
-        let start = if self.len < cap { 0 } else { self.next };
-        for k in 0..self.len {
-            let i = (start + k) % cap;
-            f(self.rel[i], self.abs[i], self.act[i]);
-        }
-    }
-
-    /// Appends `other`'s samples (oldest-first) into this window — the
-    /// deterministic merge the relaxed engine lane uses to fold per-worker
-    /// windows back into the model's. Later pushes evict earlier ones as
-    /// usual.
-    pub fn absorb(&mut self, other: &AccuracyWindow) {
-        other.for_each_ordered(|rel, abs, act| {
-            // `push` recomputes |r − g| from (r, g); here we only have the
-            // stored pair, so write the triple directly.
-            let i = self.next;
-            self.rel[i] = rel;
-            self.abs[i] = abs;
-            self.act[i] = act;
-            self.next = if i + 1 == self.rel.len() { 0 } else { i + 1 };
-            if self.len < self.rel.len() {
-                self.len += 1;
-            }
-            self.total += 1;
-        });
-    }
 }
 
 /// In-place median: exact, deterministic, no allocation beyond `values`.
@@ -399,20 +368,11 @@ impl DriftSentinel {
         self.user.healthy(&self.config) && self.service.healthy(&self.config)
     }
 
-    /// Folds another sentinel's alarm *counts* into this one (the engine's
-    /// per-worker sentinels aggregate this way at merge time; detector
-    /// state itself is per-stream and is not merged).
-    pub fn merge_counts(&mut self, other: &DriftSentinel) {
-        self.user.alarms += other.user.alarms;
-        self.service.alarms += other.service.alarms;
-    }
-
     /// Clears all detector state *and* the alarm counters, returning the
     /// sentinel to its freshly-constructed state (tuning is kept).
     ///
-    /// The engine merges per-shard alarm counts into the model's sentinel in
-    /// worker order, so a long-lived sentinel accumulates history across
-    /// runs. Scenario harnesses that replay several regimes back to back
+    /// A long-lived sentinel accumulates history across runs. Scenario
+    /// harnesses that replay several regimes back to back
     /// must call this between runs — otherwise the second scenario starts
     /// with the first one's alarms and a half-charged Page–Hinkley
     /// accumulator, and its planner reacts to drift that never happened.
@@ -481,44 +441,6 @@ mod tests {
         assert_eq!(w.mre(), Some(8.0));
         assert_eq!(w.len(), 3);
         assert_eq!(w.total(), 10);
-    }
-
-    #[test]
-    fn absorb_replays_oldest_first() {
-        let mut a = AccuracyWindow::new(8);
-        let mut b = AccuracyWindow::new(2);
-        for i in 0..5u32 {
-            b.push(1.0, 0.0, f64::from(i)); // b retains rels {3, 4}
-        }
-        a.push(1.0, 0.0, 100.0);
-        a.absorb(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.total(), 3);
-        assert_eq!(a.mre(), Some(4.0)); // {100, 3, 4} → median 4
-    }
-
-    #[test]
-    fn absorb_order_is_deterministic_and_merge_matches_sequential() {
-        // Merging [w0, w1] into a fresh window reproduces pushing their
-        // contents in that order directly.
-        let mut w0 = AccuracyWindow::new(4);
-        let mut w1 = AccuracyWindow::new(4);
-        for i in 0..6 {
-            w0.push(0.5 + 0.01 * f64::from(i), 0.4, 0.1 * f64::from(i));
-            w1.push(0.7, 0.2 + 0.05 * f64::from(i), 0.2 * f64::from(i));
-        }
-        let mut merged = AccuracyWindow::new(8);
-        merged.absorb(&w0);
-        merged.absorb(&w1);
-        let again = {
-            let mut m = AccuracyWindow::new(8);
-            m.absorb(&w0);
-            m.absorb(&w1);
-            m
-        };
-        assert_eq!(merged.mre(), again.mre());
-        assert_eq!(merged.nmae(), again.nmae());
-        assert_eq!(merged.len(), 8);
     }
 
     #[test]
@@ -617,10 +539,6 @@ mod tests {
             sentinel.observe(e, e);
         }
         assert!(sentinel.alarms().0 >= 1);
-        // Merged-in shard counts accumulate too (the engine idiom).
-        let mut shard = DriftSentinel::new(config);
-        shard.user.alarms = 2;
-        sentinel.merge_counts(&shard);
 
         sentinel.reset();
         assert_eq!(sentinel.alarms(), (0, 0), "counters must clear");
@@ -635,17 +553,5 @@ mod tests {
         }
         assert_eq!(sentinel.alarms(), fresh.alarms());
         assert_eq!(sentinel, fresh);
-    }
-
-    #[test]
-    fn merge_counts_sums_alarms_only() {
-        let mut a = DriftSentinel::default();
-        let mut b = DriftSentinel::default();
-        b.user.alarms = 3;
-        b.service.alarms = 1;
-        a.merge_counts(&b);
-        a.merge_counts(&b);
-        assert_eq!(a.alarms(), (6, 2));
-        assert_eq!(a.tick, 0, "detector state is not merged");
     }
 }

@@ -138,70 +138,31 @@ impl AmfTrainer {
         self.model.observe(user, service, value);
     }
 
-    /// Batch variant of [`AmfTrainer::feed`] that applies the online updates
-    /// through a [`crate::engine::ShardedEngine`]. Under the default
-    /// [`Consistency::Parity`](crate::engine::Consistency) the engine applies
-    /// the samples on the calling thread in stream order, so results are
-    /// identical to feeding them one by one. Under
-    /// [`Consistency::Relaxed`](crate::engine::Consistency) `options.shards`
-    /// worker threads apply them instead, statistically equivalent rather
-    /// than bitwise (windowed accuracy within the ε pinned by
-    /// `tests/relaxed_parity.rs`). Returns the number of samples applied.
+    /// Ingests a batch of newly observed samples: [`AmfTrainer::feed`] for
+    /// each, on the calling thread and in stream order, so the result is
+    /// exactly that of feeding them one by one. The batch is never collected.
+    /// Returns the number of samples fed.
     ///
-    /// # Errors
-    ///
-    /// Returns [`AmfError::InvalidConfig`] when `options` are invalid; the
-    /// trainer is untouched in that case.
-    pub fn feed_batch_sharded<I>(
-        &mut self,
-        samples: I,
-        options: crate::engine::EngineOptions,
-    ) -> Result<usize, AmfError>
+    /// Each non-empty call counts one chunk of `n` jobs
+    /// (`engine.chunks_dispatched`, `engine.jobs_dispatched`) and records its
+    /// wall time in `engine.chunk_apply_ns.shard-0`.
+    pub fn feed_batch<I>(&mut self, samples: I) -> usize
     where
         I: IntoIterator<Item = (usize, usize, u64, f64)>,
     {
-        self.feed_batch_sharded_with(samples, options, None)
-            .map(|(n, _)| n)
-    }
-
-    /// Like [`AmfTrainer::feed_batch_sharded`], with an optional
-    /// [`FaultPlan`](crate::fault::FaultPlan) attached to the engine so a
-    /// relaxed batch exercises worker kills, stalls, and recovery
-    /// deterministically. Also returns the engine's
-    /// [`FaultStats`](crate::engine::FaultStats) so callers can report what
-    /// the run survived.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AmfError::InvalidConfig`] when `options` is invalid or a
-    /// kill/stall plan meets parity
-    /// ([`EngineOptions::validate`](crate::engine::EngineOptions::validate));
-    /// the trainer is untouched in that case.
-    pub fn feed_batch_sharded_with<I>(
-        &mut self,
-        samples: I,
-        options: crate::engine::EngineOptions,
-        plan: Option<std::sync::Arc<crate::fault::FaultPlan>>,
-    ) -> Result<(usize, crate::engine::FaultStats), AmfError>
-    where
-        I: IntoIterator<Item = (usize, usize, u64, f64)>,
-    {
-        options.validate(plan.as_deref())?;
-        let samples: Vec<(usize, usize, u64, f64)> = samples.into_iter().collect();
-        for &(user, service, timestamp, value) in &samples {
-            self.advance_clock(timestamp);
-            self.store.upsert(user, service, timestamp, value);
+        let started = Instant::now();
+        let mut fed = 0u64;
+        for (user, service, timestamp, value) in samples {
+            self.feed(user, service, timestamp, value);
+            fed += 1;
         }
-        // The placeholder is cheap (empty entity vectors) and is dropped as
-        // soon as the engine hands the trained model back.
-        let placeholder = AmfModel::new(*self.model.config())?;
-        let model = std::mem::replace(&mut self.model, placeholder);
-        let mut engine = crate::engine::ShardedEngine::from_model_with_plan(model, options, plan)?;
-        engine.feed_batch(samples.iter().map(|&(u, s, _, v)| (u, s, v)));
-        engine.drain();
-        let stats = engine.fault_stats();
-        self.model = engine.into_model();
-        Ok((samples.len(), stats))
+        if fed > 0 {
+            let metrics = crate::obs::engine_metrics();
+            metrics.chunks_dispatched.inc();
+            metrics.jobs_dispatched.add(fed);
+            metrics.chunk_apply_ns.record_duration(started.elapsed());
+        }
+        fed as usize
     }
 
     /// Replays one random live sample (Algorithm 1 lines 11–15). Returns the
@@ -417,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_batch_feed_matches_sequential() {
+    fn feed_batch_matches_feed_one_by_one() {
         let samples: Vec<(usize, usize, u64, f64)> = (0..400u64)
             .map(|k| {
                 (
@@ -432,49 +393,21 @@ mod tests {
         for &(u, s, t, v) in &samples {
             seq.feed(u, s, t, v);
         }
-        let mut sharded = AmfTrainer::new(AmfConfig::response_time()).unwrap();
-        let n = sharded
-            .feed_batch_sharded(
-                samples.iter().copied(),
-                crate::engine::EngineOptions::with_shards(3),
-            )
-            .unwrap();
+        let mut batched = AmfTrainer::new(AmfConfig::response_time()).unwrap();
+        let mut n = 0;
+        for chunk in samples.chunks(64) {
+            n += batched.feed_batch(chunk.iter().copied());
+        }
         assert_eq!(n, samples.len());
-        assert_eq!(seq.now(), sharded.now());
-        assert_eq!(seq.store().len(), sharded.store().len());
-        assert_eq!(seq.model().update_count(), sharded.model().update_count());
+        assert_eq!(batched.feed_batch(std::iter::empty()), 0);
+        assert_eq!(seq.now(), batched.now());
+        assert_eq!(seq.store().len(), batched.store().len());
+        assert_eq!(seq.model().update_count(), batched.model().update_count());
         for u in 0..7 {
             for s in 0..9 {
-                assert_eq!(seq.model().predict(u, s), sharded.model().predict(u, s));
+                assert_eq!(seq.model().predict(u, s), batched.model().predict(u, s));
             }
         }
-    }
-
-    #[test]
-    fn sharded_batch_feed_rejects_bad_options_without_damage() {
-        let mut t = AmfTrainer::new(AmfConfig::response_time()).unwrap();
-        t.feed(0, 0, 0, 1.0);
-        let before = t.model().predict(0, 0);
-        let err = t.feed_batch_sharded(
-            vec![(1, 1, 1, 2.0)],
-            crate::engine::EngineOptions::with_shards(0),
-        );
-        assert!(err.is_err());
-        assert_eq!(t.model().predict(0, 0), before);
-        assert_eq!(t.store().len(), 1);
-        // A kill plan has no worker to target under parity: rejected before
-        // the model or the store is touched.
-        let kill =
-            crate::fault::FaultPlan::new(0).kill_worker(0, 0, crate::fault::KillPhase::Before);
-        let err = t.feed_batch_sharded_with(
-            vec![(1, 1, 1, 2.0)],
-            crate::engine::EngineOptions::with_shards(2),
-            Some(std::sync::Arc::new(kill)),
-        );
-        assert!(err.is_err());
-        assert_eq!(t.model().predict(0, 0), before);
-        assert_eq!(t.model().update_count(), 1);
-        assert_eq!(t.store().len(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! reorders floating-point additions relative to the sequential
 //! [`crate::vector::dot`]. That is acceptable only for prediction and
 //! ranking; training updates must keep the sequential kernel so that
-//! bitwise sequential-vs-sharded parity holds.
+//! bitwise sequential-vs-batched parity holds.
 
 /// Dot product with four accumulator lanes (unrolled by 4).
 ///

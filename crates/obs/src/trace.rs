@@ -17,9 +17,9 @@ use crate::metrics::Histogram;
 /// span duration for span-close events.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Static event name (e.g. `"engine_respawn"`).
+    /// Static event name (e.g. `"drift_alarm"`).
     pub name: &'static str,
-    /// Optional dynamic detail (shard id, sample count, ...).
+    /// Optional dynamic detail (side, address, sample count, ...).
     pub detail: String,
     /// Nanoseconds since the ring was created.
     pub at_ns: u64,

@@ -180,7 +180,7 @@ pub struct LoadReport {
     pub wall: Duration,
     /// Successful answers per second over the wall clock.
     pub achieved_qps: f64,
-    /// Server `/healthz` status after the run (`ok|degraded|draining`).
+    /// Server `/healthz` status after the run (`ok|draining`).
     pub server_health: String,
     /// Server-side `serve.worker_panics` counter after the run (must be 0).
     pub server_worker_panics: u64,

@@ -134,6 +134,8 @@ pub struct ServeStats {
     pub accepted: u64,
     /// Requests fully parsed and admitted for routing.
     pub requests: u64,
+    /// Jobs a worker has popped off the EDF queue.
+    pub dequeued: u64,
     /// `200` responses.
     pub ok: u64,
     /// `4xx` protocol-error responses (400/404/405/408/413/422/431).
@@ -167,6 +169,7 @@ pub struct ServeStats {
 struct Counters {
     accepted: AtomicU64,
     requests: AtomicU64,
+    dequeued: AtomicU64,
     ok: AtomicU64,
     client_errors: AtomicU64,
     rejected_overload: AtomicU64,
@@ -188,6 +191,7 @@ impl Counters {
         ServeStats {
             accepted: get(&self.accepted),
             requests: get(&self.requests),
+            dequeued: get(&self.dequeued),
             ok: get(&self.ok),
             client_errors: get(&self.client_errors),
             rejected_overload: get(&self.rejected_overload),
@@ -520,6 +524,7 @@ impl std::fmt::Debug for ServePlane {
 
 fn worker_loop(state: &PlaneState, completions: &mpsc::Sender<Completion>, waker: &Waker) {
     while let Some(mut job) = state.queue.pop() {
+        state.counters.dequeued.fetch_add(1, Ordering::Relaxed);
         let wait = job.enqueued.elapsed();
         state
             .queue_wait_us

@@ -8,10 +8,9 @@
 //! `sys`: a single FFI call whose argument is a `&mut [PollFd]` slice
 //! whose pointer/length pair is valid by construction.
 //!
-//! The [`Waker`] is a self-connected loopback TCP pair (the same idiom the
-//! MetricsServer shutdown uses): the poller holds the read end in its
-//! `poll` set; workers write one byte to the write end to interrupt a
-//! sleeping `poll`. Wakes coalesce — the poller drains the read end each
+//! The [`Waker`] is a self-connected loopback TCP pair: the poller holds
+//! the read end in its `poll` set; workers write one byte to the write end
+//! to interrupt a sleeping `poll`. Wakes coalesce — the poller drains the read end each
 //! iteration, so N wakes cost at most one syscall storm, never N.
 
 use std::io::{Read, Write};

@@ -53,7 +53,7 @@ pub use scenario::{
     ScenarioOutcome, ScenarioSpec, SCENARIO_SCHEMA,
 };
 pub use simulation::{AdaptationSimulation, SimulationConfig, SimulationReport};
-pub use telemetry::{MetricsServer, HEALTH_SCHEMA};
+pub use telemetry::HEALTH_SCHEMA;
 pub use workflow::{AbstractTask, Workflow};
 
 /// Error type for the service framework.

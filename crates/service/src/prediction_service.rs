@@ -21,11 +21,8 @@
 //! * **Ingestion** — garbage records are quarantined with exact counters
 //!   ([`QosPredictionService::guard_stats`]); a bounded input queue sheds
 //!   load under backpressure ([`QosPredictionService::offer`]) rather than
-//!   blocking the reporting path, counting every dropped record. Parity
-//!   batches train on the calling thread; relaxed batches survive worker
-//!   crashes (at-least-once resume in [`amf_core::ShardedEngine`]'s relaxed
-//!   lane). Either falls back to sequential application if the engine
-//!   cannot be built at all.
+//!   blocking the reporting path, counting every dropped record. Batches
+//!   train on the calling thread through [`amf_core::AmfTrainer::feed_batch`].
 //! * **Prediction** — [`QosPredictionService::predict_degraded`] never
 //!   returns an error or a non-finite value: when the model cannot price a
 //!   pair (unknown or cold entities, mid-recovery), it walks a fallback
@@ -36,14 +33,11 @@
 use crate::database::QosDatabase;
 use crate::managers::Registry;
 use crate::ServiceError;
-use amf_core::engine::FaultStats;
-use amf_core::fault::FaultPlan;
 use amf_core::guard::{GuardConfig, GuardStats, SampleGuard};
 use amf_core::{AmfConfig, AmfTrainer, QuarantineDiagnostics};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use qos_obs::{Counter, Histogram, Json, MetricsRegistry};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -69,18 +63,10 @@ pub struct ServiceConfig {
     pub history_cap: usize,
     /// Replay stopping criteria used by [`QosPredictionService::idle`].
     pub replay: amf_core::trainer::ReplayOptions,
-    /// Worker threads of relaxed batch ingestion
-    /// ([`QosPredictionService::drain_inputs`] and
-    /// [`QosPredictionService::submit_batch`]). Parity ingestion runs on the
-    /// calling thread and ignores this knob.
+    /// Read by nothing; `servebench/layers` still sets it. It goes with that
+    /// call site in the next change to the benchmark.
+    #[doc(hidden)]
     pub shards: usize,
-    /// Engine consistency mode for batched ingestion.
-    /// [`amf_core::Consistency::Parity`] (the default) is bitwise identical
-    /// to sequential submission; [`amf_core::Consistency::Relaxed`] routes
-    /// batches through the lock-free fast lane, trading bitwise equality for
-    /// throughput with a statistically bounded accuracy gap (see DESIGN.md
-    /// §13).
-    pub consistency: amf_core::Consistency,
     /// Input screening. `Some` quarantines invalid samples before they reach
     /// the database or the model; `None` disables screening entirely. The
     /// default matches the model's QoS range with the statistical outlier
@@ -105,7 +91,6 @@ impl Default for ServiceConfig {
             history_cap: 16,
             replay: amf_core::trainer::ReplayOptions::default(),
             shards: 1,
-            consistency: amf_core::Consistency::Parity,
             guard: Some(GuardConfig {
                 outlier_gate: false,
                 ..GuardConfig::for_amf(&amf)
@@ -228,10 +213,6 @@ pub struct ServiceStats {
     pub rejected: u64,
     /// Records dropped by input-queue load shedding.
     pub dropped: u64,
-    /// Whether ingestion has degraded: samples lost to an abandoned relaxed
-    /// worker, or a batch the engine refused that was applied by the
-    /// sequential fallback (predictions still flow either way).
-    pub degraded: bool,
     /// Cumulative `predict_degraded` fallback-ladder tallies (never reset).
     pub sources_total: SourceCounts,
     /// Fallback-ladder tallies since the *previous* [`QosPredictionService::stats`]
@@ -286,8 +267,6 @@ pub struct QosPredictionService {
     config: ServiceConfig,
     input_tx: Sender<QosRecord>,
     input_rx: Receiver<QosRecord>,
-    fault_plan: Mutex<Option<Arc<FaultPlan>>>,
-    fault_stats: Mutex<FaultStats>,
     /// Per-instance metric registry: counters here are scoped to THIS
     /// service (tests assert exact per-instance counts), unlike amf-core's
     /// process-global instrumentation.
@@ -298,7 +277,6 @@ pub struct QosPredictionService {
     predict_ns: Arc<Histogram>,
     source_total: [Arc<Counter>; 5],
     source_interval: [Arc<Counter>; 5],
-    degraded: AtomicBool,
 }
 
 impl QosPredictionService {
@@ -341,8 +319,6 @@ impl QosPredictionService {
             config,
             input_tx,
             input_rx,
-            fault_plan: Mutex::new(None),
-            fault_stats: Mutex::new(FaultStats::default()),
             metrics,
             accepted,
             dropped,
@@ -350,7 +326,6 @@ impl QosPredictionService {
             predict_ns,
             source_total,
             source_interval,
-            degraded: AtomicBool::new(false),
         })
     }
 
@@ -400,9 +375,8 @@ impl QosPredictionService {
     }
 
     /// Applies all queued channel records as one
-    /// [`QosPredictionService::submit_batch`] — on the calling thread under
-    /// parity, through `config.shards` workers under relaxed consistency.
-    /// Returns how many were accepted for training.
+    /// [`QosPredictionService::submit_batch`]. Returns how many were
+    /// accepted for training.
     pub fn drain_inputs(&self) -> usize {
         let mut batch = Vec::new();
         while let Ok(record) = self.input_rx.try_recv() {
@@ -432,16 +406,13 @@ impl QosPredictionService {
     /// Input handling + online updating for a whole batch of records.
     ///
     /// Identities are registered and admitted records logged exactly like
-    /// [`QosPredictionService::submit`]. Under the default parity
-    /// consistency the model updates run on the calling thread (the
-    /// engine's in-thread lane, [`amf_core::AmfModel::observe`] in stream
-    /// order), so the resulting model is identical to one-by-one submission
-    /// and the cost is one SGD step per sample whatever the model's size.
-    /// Relaxed consistency applies the batch with `config.shards` worker
-    /// threads instead; its results are statistically equivalent rather
-    /// than identical. Returns the number of records accepted for training
-    /// (quarantined records are counted in [`ServiceStats::rejected`], not
-    /// here).
+    /// [`QosPredictionService::submit`]. The admitted samples then go to
+    /// [`amf_core::AmfTrainer::feed_batch`] under one trainer lock, on the
+    /// calling thread and in stream order, so the resulting model is
+    /// identical to one-by-one submission and the cost is one SGD step per
+    /// sample whatever the model's size. Returns the number of records
+    /// accepted for training (quarantined records are counted in
+    /// [`ServiceStats::rejected`], not here).
     pub fn submit_batch(&self, records: Vec<QosRecord>) -> usize {
         if records.is_empty() {
             return 0;
@@ -456,27 +427,7 @@ impl QosPredictionService {
         if samples.is_empty() {
             return 0;
         }
-        let plan = self.fault_plan.lock().clone();
-        let options =
-            amf_core::EngineOptions::with_consistency(self.config.shards, self.config.consistency);
-        let mut trainer = self.trainer.lock();
-        match trainer.feed_batch_sharded_with(samples.iter().copied(), options, plan) {
-            Ok((fed, faults)) => {
-                self.absorb_fault_stats(faults);
-                fed
-            }
-            Err(_) => {
-                // The engine could not be built (invalid options, or a
-                // kill/stall plan under parity, which has no worker to
-                // target): degrade to sequential application rather than
-                // dropping the batch or panicking.
-                self.degraded.store(true, Ordering::Relaxed);
-                for &(user, service, timestamp, value) in &samples {
-                    trainer.feed(user, service, timestamp, value);
-                }
-                samples.len()
-            }
-        }
+        self.trainer.lock().feed_batch(samples)
     }
 
     /// Input handling + online updating for one record: registers identities,
@@ -714,26 +665,6 @@ impl QosPredictionService {
         self.services.lock().leave(name)
     }
 
-    /// Attaches a deterministic fault script to subsequent batch ingestion
-    /// ([`QosPredictionService::submit_batch`]) — the test/chaos hook
-    /// proving recovery claims. Kills and stalls target the relaxed lane's
-    /// `config.shards` workers. A parity service has no worker to target:
-    /// the engine rejects such a plan, and each batch falls back to
-    /// sequential application and flags the service degraded.
-    pub fn inject_fault_plan(&self, plan: Arc<FaultPlan>) {
-        *self.fault_plan.lock() = Some(plan);
-    }
-
-    /// Detaches any fault script.
-    pub fn clear_fault_plan(&self) {
-        *self.fault_plan.lock() = None;
-    }
-
-    /// Cumulative fault counters across all relaxed batch ingestion so far.
-    pub fn fault_stats(&self) -> FaultStats {
-        *self.fault_stats.lock()
-    }
-
     /// The input guard's admission counters (`None` when screening is
     /// disabled).
     pub fn guard_stats(&self) -> Option<GuardStats> {
@@ -746,22 +677,6 @@ impl QosPredictionService {
         self.guard
             .as_ref()
             .map(|g| QuarantineDiagnostics::of(&g.lock()))
-    }
-
-    fn absorb_fault_stats(&self, faults: FaultStats) {
-        if faults == FaultStats::default() {
-            return;
-        }
-        let mut total = self.fault_stats.lock();
-        total.worker_panics += faults.worker_panics;
-        total.injected_panics += faults.injected_panics;
-        total.respawns += faults.respawns;
-        total.jobs_replayed += faults.jobs_replayed;
-        total.samples_lost += faults.samples_lost;
-        total.abandoned_workers += faults.abandoned_workers;
-        if faults.samples_lost > 0 || faults.abandoned_workers > 0 {
-            self.degraded.store(true, Ordering::Relaxed);
-        }
     }
 
     /// Operational counters snapshot.
@@ -784,7 +699,6 @@ impl QosPredictionService {
                 .map(|g| g.lock().stats().rejected())
                 .unwrap_or(0),
             dropped: self.dropped.get(),
-            degraded: self.degraded.load(Ordering::Relaxed),
             sources_total: SourceCounts::from_counters(&self.source_total, false),
             sources_interval: SourceCounts::from_counters(&self.source_interval, true),
         }
@@ -816,25 +730,6 @@ impl QosPredictionService {
         self.metrics
             .counter("service.rejected")
             .set(self.stats_rejected());
-        self.metrics
-            .gauge("service.degraded")
-            .set(if self.degraded.load(Ordering::Relaxed) {
-                1.0
-            } else {
-                0.0
-            });
-        {
-            let faults = self.fault_stats.lock();
-            for (name, value) in [
-                ("service.fault.worker_panics", faults.worker_panics),
-                ("service.fault.respawns", faults.respawns),
-                ("service.fault.jobs_replayed", faults.jobs_replayed),
-                ("service.fault.samples_lost", faults.samples_lost),
-                ("service.fault.abandoned_workers", faults.abandoned_workers),
-            ] {
-                self.metrics.counter(name).set(value);
-            }
-        }
         let mut snapshot = qos_obs::global().snapshot_json(true);
         let own = self.metrics.snapshot_json(false);
         for section in ["counters", "gauges", "histograms"] {
@@ -872,7 +767,6 @@ impl std::fmt::Debug for QosPredictionService {
             .field("updates", &stats.updates)
             .field("rejected", &stats.rejected)
             .field("dropped", &stats.dropped)
-            .field("degraded", &stats.degraded)
             .finish()
     }
 }
@@ -1004,53 +898,19 @@ mod tests {
         for r in records.clone() {
             seq.submit(r);
         }
-        let sharded = QosPredictionService::new(ServiceConfig {
-            shards: 4,
-            ..Default::default()
-        });
-        assert_eq!(sharded.submit_batch(records), 120);
-        assert_eq!(seq.stats(), sharded.stats());
+        let batched = QosPredictionService::new(ServiceConfig::default());
+        assert_eq!(batched.submit_batch(records), 120);
+        assert_eq!(seq.stats(), batched.stats());
         for u in 0..6 {
             for s in 0..8 {
-                assert_eq!(seq.predict_ids(u, s), sharded.predict_ids(u, s));
-            }
-        }
-    }
-
-    #[test]
-    fn relaxed_batch_ingestion_counts_and_predicts() {
-        let records: Vec<QosRecord> = (0..200u64)
-            .map(|k| {
-                record(
-                    &format!("u{}", k % 6),
-                    &format!("s{}", k % 8),
-                    k,
-                    0.4 + (k % 5) as f64 * 0.7,
-                )
-            })
-            .collect();
-        let relaxed = QosPredictionService::new(ServiceConfig {
-            shards: 4,
-            consistency: amf_core::Consistency::Relaxed,
-            ..Default::default()
-        });
-        assert_eq!(relaxed.submit_batch(records), 200);
-        // No lost updates, and every touched pair is servable and finite.
-        assert_eq!(relaxed.stats().updates, 200);
-        for u in 0..6 {
-            for s in 0..8 {
-                let value = relaxed.predict_ids(u, s).expect("pair is known");
-                assert!(value.is_finite() && value > 0.0, "({u},{s}) -> {value}");
+                assert_eq!(seq.predict_ids(u, s), batched.predict_ids(u, s));
             }
         }
     }
 
     #[test]
     fn sharded_channel_drain() {
-        let svc = QosPredictionService::new(ServiceConfig {
-            shards: 2,
-            ..Default::default()
-        });
+        let svc = QosPredictionService::new(ServiceConfig::default());
         let tx = svc.input_channel();
         for k in 0..40u64 {
             tx.send(record(&format!("u{}", k % 4), "s", k, 1.0))
@@ -1106,7 +966,7 @@ mod tests {
         svc.submit(record("a", "b", 0, 1.0));
         let text = format!("{svc:?}");
         assert!(text.contains("users"));
-        assert!(text.contains("degraded"));
+        assert!(text.contains("dropped"));
     }
 
     #[test]
@@ -1136,10 +996,7 @@ mod tests {
 
     #[test]
     fn batch_return_counts_only_admitted() {
-        let svc = QosPredictionService::new(ServiceConfig {
-            shards: 2,
-            ..Default::default()
-        });
+        let svc = QosPredictionService::new(ServiceConfig::default());
         let batch = vec![
             record("u1", "s1", 0, 1.0),
             record("u2", "s1", 1, f64::NAN),
@@ -1342,82 +1199,5 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(50)
         );
-    }
-
-    #[test]
-    fn sharded_ingestion_with_fault_plan_recovers() {
-        let records: Vec<QosRecord> = (0..300u64)
-            .map(|k| {
-                record(
-                    &format!("u{}", k % 9),
-                    &format!("s{}", k % 7),
-                    k,
-                    0.5 + (k % 4) as f64,
-                )
-            })
-            .collect();
-        let svc = QosPredictionService::new(ServiceConfig {
-            shards: 3,
-            consistency: amf_core::Consistency::Relaxed,
-            ..Default::default()
-        });
-        svc.inject_fault_plan(Arc::new(FaultPlan::new(11).kill_worker(
-            1,
-            5,
-            amf_core::KillPhase::Before,
-        )));
-        assert_eq!(svc.submit_batch(records.clone()), 300);
-        let faults = svc.fault_stats();
-        assert_eq!(faults.worker_panics, 1);
-        assert_eq!(faults.respawns, 1);
-        assert_eq!(faults.samples_lost, 0);
-        let stats = svc.stats();
-        assert_eq!(stats.updates, 300, "no accepted sample may be lost");
-        assert!(!stats.degraded);
-        // Recovery is at-least-once, so the faulted model is statistically
-        // close to a sequential service fed the same records, not bitwise
-        // equal: windowed MRE and NMAE within the relaxed lane's ε
-        // (`tests/relaxed_parity.rs`).
-        let clean = QosPredictionService::new(ServiceConfig::default());
-        for r in records {
-            clean.submit(r);
-        }
-        let (want, got) = (clean.windowed_accuracy(), svc.windowed_accuracy());
-        for (metric, want, got) in [
-            ("mre", want.mre.unwrap(), got.mre.unwrap()),
-            ("nmae", want.nmae.unwrap(), got.nmae.unwrap()),
-        ] {
-            assert!(
-                (got - want).abs() <= 0.04_f64.max(0.25 * want),
-                "{metric}: faulted {got} vs sequential {want}"
-            );
-        }
-        for u in 0..9 {
-            for s in 0..7 {
-                assert!(svc.predict_ids(u, s).unwrap().is_finite());
-            }
-        }
-    }
-
-    #[test]
-    fn parity_service_with_kill_plan_falls_back_to_sequential() {
-        let svc = QosPredictionService::new(ServiceConfig {
-            shards: 4,
-            ..Default::default()
-        });
-        svc.inject_fault_plan(Arc::new(FaultPlan::new(11).kill_worker(
-            0,
-            0,
-            amf_core::KillPhase::Before,
-        )));
-        let records: Vec<QosRecord> = (0..120u64)
-            .map(|k| record(&format!("u{}", k % 6), &format!("s{}", k % 8), k, 1.0))
-            .collect();
-        assert_eq!(svc.submit_batch(records), 120);
-        let stats = svc.stats();
-        assert_eq!(stats.updates, stats.accepted, "the whole batch applied");
-        assert_eq!(stats.accepted, 120);
-        assert!(stats.degraded, "the rejected plan flags the service");
-        assert_eq!(svc.fault_stats().worker_panics, 0, "no worker existed");
     }
 }

@@ -286,8 +286,8 @@ impl ScenarioEngine {
     }
 
     /// Writes a per-scenario `amf-flight/v1` dump (`<dir>/<name>.flight.jsonl`)
-    /// after each run: the global trace ring (engine panics, respawns, guard
-    /// quarantines, drift alarms) plus the run's outcome metrics — the same
+    /// after each run: the global trace ring (guard quarantines, drift
+    /// alarms) plus the run's outcome metrics — the same
     /// black-box format the serving plane dumps, so `amf-qos trace` reads
     /// both.
     #[must_use]

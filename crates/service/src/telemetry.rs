@@ -1,301 +1,32 @@
-//! Live metrics endpoint: a dependency-free HTTP listener exposing the
-//! process's telemetry while the prediction service runs.
+//! Health reporting shared by the serving plane's `/healthz` route.
 //!
-//! The paper's runtime-adaptation loop assumes an operator (or the
-//! adaptation middleware itself) can watch prediction health *live* —
-//! accuracy trending, queue depths, drift alarms — without pausing
-//! ingestion. [`MetricsServer`] serves exactly that, std-only:
-//!
-//! | Route            | Body                                              |
-//! |------------------|---------------------------------------------------|
-//! | `GET /metrics`   | Prometheus text exposition 0.0.4 of the snapshot  |
-//! | `GET /healthz`   | `amf-health/v1` JSON liveness + drift health      |
-//! | `GET /snapshot.json` | the raw `amf-obs/v1` snapshot                 |
-//!
-//! The listener runs on one background thread; each scrape takes a fresh
-//! snapshot from the configured source (typically
-//! [`crate::QosPredictionService::stats_snapshot`]), so responses never
-//! serve stale cached state. Scrapes read the same atomics the hot path
-//! writes — no lock is held across a response write, and the update path is
-//! never paused.
+//! [`health_body_from`] turns an `amf-obs/v1` snapshot (typically
+//! [`crate::QosPredictionService::stats_snapshot`] merged with the plane's
+//! own counters) into the `amf-health/v1` JSON body. The plane serves it
+//! next to `/metrics` and `/snapshot.json` on its single listener.
 
 use qos_obs::Json;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Schema tag of the `/healthz` response body.
 pub const HEALTH_SCHEMA: &str = "amf-health/v1";
 
-/// Hard cap on the request head (request line + headers) read per
-/// connection; anything longer is answered `431` and dropped.
-const MAX_REQUEST_BYTES: usize = 8 * 1024;
-
-/// Per-connection socket read/write timeout.
-const IO_TIMEOUT: Duration = Duration::from_secs(2);
-
-type SnapshotSource = Arc<dyn Fn() -> Json + Send + Sync>;
-
-struct ServerState {
-    source: SnapshotSource,
-    stop: AtomicBool,
-    requests: AtomicU64,
-    errors: AtomicU64,
-}
-
-/// Background HTTP/1.1 listener serving `/metrics`, `/healthz`, and
-/// `/snapshot.json` from a snapshot source.
-///
-/// # Examples
-///
-/// ```
-/// use qos_service::telemetry::MetricsServer;
-///
-/// let server = MetricsServer::start("127.0.0.1:0", || {
-///     qos_obs::global().snapshot_json(false)
-/// })?;
-/// let addr = server.local_addr(); // real port for port-0 binds
-/// assert_ne!(addr.port(), 0);
-/// server.stop();
-/// # Ok::<(), std::io::Error>(())
-/// ```
-pub struct MetricsServer {
-    state: Arc<ServerState>,
-    addr: SocketAddr,
-    /// Clone of the listening socket: shutdown flips the shared handle to
-    /// non-blocking so the accept loop cannot stay blocked even if the
-    /// wake connection loses a race to a concurrent scrape.
-    listener: TcpListener,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl MetricsServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// accept loop on a background thread. The source closure is called
-    /// once per scrape.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error when the address is unavailable.
-    pub fn start(
-        addr: &str,
-        source: impl Fn() -> Json + Send + Sync + 'static,
-    ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let bound = listener.local_addr()?;
-        let shutdown_handle = listener.try_clone()?;
-        let state = Arc::new(ServerState {
-            source: Arc::new(source),
-            stop: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-        });
-        let accept_state = Arc::clone(&state);
-        let accept_thread = std::thread::Builder::new()
-            .name("amf-metrics-http".into())
-            .spawn(move || accept_loop(&listener, &accept_state))?;
-        qos_obs::global()
-            .trace()
-            .event("metrics_server_start", bound.to_string());
-        Ok(Self {
-            state,
-            addr: bound,
-            listener: shutdown_handle,
-            accept_thread: Some(accept_thread),
-        })
-    }
-
-    /// The bound address — the real port when started with port 0.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Requests served (any route, including 404s).
-    pub fn requests(&self) -> u64 {
-        self.state.requests.load(Ordering::Relaxed)
-    }
-
-    /// Connections dropped due to I/O or parse errors.
-    pub fn errors(&self) -> u64 {
-        self.state.errors.load(Ordering::Relaxed)
-    }
-
-    /// Stops the listener and joins the accept thread. Returns the total
-    /// number of requests served.
-    pub fn stop(mut self) -> u64 {
-        self.shutdown();
-        self.state.requests.load(Ordering::Relaxed)
-    }
-
-    fn shutdown(&mut self) {
-        let Some(handle) = self.accept_thread.take() else {
-            return;
-        };
-        self.state.stop.store(true, Ordering::Release);
-        // Switch the shared listener handle to non-blocking *before* the
-        // wake connection: even if a concurrent scrape consumes the wake
-        // (the self-connect race), the accept loop's next `accept` returns
-        // `WouldBlock` instead of parking forever, re-reads the stop flag,
-        // and exits. The throwaway connection is only a latency shortcut.
-        let _ = self.listener.set_nonblocking(true);
-        if let Ok(stream) = TcpStream::connect(self.addr) {
-            drop(stream);
-        }
-        let _ = handle.join();
-        qos_obs::global()
-            .trace()
-            .event("metrics_server_stop", self.addr.to_string());
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl std::fmt::Debug for MetricsServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsServer")
-            .field("addr", &self.addr)
-            .field("requests", &self.requests())
-            .field("errors", &self.errors())
-            .finish()
-    }
-}
-
-fn accept_loop(listener: &TcpListener, state: &ServerState) {
-    loop {
-        // Observe the stop flag BEFORE blocking again. Without this check a
-        // scrape that raced the shutdown wake could consume the throwaway
-        // connection, leaving the loop to re-enter `accept` and block with
-        // the flag already set — `stop()` would then hang in `join`.
-        if state.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // Shutdown switched the shared handle to non-blocking; the
-                // flag re-check above (next iteration) terminates the loop.
-                std::thread::sleep(Duration::from_millis(2));
-                continue;
-            }
-            Err(_) => continue,
-        };
-        if state.stop.load(Ordering::Acquire) {
-            return;
-        }
-        if handle_connection(stream, state).is_err() {
-            state.errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Reads the request head (up to the blank line or the size cap) and
-/// returns the request line.
-fn read_request_line(stream: &mut TcpStream) -> std::io::Result<Option<String>> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    loop {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        buf.extend_from_slice(&chunk[..n]);
-        if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.windows(2).any(|w| w == b"\n\n") {
-            break;
-        }
-        if buf.len() > MAX_REQUEST_BYTES {
-            return Ok(None);
-        }
-    }
-    let text = String::from_utf8_lossy(&buf);
-    Ok(text.lines().next().map(str::to_string))
-}
-
-fn handle_connection(mut stream: TcpStream, state: &ServerState) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let Some(request_line) = read_request_line(&mut stream)? else {
-        return respond(&mut stream, 431, "text/plain", "request too large\n");
-    };
-    state.requests.fetch_add(1, Ordering::Relaxed);
-    let mut parts = request_line.split_whitespace();
-    let (method, path) = match (parts.next(), parts.next()) {
-        (Some(m), Some(p)) => (m, p),
-        _ => return respond(&mut stream, 400, "text/plain", "malformed request\n"),
-    };
-    if method != "GET" {
-        return respond(&mut stream, 405, "text/plain", "method not allowed\n");
-    }
-    // Strip any query string; scrapers sometimes append cache-busters.
-    let path = path.split('?').next().unwrap_or(path);
-    match path {
-        "/metrics" => {
-            let snapshot = (state.source)();
-            let body = qos_obs::render_prometheus(&snapshot);
-            respond(&mut stream, 200, qos_obs::CONTENT_TYPE, &body)
-        }
-        "/snapshot.json" => {
-            let body = (state.source)().to_string_compact();
-            respond(&mut stream, 200, "application/json", &body)
-        }
-        "/healthz" => {
-            let snapshot = (state.source)();
-            let body = health_body(&snapshot);
-            respond(&mut stream, 200, "application/json", &body)
-        }
-        _ => respond(&mut stream, 404, "text/plain", "not found\n"),
-    }
-}
-
 /// Builds the `/healthz` body (`amf-health/v1`) from an `amf-obs/v1`
-/// snapshot. Three-state status, shared by [`MetricsServer`] and the
-/// serving plane so both report identical health:
+/// snapshot. Two-state status:
 ///
 /// * `"draining"` — the serving plane has begun its graceful drain
 ///   (`serve.draining` gauge set);
-/// * `"degraded"` — answers are riding the fallback ladder: the service
-///   degraded flag is up, or the engine has exhausted its respawn budget
-///   and abandoned workers (`service.fault.abandoned_workers` counter);
 /// * `"ok"` — otherwise. Responding at all is the liveness signal.
 ///
-/// Load harnesses and CI treat `"degraded"` as non-fatal but must surface
-/// it (DESIGN.md §14).
+/// `drift_healthy` mirrors the model's `model.drift_healthy` gauge
+/// (DESIGN.md §14).
 pub fn health_body_from(snapshot: &Json) -> String {
     let drift_healthy = gauge_value(snapshot, "model.drift_healthy") != Some(0.0);
-    let degraded = gauge_value(snapshot, "service.degraded").is_some_and(|v| v != 0.0)
-        || counter_value(snapshot, "service.fault.abandoned_workers").is_some_and(|v| v > 0);
     let draining = gauge_value(snapshot, "serve.draining").is_some_and(|v| v != 0.0);
-    let status = if draining {
-        "draining"
-    } else if degraded {
-        "degraded"
-    } else {
-        "ok"
-    };
+    let status = if draining { "draining" } else { "ok" };
     format!(
         "{{\"schema\":\"{HEALTH_SCHEMA}\",\"status\":\"{status}\",\
-         \"drift_healthy\":{drift_healthy},\"degraded\":{degraded}}}"
+         \"drift_healthy\":{drift_healthy}}}"
     )
-}
-
-fn health_body(snapshot: &Json) -> String {
-    health_body_from(snapshot)
-}
-
-fn counter_value(snapshot: &Json, key: &str) -> Option<u64> {
-    let Json::Obj(map) = snapshot else {
-        return None;
-    };
-    let Json::Obj(counters) = map.get("counters")? else {
-        return None;
-    };
-    counters.get(key)?.as_u64()
 }
 
 fn gauge_value(snapshot: &Json, key: &str) -> Option<f64> {
@@ -312,181 +43,35 @@ fn gauge_value(snapshot: &Json, key: &str) -> Option<f64> {
     }
 }
 
-fn respond(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        431 => "Request Header Fields Too Large",
-        _ => "Error",
-    };
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qos_obs::MetricsRegistry;
 
-    fn test_source() -> impl Fn() -> Json + Send + Sync {
-        let registry = MetricsRegistry::new();
-        registry.counter("engine.jobs_dispatched").add(42);
-        registry.gauge("model.mre_w").set(0.25);
-        registry.gauge("model.drift_healthy").set(1.0);
-        registry.histogram("service.predict_ns").record(1500);
-        move || registry.snapshot_json(false)
-    }
-
-    fn get(addr: SocketAddr, path: &str) -> (u16, String, String) {
-        request(addr, &format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n"))
-    }
-
-    fn request(addr: SocketAddr, raw: &str) -> (u16, String, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(raw.as_bytes()).unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        let (head, body) = response
-            .split_once("\r\n\r\n")
-            .expect("response has a blank line");
-        let status: u16 = head
-            .split_whitespace()
-            .nth(1)
-            .expect("status code")
-            .parse()
-            .unwrap();
-        let content_type = head
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Type: "))
-            .unwrap_or("")
-            .to_string();
-        (status, content_type, body.to_string())
-    }
-
     #[test]
-    fn serves_prometheus_metrics() {
-        let server = MetricsServer::start("127.0.0.1:0", test_source()).unwrap();
-        let (status, content_type, body) = get(server.local_addr(), "/metrics");
-        assert_eq!(status, 200);
-        assert_eq!(content_type, qos_obs::CONTENT_TYPE);
-        let samples = qos_obs::parse_exposition(&body).expect("valid exposition");
-        assert!(samples
-            .iter()
-            .any(|(k, v)| k == "amf_engine_jobs_dispatched_total" && *v == 42.0));
-        assert!(samples
-            .iter()
-            .any(|(k, v)| k == "amf_model_mre_w" && *v == 0.25));
-        assert!(server.stop() >= 1);
-    }
-
-    #[test]
-    fn serves_snapshot_json_and_healthz() {
-        let server = MetricsServer::start("127.0.0.1:0", test_source()).unwrap();
-        let (status, content_type, body) = get(server.local_addr(), "/snapshot.json");
-        assert_eq!(status, 200);
-        assert_eq!(content_type, "application/json");
-        let parsed = Json::parse(&body).expect("snapshot parses");
-        assert_eq!(
-            gauge_value(&parsed, "model.mre_w"),
-            Some(0.25),
-            "snapshot carries the gauge section"
-        );
-
-        let (status, content_type, body) = get(server.local_addr(), "/healthz");
-        assert_eq!(status, 200);
-        assert_eq!(content_type, "application/json");
-        let health = Json::parse(&body).expect("health parses");
-        let Json::Obj(map) = &health else {
-            panic!("health body is an object");
-        };
-        assert_eq!(
-            map.get("schema"),
-            Some(&Json::Str(HEALTH_SCHEMA.to_string()))
-        );
-        assert_eq!(map.get("status"), Some(&Json::Str("ok".to_string())));
-        assert_eq!(map.get("drift_healthy"), Some(&Json::Bool(true)));
-        server.stop();
-    }
-
-    #[test]
-    fn unknown_routes_and_methods_are_rejected() {
-        let server = MetricsServer::start("127.0.0.1:0", test_source()).unwrap();
-        let (status, _, _) = get(server.local_addr(), "/nope");
-        assert_eq!(status, 404);
-        let (status, _, _) = request(
-            server.local_addr(),
-            "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n",
-        );
-        assert_eq!(status, 405);
-        // Query strings are tolerated on known routes.
-        let (status, _, _) = get(server.local_addr(), "/metrics?ts=1");
-        assert_eq!(status, 200);
-        assert_eq!(server.stop(), 3);
-    }
-
-    #[test]
-    fn health_status_is_three_state() {
+    fn health_status_is_two_state() {
         // ok: nothing unhealthy in the snapshot.
         let registry = MetricsRegistry::new();
         registry.gauge("model.drift_healthy").set(1.0);
         let body = health_body_from(&registry.snapshot_json(false));
+        let health = Json::parse(&body).expect("health parses");
+        assert_eq!(
+            health.get("schema").and_then(Json::as_str),
+            Some(HEALTH_SCHEMA)
+        );
+        assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(health.get("drift_healthy"), Some(&Json::Bool(true)));
+        assert!(health.get("degraded").is_none(), "{body}");
+
+        // A drift alarm is reported, but the plane is still ok.
+        registry.gauge("model.drift_healthy").set(0.0);
+        let body = health_body_from(&registry.snapshot_json(false));
         assert!(body.contains("\"status\":\"ok\""), "{body}");
+        assert!(body.contains("\"drift_healthy\":false"), "{body}");
 
-        // degraded: the service flag is up.
-        registry.gauge("service.degraded").set(1.0);
-        let body = health_body_from(&registry.snapshot_json(false));
-        assert!(body.contains("\"status\":\"degraded\""), "{body}");
-        assert!(body.contains("\"degraded\":true"), "{body}");
-
-        // degraded: flag clear but the engine abandoned workers (respawn
-        // budget exhausted).
-        registry.gauge("service.degraded").set(0.0);
-        registry.counter("service.fault.abandoned_workers").add(1);
-        let body = health_body_from(&registry.snapshot_json(false));
-        assert!(body.contains("\"status\":\"degraded\""), "{body}");
-
-        // draining wins over everything.
+        // draining once the plane begins its drain.
         registry.gauge("serve.draining").set(1.0);
         let body = health_body_from(&registry.snapshot_json(false));
         assert!(body.contains("\"status\":\"draining\""), "{body}");
-    }
-
-    #[test]
-    fn repeated_start_stop_never_hangs() {
-        // Regression pin for the shutdown self-connect race: if the accept
-        // loop re-blocks without observing the stop flag, one of these
-        // iterations wedges in `join` and the test times out. Scraping on
-        // some rounds keeps connections racing the shutdown wake.
-        for round in 0..50 {
-            let server = MetricsServer::start("127.0.0.1:0", test_source()).unwrap();
-            if round % 2 == 0 {
-                let (status, _, _) = get(server.local_addr(), "/healthz");
-                assert_eq!(status, 200, "round {round}");
-            }
-            server.stop();
-        }
-    }
-
-    #[test]
-    fn stop_joins_and_port_is_released() {
-        let server = MetricsServer::start("127.0.0.1:0", test_source()).unwrap();
-        let addr = server.local_addr();
-        server.stop();
-        // The listener is gone: a rebind of the same port succeeds.
-        let rebind = TcpListener::bind(addr);
-        assert!(rebind.is_ok(), "port still held after stop: {rebind:?}");
     }
 }

@@ -1,47 +1,40 @@
 //! Allocation accounting for the two ingestion hot paths.
 //!
 //! The contiguous-slab refactor promises that steady-state training does not
-//! touch the heap: the sequential `observe` path — and the engine's parity
-//! lane, which is that path on the calling thread — performs *zero*
-//! allocations per sample, and the relaxed lane allocates only per
-//! *micro-batch* (partition buffers, scoped worker threads), never per
-//! sample. This suite pins both properties with a counting global allocator.
+//! touch the heap: the sequential `observe` path performs *zero* allocations
+//! per sample, and so does `AmfTrainer::feed_batch` — the serving plane's
+//! ingest path — once every pair in the stream is already stored. This suite
+//! pins both properties with a counting global allocator.
 //!
 //! It lives in its own integration-test binary (own process) so the
-//! `#[global_allocator]` cannot interfere with any other suite, and runs all
-//! phases from a single `#[test]` so no concurrent test thread pollutes the
-//! counters. Two counters with different scopes:
-//!
-//! * The in-thread phase uses a *thread-scoped* counter (a const-initialized
-//!   TLS flag gates it), because the property under test is "the measuring
-//!   thread performs zero allocations". A process-global counter is not
-//!   usable here: while the test thread runs, the libtest harness's main
-//!   thread blocks in `mpsc::Receiver::recv`, and std's mpmc channel lazily
-//!   allocates its per-thread parking `Context` the first time a thread
-//!   blocks — two allocations that land inside the measured window on some
-//!   runs and before it on others.
-//! * The relaxed phase uses a *process-global* counter on purpose: its
-//!   numbers must include everything the worker threads do.
+//! `#[global_allocator]` cannot interfere with any other suite, and runs
+//! both measurements from a single `#[test]` so no concurrent test thread
+//! pollutes the counter. The counter is *thread-scoped* (a const-initialized
+//! TLS flag gates it), because the property under test is "the measuring
+//! thread performs zero allocations". A process-global counter is not usable
+//! here: while the test thread runs, the libtest harness's main thread
+//! blocks in `mpsc::Receiver::recv`, and std's mpmc channel lazily allocates
+//! its per-thread parking `Context` the first time a thread blocks — two
+//! allocations that land inside the measured window on some runs and before
+//! it on others.
 
-use amf_core::{AmfConfig, AmfModel, Consistency, EngineOptions, ShardedEngine};
+use amf_core::{AmfConfig, AmfModel, AmfTrainer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static THREAD_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Set only on the measuring thread during the in-thread phase. Const
+    /// Set only on the measuring thread while it measures. Const
     /// initialization keeps the TLS access itself allocation-free, and
     /// `try_with` keeps the allocator safe during thread teardown.
     static COUNT_THIS_THREAD: Cell<bool> = const { Cell::new(false) };
 }
 
 fn count(delta: u64) {
-    ALLOCATIONS.fetch_add(delta, Ordering::Relaxed);
     if COUNT_THIS_THREAD.try_with(Cell::get).unwrap_or(false) {
         THREAD_ALLOCATIONS.fetch_add(delta, Ordering::Relaxed);
     }
@@ -66,8 +59,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Allocations the calling thread makes while running `f`.
+fn thread_allocations(f: impl FnOnce()) -> u64 {
+    COUNT_THIS_THREAD.with(|flag| flag.set(true));
+    let before = THREAD_ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    let allocs = THREAD_ALLOCATIONS.load(Ordering::Relaxed) - before;
+    COUNT_THIS_THREAD.with(|flag| flag.set(false));
+    allocs
 }
 
 /// Deterministic `(user, service, value)` stream, same shape as the bench.
@@ -94,8 +93,7 @@ fn hot_paths_do_not_allocate_per_sample() {
 
     let data = stream(SAMPLES, USERS, SERVICES);
 
-    // --- Phase 1: sequential observe, and the parity engine lane that runs
-    // it on the calling thread, are exactly allocation-free. ---
+    // Sequential observe is exactly allocation-free.
     let mut model = AmfModel::new(AmfConfig::response_time()).unwrap();
     // Warmup registers every entity (slab growth) and exercises each branch
     // of the update (trackers, clamps) before measurement starts.
@@ -104,64 +102,46 @@ fn hot_paths_do_not_allocate_per_sample() {
     for &(u, s, r) in &data[..1000] {
         model.observe(u, s, r);
     }
-
-    COUNT_THIS_THREAD.with(|flag| flag.set(true));
-    let before = THREAD_ALLOCATIONS.load(Ordering::Relaxed);
-    for &(u, s, r) in &data {
-        model.observe(u, s, r);
-    }
-    let sequential_allocs = THREAD_ALLOCATIONS.load(Ordering::Relaxed) - before;
-    COUNT_THIS_THREAD.with(|flag| flag.set(false));
+    let sequential_allocs = thread_allocations(|| {
+        for &(u, s, r) in &data {
+            model.observe(u, s, r);
+        }
+    });
     assert_eq!(
         sequential_allocs, 0,
         "sequential observe allocated {sequential_allocs} times over {SAMPLES} samples; \
          the fused slab kernel must stay off the heap"
     );
 
-    let mut engine = ShardedEngine::from_model(model, EngineOptions::with_shards(4)).unwrap();
-    // Warmup: the engine's metric handles register on first use.
-    engine.feed_batch(data[..1000].iter().copied());
-    COUNT_THIS_THREAD.with(|flag| flag.set(true));
-    let before = THREAD_ALLOCATIONS.load(Ordering::Relaxed);
-    engine.feed_batch(data.iter().copied());
-    engine.drain();
-    let in_thread_allocs = THREAD_ALLOCATIONS.load(Ordering::Relaxed) - before;
-    COUNT_THIS_THREAD.with(|flag| flag.set(false));
+    // So is the trainer's batch path in serve's steady state: every pair is
+    // already in the observation store, so each sample only refreshes its
+    // entry, and the batch is fed as it is iterated, never collected.
+    let batches: Vec<Vec<(usize, usize, u64, f64)>> = data
+        .chunks(256)
+        .enumerate()
+        .map(|(c, chunk)| {
+            chunk
+                .iter()
+                .enumerate()
+                .map(|(i, &(u, s, r))| (u, s, (c * 256 + i) as u64, r))
+                .collect()
+        })
+        .collect();
+    let mut trainer = AmfTrainer::new(AmfConfig::response_time()).unwrap();
+    *trainer.model_mut() = model;
+    // Warmup: stores every pair and registers the batch-path metric handles.
+    for batch in &batches {
+        trainer.feed_batch(batch.iter().copied());
+    }
+    let batch_allocs = thread_allocations(|| {
+        for batch in &batches {
+            trainer.feed_batch(batch.iter().copied());
+        }
+    });
     assert_eq!(
-        in_thread_allocs, 0,
-        "the in-thread K=4 engine allocated {in_thread_allocs} times over {SAMPLES} \
-         samples; parity ingestion must stay off the heap"
+        batch_allocs, 0,
+        "AmfTrainer::feed_batch allocated {batch_allocs} times over {SAMPLES} samples; \
+         steady-state batch ingestion must stay off the heap"
     );
-
-    // --- Phase 2: the relaxed lane allocates per micro-batch, not per
-    // sample. ---
-    let mut engine = ShardedEngine::from_model(
-        engine.into_model(),
-        EngineOptions::with_consistency(4, Consistency::Relaxed),
-    )
-    .unwrap();
-    // Warmup: the atomic slabs reach full size.
-    engine.feed_batch(data.iter().copied());
-    engine.drain();
-
-    let before = allocations();
-    engine.feed_batch(data.iter().copied());
-    engine.drain();
-    let engine_allocs = allocations() - before;
-
-    // Each micro-batch costs a bounded number of allocations (partition
-    // buffers, the pending buffer regrowing after `mem::take`, one scoped
-    // thread per worker); the per-sample budget must stay far below one.
-    // The bound — one allocation per four samples — is ~25× above steady
-    // state, so it only trips on a reintroduced per-sample allocation, not
-    // on scheduler jitter.
-    let budget = (SAMPLES / 4) as u64;
-    assert!(
-        engine_allocs < budget,
-        "relaxed ingest allocated {engine_allocs} times for {SAMPLES} samples; \
-         budget {budget} — a per-sample allocation crept in"
-    );
-    // And the model comes back out with every sample counted.
-    let final_model = engine.into_model();
-    assert_eq!(final_model.update_count(), (4 * SAMPLES + 2 * 1000) as u64);
+    assert_eq!(trainer.model().update_count(), (3 * SAMPLES + 1000) as u64);
 }

@@ -1,9 +1,9 @@
 //! Deterministic drift-sentinel behavior, end to end: the Page-Hinkley
 //! sentinel inside [`AmfModel`] must stay silent on a stationary QoS stream
 //! (zero false alarms) and must fire when the stream's regime genuinely
-//! shifts. The sharded engine must carry the per-worker alarm counts back
-//! into the merged model, and a prediction service ingesting in small
-//! batches must keep one sentinel across batches whatever its shard count.
+//! shifts. A prediction service ingesting in small batches must keep one
+//! sentinel across batches, alarming exactly as record-by-record
+//! submission does.
 //!
 //! The drifting phase is a *bimodal* regime (each sample is either ~0.1s or
 //! ~16s): a pure level shift is absorbed by online SGD within a couple of
@@ -12,11 +12,11 @@
 //! is tuned to ignore it. A regime no single prediction can fit keeps the
 //! relative error persistently elevated, and that is what must alarm.
 //!
-//! Everything here is seeded LCG arithmetic on a single thread (or a
-//! deterministic shard routing), so these tests are exact: an alarm count is
-//! asserted with `==`/`>`, never with tolerance.
+//! Everything here is seeded LCG arithmetic on a single thread, so these
+//! tests are exact: an alarm count is asserted with `==`/`>`, never with
+//! tolerance.
 
-use amf_core::{AmfConfig, AmfModel, EngineOptions, ShardedEngine};
+use amf_core::{AmfConfig, AmfModel};
 use qos_service::{QosPredictionService, QosRecord, ServiceConfig};
 
 const USERS: usize = 12;
@@ -103,61 +103,34 @@ fn regime_shift_fires_the_sentinel() {
 }
 
 #[test]
-fn engine_merges_per_shard_alarm_counts() {
-    let mut engine = ShardedEngine::new(
-        AmfConfig::response_time(),
-        EngineOptions {
-            shards: 2,
-            ..EngineOptions::default()
-        },
-    )
-    .expect("valid engine options");
-    engine.feed_batch(stationary_stream(SEED, PHASE));
-    engine.feed_batch(bimodal_stream(SEED ^ 0xFF, PHASE));
-    let model: AmfModel = engine.into_model();
-    let (user_alarms, service_alarms) = model.drift_sentinel().alarms();
-    assert!(
-        user_alarms + service_alarms > 0,
-        "per-shard sentinel alarms were lost in the merge"
-    );
-    // The merged accuracy window is full after 24k admitted samples.
-    assert_eq!(
-        model.windowed_accuracy().window_len,
-        amf_core::ACCURACY_WINDOW
-    );
-}
-
-#[test]
 fn sharded_parity_service_keeps_its_sentinel_across_batches() {
     // Serve-sized 8-record batches: a service that restarted its detectors
-    // per batch (one engine per batch, fresh per-worker sentinels) would
-    // never accumulate enough evidence to alarm at `shards: 4`.
-    let alarms = |shards: usize| {
-        let service = QosPredictionService::new(ServiceConfig {
-            shards,
-            ..ServiceConfig::default()
-        });
-        let records: Vec<QosRecord> = stationary_stream(SEED, PHASE)
-            .into_iter()
-            .chain(bimodal_stream(SEED ^ 0xFF, PHASE))
-            .enumerate()
-            .map(|(t, (u, s, value))| QosRecord {
-                user: format!("user-{u}"),
-                service: format!("svc-{s}"),
-                timestamp: t as u64,
-                value,
-            })
-            .collect();
-        for batch in records.chunks(8) {
-            service.submit_batch(batch.to_vec());
-        }
-        service.drift_alarms()
-    };
-    let sequential = alarms(1);
-    let sharded = alarms(4);
+    // per batch would never accumulate enough evidence to alarm, and one
+    // whose batch path reordered samples would alarm differently from
+    // record-by-record submission.
+    let records: Vec<QosRecord> = stationary_stream(SEED, PHASE)
+        .into_iter()
+        .chain(bimodal_stream(SEED ^ 0xFF, PHASE))
+        .enumerate()
+        .map(|(t, (u, s, value))| QosRecord {
+            user: format!("user-{u}"),
+            service: format!("svc-{s}"),
+            timestamp: t as u64,
+            value,
+        })
+        .collect();
+    let one_by_one = QosPredictionService::new(ServiceConfig::default());
+    for record in &records {
+        one_by_one.submit(record.clone());
+    }
+    let batched = QosPredictionService::new(ServiceConfig::default());
+    for batch in records.chunks(8) {
+        batched.submit_batch(batch.to_vec());
+    }
+    let (sequential, batched) = (one_by_one.drift_alarms(), batched.drift_alarms());
     assert!(
-        sharded.0 + sharded.1 > 0,
-        "regime shift went undetected by a 4-shard service: {sharded:?}"
+        batched.0 + batched.1 > 0,
+        "regime shift went undetected by a batch-fed service: {batched:?}"
     );
-    assert_eq!(sharded, sequential, "shard count changed the alarm counts");
+    assert_eq!(batched, sequential, "batching changed the alarm counts");
 }

@@ -1,47 +1,46 @@
-//! Integration: sequential-vs-engine parity.
+//! Integration: batched-vs-sequential parity.
 //!
-//! The headline correctness artifact of the engine's parity lane: on a
-//! fixed-seed stream the end state is not merely "close" to the sequential
-//! trainer's — factors, EMA trackers, windowed accuracy and drift alarms
-//! are bit-for-bit equal at every shard count, because parity applies the
-//! stream in order on the calling thread whatever `shards` says.
+//! The headline correctness artifact of batched ingestion: on a fixed-seed
+//! stream, the end state of `AmfTrainer::feed_batch` is not merely "close"
+//! to the sequential model's — factors, EMA trackers, windowed accuracy,
+//! drift alarms and the update count are bit-for-bit equal at every batch
+//! split, because each batch is fed in stream order on the calling thread.
 
 mod support;
 
-use amf_core::{AmfConfig, AmfModel, AmfTrainer, EngineOptions, ShardedEngine};
+use amf_core::{AmfConfig, AmfModel, AmfTrainer};
 use qos_metrics::AccuracySummary;
-use support::{factor_mismatch, qos_stream, sequential_reference, StreamSpec};
+use support::{batched_trainer, factor_mismatch, qos_stream, sequential_reference, StreamSpec};
 
-fn run_sharded(stream: &[(usize, usize, f64)], options: EngineOptions) -> AmfModel {
-    let mut engine =
-        ShardedEngine::new(AmfConfig::response_time(), options).expect("valid options");
-    engine.feed_batch(stream.iter().copied());
-    engine.into_model()
+fn batched(stream: &[(usize, usize, f64)], batch: usize) -> AmfModel {
+    batched_trainer(AmfConfig::response_time(), stream, batch)
+        .model()
+        .clone()
 }
 
 #[test]
-fn sharded_equals_sequential_at_every_shard_count() {
+fn feed_batch_equals_sequential_at_every_batch_split() {
     let stream = qos_stream(StreamSpec::default_parity());
     let reference = sequential_reference(AmfConfig::response_time(), &stream);
-    for shards in [1usize, 2, 4, 8] {
-        let sharded = run_sharded(&stream, EngineOptions::with_shards(shards));
+    for batch in [1usize, 7, 256, stream.len()] {
+        let model = batched(&stream, batch);
         assert_eq!(
-            factor_mismatch(&reference, &sharded),
+            factor_mismatch(&reference, &model),
             None,
-            "at {shards} shards"
+            "at batch {batch}"
         );
-        assert_eq!(sharded.update_count(), stream.len() as u64);
+        assert_eq!(model.update_count(), stream.len() as u64);
         // Telemetry is pinned to the oracle too: the windowed accuracy and
         // the drift sentinel's alarm counts, not just the factors.
         assert_eq!(
-            sharded.windowed_accuracy(),
+            model.windowed_accuracy(),
             reference.windowed_accuracy(),
-            "windowed accuracy at {shards} shards"
+            "windowed accuracy at batch {batch}"
         );
         assert_eq!(
-            sharded.drift_sentinel().alarms(),
+            model.drift_sentinel().alarms(),
             reference.drift_sentinel().alarms(),
-            "drift alarms at {shards} shards"
+            "drift alarms at batch {batch}"
         );
     }
 }
@@ -49,10 +48,9 @@ fn sharded_equals_sequential_at_every_shard_count() {
 #[test]
 fn parity_is_deterministic_across_three_runs() {
     let stream = qos_stream(StreamSpec::default_parity());
-    let options = EngineOptions::with_shards(4);
-    let first = run_sharded(&stream, options);
+    let first = batched(&stream, 256);
     for run in 1..3 {
-        let again = run_sharded(&stream, options);
+        let again = batched(&stream, 256);
         assert_eq!(factor_mismatch(&first, &again), None, "run {run}");
     }
 }
@@ -62,7 +60,7 @@ fn end_of_stream_mae_matches_sequential() {
     let spec = StreamSpec::default_parity();
     let stream = qos_stream(spec);
     let reference = sequential_reference(AmfConfig::response_time(), &stream);
-    let sharded = run_sharded(&stream, EngineOptions::with_shards(4));
+    let model = batched(&stream, 256);
 
     // Score both models against the tail of the stream (the freshest truth).
     let tail = &stream[stream.len() - 1_000..];
@@ -76,19 +74,19 @@ fn end_of_stream_mae_matches_sequential() {
             .expect("non-empty")
             .mae
     };
-    let (seq_mae, shard_mae) = (score(&reference), score(&sharded));
+    let (seq_mae, batch_mae) = (score(&reference), score(&model));
     assert!(seq_mae.is_finite() && seq_mae > 0.0);
     // Bitwise parity implies the MAEs agree to the last ulp; the tolerance
     // is only here so the assertion reads as the acceptance criterion.
     assert!(
-        (seq_mae - shard_mae).abs() <= 1e-12 * seq_mae.max(1.0),
-        "sequential MAE {seq_mae} vs sharded MAE {shard_mae}"
+        (seq_mae - batch_mae).abs() <= 1e-12 * seq_mae.max(1.0),
+        "sequential MAE {seq_mae} vs batched MAE {batch_mae}"
     );
 }
 
 #[test]
 fn trainer_batch_path_preserves_replay_behaviour() {
-    // The trainer-level sharded path must leave the observation store (and
+    // The trainer-level batch path must leave the observation store (and
     // thus idle-time replay) exactly as sequential feeding would.
     let spec = StreamSpec {
         users: 8,
@@ -107,14 +105,15 @@ fn trainer_batch_path_preserves_replay_behaviour() {
     for &(u, s, t, v) in &timestamped {
         sequential.feed(u, s, t, v);
     }
-    let mut sharded = AmfTrainer::new(AmfConfig::response_time()).unwrap();
-    sharded
-        .feed_batch_sharded(timestamped.iter().copied(), EngineOptions::with_shards(3))
-        .unwrap();
+    let mut batched = AmfTrainer::new(AmfConfig::response_time()).unwrap();
+    assert_eq!(
+        batched.feed_batch(timestamped.iter().copied()),
+        timestamped.len()
+    );
 
-    assert_eq!(sequential.store().len(), sharded.store().len());
-    assert_eq!(sequential.now(), sharded.now());
-    assert_eq!(factor_mismatch(sequential.model(), sharded.model()), None);
+    assert_eq!(sequential.store().len(), batched.store().len());
+    assert_eq!(sequential.now(), batched.now());
+    assert_eq!(factor_mismatch(sequential.model(), batched.model()), None);
 
     // Replay draws from the same store with the same trainer RNG stream, so
     // even post-replay state stays identical.
@@ -126,6 +125,6 @@ fn trainer_batch_path_preserves_replay_behaviour() {
         patience: 2,
     };
     sequential.replay_until_converged(options);
-    sharded.replay_until_converged(options);
-    assert_eq!(factor_mismatch(sequential.model(), sharded.model()), None);
+    batched.replay_until_converged(options);
+    assert_eq!(factor_mismatch(sequential.model(), batched.model()), None);
 }

@@ -1,11 +1,11 @@
 //! Golden-trace conformance: a fixed seeded stream through the full hot
-//! pipeline — guard → sharded engine → predictions — must reproduce a
+//! pipeline — guard → batched ingestion → predictions — must reproduce a
 //! committed fixture to 1e-12.
 //!
-//! The engine suites already pin *internal* consistency (engine ==
+//! The parity suite already pins *internal* consistency (batched ==
 //! sequential). This suite pins *external* behavior
 //! across time: if any change to the transform, the SGD step, the adaptive
-//! weights, the guard's admission rules, or the engine's ordering shifts a
+//! weights, the guard's admission rules, or the batch path's ordering shifts a
 //! prediction or a final EMA by more than 1e-12, the fixture diff says so —
 //! and says exactly which value moved. Observability instrumentation in
 //! particular must never perturb the numerics; this test is the proof.
@@ -19,9 +19,9 @@
 //! then commit the updated `tests/fixtures/golden_trace.txt` and explain the
 //! shift in the PR description.
 
-use amf_core::{
-    AmfConfig, AmfModel, EngineOptions, GuardConfig, GuardStats, SampleGuard, ShardedEngine,
-};
+mod support;
+
+use amf_core::{AmfConfig, AmfModel, GuardConfig, GuardStats, SampleGuard};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -85,18 +85,13 @@ fn admitted_stream(config: &AmfConfig) -> (Vec<(usize, usize, f64)>, GuardStats)
     (admitted, guard.stats())
 }
 
-/// The pipeline's model: the admitted stream through a 4-shard engine.
-fn engine_model(config: AmfConfig, admitted: &[(usize, usize, f64)]) -> AmfModel {
-    let mut engine = ShardedEngine::new(
-        config,
-        EngineOptions {
-            shards: 4,
-            ..EngineOptions::default()
-        },
-    )
-    .expect("valid engine options");
-    engine.feed_batch(admitted.iter().copied());
-    engine.into_model()
+/// The pipeline's model: the admitted stream through
+/// `AmfTrainer::feed_batch` in 256-sample batches, the serving plane's
+/// batch size.
+fn batched_model(config: AmfConfig, admitted: &[(usize, usize, f64)]) -> AmfModel {
+    support::batched_trainer(config, admitted, 256)
+        .model()
+        .clone()
 }
 
 /// Runs the pipeline and renders the canonical trace document: admission
@@ -106,7 +101,7 @@ fn engine_model(config: AmfConfig, admitted: &[(usize, usize, f64)]) -> AmfModel
 fn render_trace() -> String {
     let config = AmfConfig::response_time();
     let (admitted, stats) = admitted_stream(&config);
-    let model = engine_model(config, &admitted);
+    let model = batched_model(config, &admitted);
 
     let mut out = String::new();
     let _ = writeln!(out, "golden-trace/v1");
@@ -238,20 +233,20 @@ fn trace_is_reproducible_within_process() {
 fn engine_telemetry_matches_sequential_oracle() {
     // The fixture's `mre`, `nmae` and `drift alarms` lines must be the
     // sequential model's own values for the same admitted stream — checked
-    // here in-process, so a fixture regeneration cannot paper over an
-    // engine whose telemetry drifts from the oracle.
+    // here in-process, so a fixture regeneration cannot paper over a
+    // batch path whose telemetry drifts from the oracle.
     let config = AmfConfig::response_time();
     let (admitted, _) = admitted_stream(&config);
-    let engine = engine_model(config, &admitted);
+    let batched = batched_model(config, &admitted);
     let mut oracle = AmfModel::new(config).expect("valid config");
     for &(user, service, value) in &admitted {
         oracle.observe(user, service, value);
     }
-    let (got, want) = (engine.windowed_accuracy(), oracle.windowed_accuracy());
+    let (got, want) = (batched.windowed_accuracy(), oracle.windowed_accuracy());
     assert_eq!(got.mre, want.mre, "windowed MRE");
     assert_eq!(got.nmae, want.nmae, "windowed NMAE");
     assert_eq!(
-        engine.drift_sentinel().alarms(),
+        batched.drift_sentinel().alarms(),
         oracle.drift_sentinel().alarms(),
         "drift alarm counts"
     );

@@ -299,7 +299,17 @@ fn overload_fast_rejects_from_the_acceptor() {
     let holder_body = slow_predict_body(100_000);
     let holder =
         std::thread::spawn(move || raw_exchange(addr, &post_raw("/v1/predict", &holder_body, "")));
-    std::thread::sleep(Duration::from_millis(150));
+    // Probe only once the worker has popped the holder: until then the
+    // holder occupies the single queue slot, and every probe would be
+    // fast-rejected with none left to queue.
+    let waited = std::time::Instant::now();
+    while plane.stats().dequeued == 0 {
+        assert!(
+            waited.elapsed() < Duration::from_secs(30),
+            "the worker never dequeued the holder"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // Four CONCURRENT probes: the first to reach the acceptor takes the
     // single queue slot (and waits for the worker); the rest find the

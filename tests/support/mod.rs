@@ -1,8 +1,9 @@
-//! Shared test support for the engine integration suites: a fixed-seed QoS
-//! stream generator, so `engine_parity` and `engine_churn` drive the exact
-//! same workload shape, and model-comparison helpers.
+//! Shared test support for the ingestion integration suites: a fixed-seed
+//! QoS stream generator, so `engine_parity` and `engine_churn` drive the
+//! exact same workload shape, batch-feeding helpers, and model-comparison
+//! helpers.
 
-use amf_core::AmfModel;
+use amf_core::{AmfModel, AmfTrainer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -34,6 +35,7 @@ impl StreamSpec {
 
 /// Deterministic `(user, service, raw QoS)` stream: uniformly random pairs
 /// with response-time-like values in `(0.05, 18.0)` seconds.
+#[allow(dead_code)] // each integration target compiles its own copy
 pub fn qos_stream(spec: StreamSpec) -> Vec<(usize, usize, f64)> {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     (0..spec.samples)
@@ -46,8 +48,8 @@ pub fn qos_stream(spec: StreamSpec) -> Vec<(usize, usize, f64)> {
         .collect()
 }
 
-/// Feeds the stream to a fresh sequential model — the reference the sharded
-/// engine must match.
+/// Feeds the stream to a fresh sequential model — the reference batched
+/// ingestion must match.
 #[allow(dead_code)] // each integration target compiles its own copy
 pub fn sequential_reference(
     config: amf_core::AmfConfig,
@@ -58,6 +60,41 @@ pub fn sequential_reference(
         model.observe(u, s, v);
     }
     model
+}
+
+/// Feeds `stream` to `trainer` through `AmfTrainer::feed_batch` in calls
+/// of `batch` samples, stamping sample `k` with timestamp `k`. Returns the
+/// number of samples fed.
+#[allow(dead_code)] // each integration target compiles its own copy
+pub fn feed_in_batches(
+    trainer: &mut AmfTrainer,
+    stream: &[(usize, usize, f64)],
+    batch: usize,
+) -> usize {
+    stream
+        .chunks(batch)
+        .enumerate()
+        .map(|(c, chunk)| {
+            trainer.feed_batch(
+                chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(u, s, v))| (u, s, (c * batch + i) as u64, v)),
+            )
+        })
+        .sum()
+}
+
+/// A fresh trainer fed `stream` by [`feed_in_batches`].
+#[allow(dead_code)] // each integration target compiles its own copy
+pub fn batched_trainer(
+    config: amf_core::AmfConfig,
+    stream: &[(usize, usize, f64)],
+    batch: usize,
+) -> AmfTrainer {
+    let mut trainer = AmfTrainer::new(config).expect("valid config");
+    assert_eq!(feed_in_batches(&mut trainer, stream, batch), stream.len());
+    trainer
 }
 
 /// Deterministic *learnable* stream: the value of a pair is a fixed function
