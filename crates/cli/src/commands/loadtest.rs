@@ -2,10 +2,12 @@
 //! `amf-qos serve` endpoint.
 //!
 //! Drives a mixed `observe`/`predict`/`rank` workload through
-//! [`qos_serve::LoadRunner`]: closed- or open-loop arrivals, per-request
-//! timeouts, bounded retry (idempotent requests only — `observe` is never
-//! retried), and client-side network faults from a [`FaultPlan`]'s
-//! `conn-reset`/`slow-read`/`blackhole` verbs.
+//! [`qos_serve::LoadRunner`]: closed-loop arrivals, per-request timeouts,
+//! bounded retry (idempotent requests only — `observe` is never retried),
+//! and client-side network faults from a [`FaultPlan`]'s
+//! `conn-reset`/`slow-read`/`blackhole` verbs. Serving latency and capacity
+//! are benchmarked by `servebench/`, which times open-loop requests from
+//! their due time; this command checks the plane under faults.
 //!
 //! Transports: the baseline opens one connection per request; with
 //! `--keep-alive` a second clean pass runs over persistent connections
@@ -19,7 +21,7 @@
 //! the server's `--flight-log`. Every run reconciles the server's
 //! `x-amf-stage-us` breakdowns and tail exemplars against the client's
 //! own clock (the `reconciliation` block). `--out` writes the
-//! `amf-bench-serve/v3` document (`BENCH_SERVE.json`); a degraded server
+//! `amf-bench-serve/v4` document; a degraded server
 //! health is reported but non-fatal, while server-side worker panics fail
 //! the command.
 
@@ -28,17 +30,16 @@ use crate::args::Args;
 use amf_core::FaultPlan;
 use qos_obs::Json;
 use qos_serve::{
-    ClientConfig, LoadConfig, LoadMode, LoadReport, LoadRunner, ServeClient, BENCH_SERVE_SCHEMA,
+    ClientConfig, LoadConfig, LoadReport, LoadRunner, ServeClient, BENCH_SERVE_SCHEMA,
 };
 use std::net::SocketAddr;
 use std::time::Duration;
 
 /// Usage text for the subcommand.
 pub const USAGE: &str = "amf-qos loadtest (--addr HOST:PORT | --addr-file PATH) \
-[--requests N] [--concurrency N] [--mode closed|open] [--qps Q] \
-[--keep-alive] [--conns N] [--pipeline D] [--fault-plan SPEC] [--seed S] \
-[--timeout-ms MS] [--retries N] [--deadline-ms MS] [--batch N] [--out PATH] \
-[--quick]";
+[--requests N] [--concurrency N] [--keep-alive] [--conns N] [--pipeline D] \
+[--fault-plan SPEC] [--seed S] [--timeout-ms MS] [--retries N] [--deadline-ms MS] \
+[--batch N] [--out PATH] [--quick]";
 
 /// Runs the subcommand.
 ///
@@ -68,18 +69,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         ),
         None => None,
     };
-    let mode = match args.get_or("mode", "closed") {
-        "closed" => LoadMode::Closed { concurrency },
-        "open" => LoadMode::Open {
-            qps: args.parse_or("qps", 200.0)?,
-            concurrency,
-        },
-        other => {
-            return Err(CliError(format!(
-                "--mode: '{other}' (expected closed or open)"
-            )))
-        }
-    };
     let fault_plan = match args.get("fault-plan") {
         Some(spec) => {
             let plan =
@@ -96,7 +85,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     };
 
     let base = LoadConfig {
-        mode,
+        concurrency,
         requests,
         seed,
         fault_plan: None,
@@ -110,22 +99,13 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         ..LoadConfig::default()
     };
 
-    // Keep-alive runs re-shape the arrival model around `--conns`
-    // persistent connections (one per worker).
-    let keep_alive_mode = match mode {
-        LoadMode::Closed { .. } => LoadMode::Closed { concurrency: conns },
-        LoadMode::Open { qps, .. } => LoadMode::Open {
-            qps,
-            concurrency: conns,
-        },
-    };
-
     let probe_client = base.client;
     let mut runs: Vec<LoadReport> = Vec::new();
     runs.push(LoadRunner::new(base.clone()).run(addr, "clean"));
     if keep_alive {
+        // One worker per persistent connection.
         let reused = LoadConfig {
-            mode: keep_alive_mode,
+            concurrency: conns,
             keep_alive: true,
             pipeline,
             ..base.clone()
@@ -137,7 +117,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         // exactly the keep-alive path worth measuring under faults.
         let faulted = LoadConfig {
             fault_plan: Some(plan),
-            mode: if keep_alive { keep_alive_mode } else { mode },
+            concurrency: if keep_alive { conns } else { concurrency },
             keep_alive,
             pipeline: if keep_alive { pipeline } else { 1 },
             ..base

@@ -18,6 +18,7 @@ pub mod train;
 
 use crate::args::{Args, ArgsError};
 use qos_dataset::Attribute;
+use qos_service::{QosPredictionService, QosRecord};
 
 /// A CLI failure with a user-facing message.
 #[derive(Debug)]
@@ -53,6 +54,56 @@ impl From<amf_core::AmfError> for CliError {
     fn from(e: amf_core::AmfError) -> Self {
         CliError(e.to_string())
     }
+}
+
+/// Submits `records` to `service` in batches of 256, the batch size the
+/// CLI warms a service with.
+pub fn submit_batched(
+    service: &QosPredictionService,
+    records: impl IntoIterator<Item = QosRecord>,
+) {
+    let mut batch = Vec::with_capacity(256);
+    for record in records {
+        batch.push(record);
+        if batch.len() == 256 {
+            service.submit_batch(std::mem::take(&mut batch));
+        }
+    }
+    service.submit_batch(batch);
+}
+
+/// The seeded warm-up stream of `serve` and `stats --obs`: `samples`
+/// records from an LCG over a 24×32 entity grid (`user-N`, `svc-N`), about
+/// 5% of them deliberately invalid (NaN, negative, out of range) so the
+/// guard counters are exercised, not just the happy path.
+pub fn seeded_stream(samples: u64, seed: u64) -> impl Iterator<Item = QosRecord> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 11
+    };
+    (0..samples).map(move |t| {
+        let user = next() % 24;
+        let svc = next() % 32;
+        let roll = next() % 100;
+        let value = if roll < 2 {
+            f64::NAN
+        } else if roll < 4 {
+            -1.0
+        } else if roll < 5 {
+            1.0e9
+        } else {
+            0.05 + (next() % 19_000) as f64 / 1_000.0
+        };
+        QosRecord {
+            user: format!("user-{user}"),
+            service: format!("svc-{svc}"),
+            timestamp: t,
+            value,
+        }
+    })
 }
 
 /// Parses `--attr rt|tp` (default rt).

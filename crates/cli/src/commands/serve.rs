@@ -17,7 +17,7 @@
 use super::CliError;
 use crate::args::Args;
 use qos_dataset::io;
-use qos_obs::{FlightConfig, RecorderConfig, SnapshotRecorder};
+use qos_obs::{LogConfig, SnapshotRecorder, DEFAULT_MAX_LOG_BYTES};
 use qos_serve::{ServeConfig, ServePlane};
 use qos_service::{QosPredictionService, QosRecord, ServiceConfig};
 use std::sync::Arc;
@@ -42,7 +42,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let seed: u64 = args.parse_or("seed", 42)?;
     let run_ms: u64 = args.parse_or("run-ms", 0)?;
     let interval_ms: u64 = args.parse_or("interval-ms", 200)?;
-    let max_log_bytes: u64 = args.parse_or("max-log-bytes", 4 * 1024 * 1024)?;
+    let max_log_bytes: u64 = args.parse_or("max-log-bytes", DEFAULT_MAX_LOG_BYTES)?;
     let workers: usize = args.parse_or("workers", 4)?;
     let max_pending: usize = args.parse_or("max-pending", 128)?;
     let deadline_ms: u64 = args.parse_or("deadline-ms", 1000)?;
@@ -85,11 +85,10 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 
     // Black-box flight recorder: panic / drift / SLO-burst / manual dumps
     // land in this JSONL file (readable with `amf-qos trace`).
-    let flight = FlightConfig {
-        path: args.get("flight-log").map(Into::into),
+    let flight = args.get("flight-log").map(|path| LogConfig {
+        path: path.into(),
         max_bytes: max_log_bytes,
-        max_rotated: 2,
-    };
+    });
     let plane = ServePlane::start_with_flight(
         listen,
         Arc::clone(&service),
@@ -119,11 +118,10 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             let recorder_service = Arc::clone(&service);
             Some(
                 SnapshotRecorder::start(
-                    RecorderConfig {
-                        interval: Duration::from_millis(interval_ms.max(1)),
-                        path: Some(path.into()),
+                    Duration::from_millis(interval_ms.max(1)),
+                    LogConfig {
+                        path: path.into(),
                         max_bytes: max_log_bytes,
-                        ..RecorderConfig::default()
                     },
                     move || recorder_service.stats_snapshot(),
                 )
@@ -142,7 +140,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 
     let (lines, rotations) = match recorder {
         Some(recorder) => {
-            let rotations = recorder.rotations();
+            let rotations = recorder.log().rotations();
             (recorder.stop(), rotations)
         }
         None => (0, 0),
@@ -187,80 +185,37 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 }
 
 /// Streams the workload into the service: `--data` replays a triplet file,
-/// otherwise a deterministic seeded stream over a small entity grid (the
-/// same generator as `amf-qos stats --obs`, including ~5% guard-exercising
-/// garbage).
+/// otherwise the CLI's seeded warm-up stream (the same one
+/// `amf-qos stats --obs` feeds).
 fn feed_workload(
     service: &QosPredictionService,
     args: &Args,
     samples: u64,
     seed: u64,
 ) -> Result<u64, CliError> {
-    if let Some(path) = args.get("data") {
-        let triplets = io::read_triplets(std::fs::File::open(path)?)?;
-        if triplets.is_empty() {
-            return Err(CliError(format!("{path}: no samples")));
-        }
-        let mut fed = 0u64;
-        let mut batch = Vec::with_capacity(256);
-        // Cycle the file until `--samples` records have been fed, so a small
-        // fixture can still drive a long-running serve.
-        'outer: loop {
-            for s in &triplets {
-                if fed == samples {
-                    break 'outer;
-                }
-                batch.push(QosRecord {
-                    user: format!("user-{}", s.user),
-                    service: format!("svc-{}", s.service),
-                    timestamp: s.timestamp,
-                    value: s.value,
-                });
-                fed += 1;
-                if batch.len() == 256 {
-                    service.submit_batch(std::mem::take(&mut batch));
-                }
-            }
-            if triplets.is_empty() {
-                break;
-            }
-        }
-        service.submit_batch(batch);
-        return Ok(fed);
-    }
-
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-    let mut next = || {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        state >> 11
+    let Some(path) = args.get("data") else {
+        super::submit_batched(service, super::seeded_stream(samples, seed));
+        return Ok(samples);
     };
-    let mut batch = Vec::with_capacity(256);
-    for t in 0..samples {
-        let user = next() % 24;
-        let svc = next() % 32;
-        let roll = next() % 100;
-        let value = if roll < 2 {
-            f64::NAN
-        } else if roll < 4 {
-            -1.0
-        } else if roll < 5 {
-            1.0e9
-        } else {
-            0.05 + (next() % 19_000) as f64 / 1_000.0
-        };
-        batch.push(QosRecord {
-            user: format!("user-{user}"),
-            service: format!("svc-{svc}"),
-            timestamp: t,
-            value,
-        });
-        if batch.len() == 256 {
-            service.submit_batch(std::mem::take(&mut batch));
-        }
+    let triplets = io::read_triplets(std::fs::File::open(path)?)?;
+    if triplets.is_empty() {
+        return Err(CliError(format!("{path}: no samples")));
     }
-    service.submit_batch(batch);
+    // Cycle the file until `--samples` records have been fed, so a small
+    // fixture can still drive a long-running serve.
+    let records = triplets
+        .iter()
+        .cycle()
+        .take(samples.try_into().unwrap_or(usize::MAX));
+    super::submit_batched(
+        service,
+        records.map(|s| QosRecord {
+            user: format!("user-{}", s.user),
+            service: format!("svc-{}", s.service),
+            timestamp: s.timestamp,
+            value: s.value,
+        }),
+    );
     Ok(samples)
 }
 

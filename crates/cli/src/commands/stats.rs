@@ -7,7 +7,7 @@ use super::CliError;
 use crate::args::Args;
 use qos_dataset::io;
 use qos_linalg::stats as lstats;
-use qos_service::{QosPredictionService, QosRecord, ServiceConfig};
+use qos_service::{QosPredictionService, ServiceConfig};
 
 /// Usage text for the subcommand.
 pub const USAGE: &str = "amf-qos stats [--scale small|medium|full] | amf-qos stats --data DENSE_FILE | amf-qos stats --obs [--samples N] [--seed S]";
@@ -63,41 +63,7 @@ fn run_obs(args: &Args) -> Result<String, CliError> {
     let service = QosPredictionService::try_new(ServiceConfig::default())
         .map_err(|e| CliError(format!("service: {e}")))?;
 
-    // Deterministic LCG stream over a small entity grid; ~5% of the samples
-    // are deliberately invalid (NaN / negative / out-of-range) so the guard
-    // counters are exercised, not just the happy path.
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-    let mut next = || {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        state >> 11
-    };
-    let mut batch = Vec::with_capacity(256);
-    for t in 0..samples {
-        let user = next() % 24;
-        let svc = next() % 32;
-        let roll = next() % 100;
-        let value = if roll < 2 {
-            f64::NAN
-        } else if roll < 4 {
-            -1.0
-        } else if roll < 5 {
-            1.0e9
-        } else {
-            0.05 + (next() % 19_000) as f64 / 1_000.0
-        };
-        batch.push(QosRecord {
-            user: format!("user-{user}"),
-            service: format!("svc-{svc}"),
-            timestamp: t,
-            value,
-        });
-        if batch.len() == 256 {
-            service.submit_batch(std::mem::take(&mut batch));
-        }
-    }
-    service.submit_batch(batch);
+    super::submit_batched(&service, super::seeded_stream(samples, seed));
 
     // Exercise the full prediction surface: the model path, the degraded
     // fallback ladder (unknown entities), and the batch ranking kernel.

@@ -228,7 +228,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qos_obs::{FlightConfig, FlightRecorder, StageClock, TraceRecord};
+    use qos_obs::{FlightRecorder, LogConfig, StageClock, TraceRecord, DEFAULT_MAX_LOG_BYTES};
 
     fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
@@ -254,10 +254,10 @@ mod tests {
         let path = dir.join(format!("dump-{}.flight.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
-        let recorder = FlightRecorder::new(FlightConfig {
-            path: Some(path.clone()),
-            ..FlightConfig::default()
-        });
+        let recorder = FlightRecorder::new(Some(LogConfig {
+            path: path.clone(),
+            max_bytes: DEFAULT_MAX_LOG_BYTES,
+        }));
         let records = vec![record("amf-1", 100, 10), record("amf-2", 50, 40)];
         let exemplars = vec![record("amf-1", 100, 10)];
         recorder.dump("manual", &records, &exemplars, &[], &Json::obj());

@@ -12,7 +12,7 @@
 //! amf-qos serve       run the hardened serving plane (observe/predict/rank
 //!                     endpoint + /metrics, /healthz, /snapshot.json)
 //! amf-qos loadtest    drive a live serve endpoint with a fault-injecting
-//!                     load harness and emit an amf-bench-serve/v1 report
+//!                     load harness and emit an amf-bench-serve/v4 report
 //! amf-qos scenario    closed-loop adaptation scenarios (adaptive vs static)
 //!                     over seeded phase-regime worlds
 //! amf-qos trace       summarize an amf-flight/v1 flight-recorder dump

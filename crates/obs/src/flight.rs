@@ -6,7 +6,7 @@
 //! (accept/parse/admission/queue/execute/flush). Completed requests become
 //! [`TraceRecord`]s, which feed two bounded stores:
 //!
-//! * [`FlightRing`] — the last-N records, whatever their latency, the
+//! * a [`crate::Ring`] of the last-N records, whatever their latency, the
 //!   "moments before the incident" context window;
 //! * [`TailExemplars`] — the slowest-N records per interval, the tail the
 //!   aggregate histograms cannot attribute.
@@ -14,19 +14,18 @@
 //! [`FlightRecorder`] dumps both (plus the trace-event ring and a metrics
 //! snapshot) as versioned `amf-flight/v1` JSONL when something goes wrong —
 //! a worker panic, a drift alarm, an SLO-violation burst, or a manual
-//! `POST /debug/dump`. Dumps are size-rotated exactly like
-//! [`crate::SnapshotRecorder`] logs, so a recorder left attached for days
-//! stays bounded.
+//! `POST /debug/dump`. Dumps go through the same size-rotated
+//! [`RotatingLog`] as the telemetry recorder's lines, so a recorder left
+//! attached for days stays bounded.
 //!
 //! Cost argument: recording is one `Mutex` push per completed request into
 //! pre-bounded storage (no per-request file I/O); dumping walks bounded
 //! rings. Nothing here touches the model's zero-alloc observe path.
 
 use crate::json::Json;
+use crate::registry::lock;
+use crate::sink::{LogConfig, RotatingLog};
 use crate::trace::TraceEvent;
-use std::collections::VecDeque;
-use std::io::Write;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -199,53 +198,6 @@ impl TraceRecord {
     }
 }
 
-/// Bounded ring of the most recent [`TraceRecord`]s (the flight recorder's
-/// context window). One short mutex hold per push.
-#[derive(Debug)]
-pub struct FlightRing {
-    records: Mutex<VecDeque<TraceRecord>>,
-    capacity: usize,
-    dropped: AtomicU64,
-}
-
-impl FlightRing {
-    /// Creates a ring keeping the last `capacity` records.
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            records: Mutex::new(VecDeque::with_capacity(capacity)),
-            capacity,
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Appends a record, evicting the oldest at capacity.
-    pub fn push(&self, record: TraceRecord) {
-        let mut records = match self.records.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if records.len() >= self.capacity {
-            records.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        records.push_back(record);
-    }
-
-    /// The retained records, oldest first.
-    pub fn recent(&self) -> Vec<TraceRecord> {
-        match self.records.lock() {
-            Ok(guard) => guard.iter().cloned().collect(),
-            Err(poisoned) => poisoned.into_inner().iter().cloned().collect(),
-        }
-    }
-
-    /// Records evicted so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
 #[derive(Debug, Default)]
 struct ExemplarWindows {
     current: Vec<TraceRecord>,
@@ -276,10 +228,7 @@ impl TailExemplars {
     /// current window's slowest. Borrowed so the serving hot path pays the
     /// clone only for the handful of records that actually qualify.
     pub fn offer(&self, record: &TraceRecord) {
-        let mut windows = match self.windows.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut windows = lock(&self.windows);
         if windows.current.len() < self.capacity {
             windows.current.push(record.clone());
             return;
@@ -300,20 +249,14 @@ impl TailExemplars {
 
     /// Starts a new interval window (previous = just-finished window).
     pub fn rotate(&self) {
-        let mut windows = match self.windows.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut windows = lock(&self.windows);
         windows.previous = std::mem::take(&mut windows.current);
     }
 
     /// The slowest records across the current and previous windows, slowest
     /// first, capped at the window capacity.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        let windows = match self.windows.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let windows = lock(&self.windows);
         let mut merged: Vec<TraceRecord> = windows
             .previous
             .iter()
@@ -326,89 +269,48 @@ impl TailExemplars {
     }
 }
 
-/// Flight-recorder sink configuration.
-#[derive(Debug, Clone, Default)]
-pub struct FlightConfig {
-    /// JSONL dump file. `None` keeps dumps in-memory only (the inline dump
-    /// document is still produced for `POST /debug/dump`).
-    pub path: Option<PathBuf>,
-    /// Rotate the live dump file past this size (0 = library default).
-    pub max_bytes: u64,
-    /// Rotated files kept (`<path>.1` .. `<path>.N`); 0 truncates instead.
-    pub max_rotated: usize,
-}
-
-impl FlightConfig {
-    fn max_bytes(&self) -> u64 {
-        if self.max_bytes == 0 {
-            4 * 1024 * 1024
-        } else {
-            self.max_bytes
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct FlightCounters {
-    dumps: u64,
-    lines_written: u64,
-    rotations: u64,
-    write_errors: u64,
-}
-
 /// The black-box dump sink: renders one `amf-flight/v1` dump document per
-/// trigger and (when a path is configured) appends it as JSONL with
-/// size-based rotation, mirroring [`crate::SnapshotRecorder`]'s log policy.
+/// trigger and, when it has a log, appends the same content as JSONL
+/// through a [`RotatingLog`].
 #[derive(Debug)]
 pub struct FlightRecorder {
-    config: FlightConfig,
-    counters: Mutex<FlightCounters>,
+    log: Option<RotatingLog>,
+    dumps: AtomicU64,
 }
 
 impl FlightRecorder {
-    /// Creates a recorder; nothing is written until the first dump.
-    pub fn new(config: FlightConfig) -> Self {
+    /// Creates a recorder that also appends its dumps to `log`, if given;
+    /// nothing is written until the first dump.
+    pub fn new(log: Option<LogConfig>) -> Self {
         Self {
-            config,
-            counters: Mutex::new(FlightCounters::default()),
+            log: log.map(RotatingLog::new),
+            dumps: AtomicU64::new(0),
         }
-    }
-
-    /// Whether dumps also land in a file.
-    pub fn has_sink(&self) -> bool {
-        self.config.path.is_some()
     }
 
     /// Dumps triggered so far.
     pub fn dumps(&self) -> u64 {
-        self.lock().dumps
+        self.dumps.load(Ordering::Relaxed)
     }
 
-    /// JSONL lines appended so far.
+    /// JSONL lines appended so far (0 without a log).
     pub fn lines_written(&self) -> u64 {
-        self.lock().lines_written
+        self.log.as_ref().map_or(0, RotatingLog::lines_written)
     }
 
-    /// File rotations performed so far.
+    /// Log rotations performed so far (0 without a log).
     pub fn rotations(&self) -> u64 {
-        self.lock().rotations
+        self.log.as_ref().map_or(0, RotatingLog::rotations)
     }
 
-    /// Failed file writes (dumping is best-effort; the inline document is
+    /// Failed log writes (dumping is best-effort; the inline document is
     /// always produced).
     pub fn write_errors(&self) -> u64 {
-        self.lock().write_errors
+        self.log.as_ref().map_or(0, RotatingLog::write_errors)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FlightCounters> {
-        match self.counters.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Records one incident: builds the inline dump document and, when a
-    /// file sink is configured, appends the same content as schema-tagged
+    /// Records one incident: builds the inline dump document and, when the
+    /// recorder has a log, appends the same content as schema-tagged
     /// JSONL lines (`kind` ∈ `header|exemplar|trace|event`). The whole dump
     /// is buffered and appended in one write, so concurrent dumps never
     /// interleave lines.
@@ -449,8 +351,7 @@ impl FlightRecorder {
             .set("events", Json::Arr(events.iter().map(event_json).collect()))
             .set("metrics", metrics.clone());
 
-        if self.config.path.is_some() {
-            let mut lines = String::new();
+        if let Some(log) = &self.log {
             let tagged = |kind: &str, mut body: Json| {
                 body.set("schema", Json::Str(FLIGHT_SCHEMA.into()))
                     .set("kind", Json::Str(kind.to_string()))
@@ -464,71 +365,15 @@ impl FlightRecorder {
                 .set("n_records", Json::UInt(records.len() as u64))
                 .set("n_exemplars", Json::UInt(exemplars.len() as u64))
                 .set("n_events", Json::UInt(events.len() as u64));
-            lines.push_str(&tagged("header", header).to_string_compact());
-            lines.push('\n');
-            for record in exemplars {
-                lines.push_str(&tagged("exemplar", record.to_json()).to_string_compact());
-                lines.push('\n');
-            }
-            for record in records {
-                lines.push_str(&tagged("trace", record.to_json()).to_string_compact());
-                lines.push('\n');
-            }
-            for event in events {
-                lines.push_str(&tagged("event", event_json(event)).to_string_compact());
-                lines.push('\n');
-            }
-            let line_count =
-                1 + exemplars.len() as u64 + records.len() as u64 + events.len() as u64;
-            self.append(&lines, line_count);
+            let mut lines = vec![tagged("header", header)];
+            lines.extend(exemplars.iter().map(|r| tagged("exemplar", r.to_json())));
+            lines.extend(records.iter().map(|r| tagged("trace", r.to_json())));
+            lines.extend(events.iter().map(|e| tagged("event", event_json(e))));
+            log.append(&lines);
         }
 
-        self.lock().dumps += 1;
+        self.dumps.fetch_add(1, Ordering::Relaxed);
         doc
-    }
-
-    /// Appends one buffered dump, rotating first if the live file would
-    /// exceed the size cap.
-    fn append(&self, lines: &str, line_count: u64) {
-        let Some(path) = self.config.path.as_ref() else {
-            return;
-        };
-        let live_len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        if live_len > 0 && live_len + lines.len() as u64 > self.config.max_bytes() {
-            self.rotate(path);
-        }
-        let written = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|mut file| file.write_all(lines.as_bytes()));
-        let mut counters = self.lock();
-        match written {
-            Ok(()) => counters.lines_written += line_count,
-            Err(_) => counters.write_errors += 1,
-        }
-    }
-
-    /// Shifts `path.i` → `path.i+1` and the live file to `path.1`
-    /// (truncating instead when no rotated files are kept) — the same
-    /// policy as the telemetry recorder's log rotation.
-    fn rotate(&self, path: &std::path::Path) {
-        if self.config.max_rotated == 0 {
-            let _ = std::fs::File::create(path); // truncate in place
-            self.lock().rotations += 1;
-            return;
-        }
-        let rotated = |i: usize| {
-            let mut name = path.as_os_str().to_os_string();
-            name.push(format!(".{i}"));
-            PathBuf::from(name)
-        };
-        let _ = std::fs::remove_file(rotated(self.config.max_rotated));
-        for i in (1..self.config.max_rotated).rev() {
-            let _ = std::fs::rename(rotated(i), rotated(i + 1));
-        }
-        let _ = std::fs::rename(path, rotated(1));
-        self.lock().rotations += 1;
     }
 }
 
@@ -582,19 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn flight_ring_is_bounded() {
-        let ring = FlightRing::new(3);
-        for i in 0..5 {
-            ring.push(record(&format!("t{i}"), i));
-        }
-        let recent = ring.recent();
-        assert_eq!(recent.len(), 3);
-        assert_eq!(recent[0].trace_id, "t2");
-        assert_eq!(recent[2].trace_id, "t4");
-        assert_eq!(ring.dropped(), 2);
-    }
-
-    #[test]
     fn exemplars_keep_the_slowest() {
         let ex = TailExemplars::new(2);
         ex.offer(&record("fast", 10));
@@ -626,11 +458,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("flight.jsonl");
         let _ = std::fs::remove_file(&path);
-        let recorder = FlightRecorder::new(FlightConfig {
-            path: Some(path.clone()),
+        let recorder = FlightRecorder::new(Some(LogConfig {
+            path: path.clone(),
             max_bytes: 700,
-            max_rotated: 1,
-        });
+        }));
         let events = vec![TraceEvent {
             name: "drift_alarm",
             detail: "user side".into(),
@@ -673,21 +504,14 @@ mod tests {
         // A second dump overflows max_bytes: the live file rotates to .1.
         recorder.dump("manual", &[record("r2", 6)], &[], &events, &metrics);
         assert_eq!(recorder.rotations(), 1);
-        assert!(
-            path.with_extension("jsonl.1").exists() || {
-                let mut name = path.as_os_str().to_os_string();
-                name.push(".1");
-                PathBuf::from(name).exists()
-            }
-        );
+        assert!(path.with_extension("jsonl.1").exists());
         assert_eq!(recorder.write_errors(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn dump_without_sink_still_builds_the_document() {
-        let recorder = FlightRecorder::new(FlightConfig::default());
-        assert!(!recorder.has_sink());
+        let recorder = FlightRecorder::new(None);
         let doc = recorder.dump("worker_panic", &[], &[], &[], &Json::obj());
         assert_eq!(
             doc.get("reason").and_then(Json::as_str),

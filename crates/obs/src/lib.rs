@@ -14,16 +14,20 @@
 //!   locks are touched only at registration and snapshot time. A process
 //!   [`global`] registry backs amf-core's static instrumentation; subsystems
 //!   needing isolated counts (per-service-instance stats) own their own.
-//! - [`TraceRing`] / [`Span`] / [`span!`] — a bounded event ring with
-//!   drop-guard span timing for coarse lifecycle events.
+//! - [`Ring`] — the one bounded ring: a pre-allocated FIFO that evicts its
+//!   oldest entry and counts drops. [`TraceRing`] stamps coarse lifecycle
+//!   events into one; the serving plane keeps its last-N trace records in
+//!   another.
 //! - [`Json`] + [`MetricsRegistry::snapshot_json`] — a versioned
 //!   (`amf-obs/v1`) snapshot with a writer *and* a strict parser, so the
 //!   serialize → parse → equal round trip is testable offline.
 //! - [`prom`] — Prometheus text-exposition (0.0.4) rendering of snapshots,
 //!   for a `GET /metrics` scrape endpoint.
+//! - [`RotatingLog`] — the one size-rotated JSONL sink (`<path>.1`,
+//!   `<path>.2`) with its write counters; both recorders below write
+//!   through it.
 //! - [`SnapshotRecorder`] — a background interval scraper appending
-//!   `amf-obs-ts/v1` JSONL telemetry lines to a size-rotated log plus a
-//!   bounded in-memory ring.
+//!   `amf-obs-ts/v1` JSONL telemetry lines to a [`RotatingLog`].
 //! - [`flight`] — request-scoped tracing ([`StageClock`], [`TraceRecord`],
 //!   [`TailExemplars`]) and the incident-triggered [`FlightRecorder`]
 //!   dumping versioned `amf-flight/v1` JSONL.
@@ -40,15 +44,19 @@ pub mod metrics;
 pub mod prom;
 pub mod recorder;
 pub mod registry;
+pub mod ring;
+pub mod sink;
 pub mod trace;
 
 pub use flight::{
-    mint_trace_id, valid_trace_id, FlightConfig, FlightRecorder, FlightRing, StageClock,
-    TailExemplars, TraceRecord, FLIGHT_SCHEMA, MAX_TRACE_ID_LEN, STAGES,
+    mint_trace_id, valid_trace_id, FlightRecorder, StageClock, TailExemplars, TraceRecord,
+    FLIGHT_SCHEMA, MAX_TRACE_ID_LEN, STAGES,
 };
 pub use json::{Json, ParseError, MAX_PARSE_DEPTH};
 pub use metrics::{bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, BUCKETS};
 pub use prom::{is_valid_metric_name, parse_exposition, render_prometheus, CONTENT_TYPE};
-pub use recorder::{RecorderConfig, SnapshotRecorder, TS_SCHEMA};
+pub use recorder::{SnapshotRecorder, TS_SCHEMA};
 pub use registry::{global, MetricsRegistry, DEFAULT_TRACE_CAPACITY, SCHEMA};
-pub use trace::{Span, TraceEvent, TraceRing};
+pub use ring::Ring;
+pub use sink::{LogConfig, RotatingLog, DEFAULT_MAX_LOG_BYTES};
+pub use trace::{TraceEvent, TraceRing};

@@ -1,6 +1,6 @@
 //! Interval snapshot recorder: a background scraper thread that appends
-//! `amf-obs-ts/v1` JSONL telemetry lines to a size-rotated log file and
-//! keeps a bounded in-memory ring of recent snapshots for queries.
+//! `amf-obs-ts/v1` JSONL telemetry lines to a size-rotated
+//! [`RotatingLog`].
 //!
 //! Each line is one self-contained JSON object:
 //!
@@ -13,64 +13,32 @@
 //! write failures are counted and recording continues, so a full disk
 //! degrades telemetry, not serving.
 
-use std::collections::VecDeque;
-use std::fs::OpenOptions;
-use std::io::{self, Write as _};
-use std::path::PathBuf;
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::json::Json;
+use crate::sink::{LogConfig, RotatingLog};
 
 /// Telemetry-line schema identifier (`schema` field of every JSONL line).
 pub const TS_SCHEMA: &str = "amf-obs-ts/v1";
 
-/// Tuning for a [`SnapshotRecorder`].
-#[derive(Debug, Clone)]
-pub struct RecorderConfig {
-    /// Time between snapshots.
-    pub interval: Duration,
-    /// JSONL output path; `None` records to the in-memory ring only.
-    pub path: Option<PathBuf>,
-    /// Rotate the log before a line would push it past this many bytes.
-    pub max_bytes: u64,
-    /// Rotated generations kept (`log.1` … `log.N`); 0 truncates in place.
-    pub max_rotated: usize,
-    /// Snapshots retained in the in-memory ring.
-    pub ring_capacity: usize,
-}
-
-impl Default for RecorderConfig {
-    fn default() -> Self {
-        Self {
-            interval: Duration::from_secs(1),
-            path: None,
-            max_bytes: 4 * 1024 * 1024,
-            max_rotated: 2,
-            ring_capacity: 128,
-        }
-    }
-}
-
 type SnapshotFn = dyn Fn() -> Json + Send + Sync + 'static;
 
 struct Inner {
-    config: RecorderConfig,
+    interval: Duration,
+    log: RotatingLog,
     source: Box<SnapshotFn>,
     stop: AtomicBool,
     seq: AtomicU64,
-    lines_written: AtomicU64,
-    rotations: AtomicU64,
-    write_errors: AtomicU64,
     epoch: Instant,
-    ring: Mutex<VecDeque<Json>>,
 }
 
 impl Inner {
-    /// Takes one snapshot now: wraps it in a telemetry line, pushes it to
-    /// the ring, and appends it to the log (rotating first if needed).
+    /// Takes one snapshot now, wraps it in a telemetry line and appends it
+    /// to the log.
     fn record_once(&self) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let unix_ms = SystemTime::now()
@@ -86,57 +54,7 @@ impl Inner {
         );
         line.set("unix_ms", Json::UInt(unix_ms));
         line.set("snapshot", (self.source)());
-
-        {
-            let mut ring = match self.ring.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if ring.len() >= self.config.ring_capacity.max(1) {
-                ring.pop_front();
-            }
-            ring.push_back(line.clone());
-        }
-
-        if self.config.path.is_some() {
-            if let Err(_e) = self.append(&line) {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.lines_written.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn append(&self, line: &Json) -> io::Result<()> {
-        let Some(path) = &self.config.path else {
-            return Ok(());
-        };
-        let mut text = line.to_string_compact();
-        text.push('\n');
-        let size = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        if size > 0 && size + text.len() as u64 > self.config.max_bytes {
-            self.rotate()?;
-        }
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        file.write_all(text.as_bytes())
-    }
-
-    /// Shifts `log.i` → `log.i+1` (dropping the oldest) and moves the live
-    /// log to `log.1`; with no rotated generations allowed, truncates.
-    fn rotate(&self) -> io::Result<()> {
-        let Some(path) = &self.config.path else {
-            return Ok(());
-        };
-        self.rotations.fetch_add(1, Ordering::Relaxed);
-        if self.config.max_rotated == 0 {
-            return std::fs::write(path, b"");
-        }
-        let generation = |i: usize| PathBuf::from(format!("{}.{i}", path.display()));
-        let _ = std::fs::remove_file(generation(self.config.max_rotated));
-        for i in (1..self.config.max_rotated).rev() {
-            let _ = std::fs::rename(generation(i), generation(i + 1));
-        }
-        std::fs::rename(path, generation(1))
+        self.log.append(&[line]);
     }
 }
 
@@ -151,38 +69,34 @@ pub struct SnapshotRecorder {
 impl std::fmt::Debug for SnapshotRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotRecorder")
-            .field("config", &self.inner.config)
-            .field("lines_written", &self.lines_written())
+            .field("interval", &self.inner.interval)
+            .field("log", &self.inner.log)
             .finish_non_exhaustive()
     }
 }
 
 impl SnapshotRecorder {
-    /// Starts the scraper thread. `source` is called once per interval (and
-    /// once more on [`SnapshotRecorder::stop`], so the log always ends with
-    /// a final-state line).
+    /// Starts the scraper thread, which snapshots `source` every `interval`
+    /// into `log`. `source` is called once more on
+    /// [`SnapshotRecorder::stop`], so the log always ends with a
+    /// final-state line.
     ///
     /// # Errors
     ///
-    /// Returns the I/O error if the configured log path cannot be opened
-    /// for append (surfacing a bad path at startup, not silently later).
+    /// Returns the I/O error if the log path cannot be opened for append
+    /// (surfacing a bad path at startup, not silently later).
     pub fn start(
-        config: RecorderConfig,
+        interval: Duration,
+        log: LogConfig,
         source: impl Fn() -> Json + Send + Sync + 'static,
     ) -> io::Result<Self> {
-        if let Some(path) = &config.path {
-            OpenOptions::new().create(true).append(true).open(path)?;
-        }
         let inner = Arc::new(Inner {
-            config,
+            interval,
+            log: RotatingLog::open(log)?,
             source: Box::new(source),
             stop: AtomicBool::new(false),
             seq: AtomicU64::new(0),
-            lines_written: AtomicU64::new(0),
-            rotations: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
             epoch: Instant::now(),
-            ring: Mutex::new(VecDeque::new()),
         });
         let worker = Arc::clone(&inner);
         let thread = std::thread::Builder::new()
@@ -191,12 +105,12 @@ impl SnapshotRecorder {
                 while !worker.stop.load(Ordering::Acquire) {
                     // Sleep in short slices so stop() returns promptly even
                     // with a long scrape interval.
-                    let deadline = Instant::now() + worker.config.interval;
+                    let deadline = Instant::now() + worker.interval;
                     while Instant::now() < deadline {
                         if worker.stop.load(Ordering::Acquire) {
                             return;
                         }
-                        std::thread::sleep(Duration::from_millis(20).min(worker.config.interval));
+                        std::thread::sleep(Duration::from_millis(20).min(worker.interval));
                     }
                     worker.record_once();
                 }
@@ -214,28 +128,9 @@ impl SnapshotRecorder {
         self.inner.record_once();
     }
 
-    /// The most recent `n` telemetry lines, oldest first.
-    pub fn recent(&self, n: usize) -> Vec<Json> {
-        let ring = match self.inner.ring.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        ring.iter().rev().take(n).rev().cloned().collect()
-    }
-
-    /// Lines successfully appended to the log file.
-    pub fn lines_written(&self) -> u64 {
-        self.inner.lines_written.load(Ordering::Relaxed)
-    }
-
-    /// Times the log was rotated (or truncated) for size.
-    pub fn rotations(&self) -> u64 {
-        self.inner.rotations.load(Ordering::Relaxed)
-    }
-
-    /// Log writes that failed (telemetry keeps running through these).
-    pub fn write_errors(&self) -> u64 {
-        self.inner.write_errors.load(Ordering::Relaxed)
+    /// The log the lines go to, with its write counters.
+    pub fn log(&self) -> &RotatingLog {
+        &self.inner.log
     }
 
     /// Stops the scraper thread, records one final line, and returns the
@@ -263,6 +158,8 @@ impl Drop for SnapshotRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::DEFAULT_MAX_LOG_BYTES;
+    use std::path::PathBuf;
 
     fn snapshot_source(counter: Arc<AtomicU64>) -> impl Fn() -> Json + Send + Sync + 'static {
         move || {
@@ -273,22 +170,28 @@ mod tests {
         }
     }
 
-    fn temp_path(name: &str) -> PathBuf {
+    fn temp_log(name: &str, max_bytes: u64) -> LogConfig {
         let mut path = std::env::temp_dir();
         path.push(format!("amf-recorder-{name}-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        path
+        LogConfig { path, max_bytes }
+    }
+
+    fn remove_generations(path: &std::path::Path) {
+        for suffix in ["", ".1", ".2"] {
+            let mut name = path.as_os_str().to_os_string();
+            name.push(suffix);
+            let _ = std::fs::remove_file(PathBuf::from(name));
+        }
     }
 
     #[test]
     fn lines_are_schema_tagged_jsonl() {
-        let path = temp_path("basic");
+        let log = temp_log("basic", DEFAULT_MAX_LOG_BYTES);
+        let path = log.path.clone();
         let recorder = SnapshotRecorder::start(
-            RecorderConfig {
-                interval: Duration::from_secs(3600), // cadence irrelevant here
-                path: Some(path.clone()),
-                ..RecorderConfig::default()
-            },
+            Duration::from_secs(3600), // cadence irrelevant here
+            log,
             snapshot_source(Arc::new(AtomicU64::new(0))),
         )
         .expect("start");
@@ -316,34 +219,28 @@ mod tests {
 
     #[test]
     fn log_rotates_under_a_small_size_cap() {
-        let path = temp_path("rotate");
+        let log = temp_log("rotate", 256);
+        let path = log.path.clone();
         let recorder = SnapshotRecorder::start(
-            RecorderConfig {
-                interval: Duration::from_secs(3600),
-                path: Some(path.clone()),
-                max_bytes: 256,
-                max_rotated: 2,
-                ..RecorderConfig::default()
-            },
+            Duration::from_secs(3600),
+            log,
             snapshot_source(Arc::new(AtomicU64::new(0))),
         )
         .expect("start");
         for _ in 0..12 {
             recorder.record_once();
         }
-        assert!(
-            recorder.rotations() >= 2,
-            "rotations: {}",
-            recorder.rotations()
-        );
-        assert_eq!(recorder.write_errors(), 0);
+        let rotations = recorder.log().rotations();
+        assert!(rotations >= 2, "rotations: {rotations}");
+        assert_eq!(recorder.log().write_errors(), 0);
         drop(recorder);
 
-        let rotated = PathBuf::from(format!("{}.1", path.display()));
-        for p in [&path, &rotated] {
-            let text = std::fs::read_to_string(p).expect("generation exists");
+        let mut rotated = path.as_os_str().to_os_string();
+        rotated.push(".1");
+        for p in [path.clone(), PathBuf::from(rotated)] {
+            let text = std::fs::read_to_string(&p).expect("generation exists");
             assert!(
-                std::fs::metadata(p).expect("meta").len() <= 256,
+                std::fs::metadata(&p).expect("meta").len() <= 256,
                 "cap respected for {}",
                 p.display()
             );
@@ -357,54 +254,28 @@ mod tests {
                 );
             }
         }
-        for suffix in ["", ".1", ".2", ".3"] {
-            let _ = std::fs::remove_file(format!("{}{suffix}", path.display()));
-        }
-    }
-
-    #[test]
-    fn ring_is_bounded_and_ordered() {
-        let recorder = SnapshotRecorder::start(
-            RecorderConfig {
-                interval: Duration::from_secs(3600),
-                path: None,
-                ring_capacity: 4,
-                ..RecorderConfig::default()
-            },
-            snapshot_source(Arc::new(AtomicU64::new(0))),
-        )
-        .expect("start");
-        for _ in 0..10 {
-            recorder.record_once();
-        }
-        let recent = recorder.recent(16);
-        assert_eq!(recent.len(), 4);
-        let seqs: Vec<u64> = recent
-            .iter()
-            .map(|l| l.get("seq").and_then(Json::as_u64).expect("seq"))
-            .collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
-        assert_eq!(recorder.recent(2).len(), 2);
+        remove_generations(&path);
     }
 
     #[test]
     fn interval_thread_scrapes_on_its_own() {
+        let log = temp_log("interval", DEFAULT_MAX_LOG_BYTES);
+        let path = log.path.clone();
         let recorder = SnapshotRecorder::start(
-            RecorderConfig {
-                interval: Duration::from_millis(10),
-                path: None,
-                ..RecorderConfig::default()
-            },
+            Duration::from_millis(10),
+            log,
             snapshot_source(Arc::new(AtomicU64::new(0))),
         )
         .expect("start");
         let deadline = Instant::now() + Duration::from_secs(5);
-        while recorder.recent(1).is_empty() && Instant::now() < deadline {
+        while recorder.log().lines_written() == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(
-            !recorder.recent(1).is_empty(),
+            recorder.log().lines_written() > 0,
             "no interval scrape within 5s"
         );
+        drop(recorder);
+        let _ = std::fs::remove_file(&path);
     }
 }

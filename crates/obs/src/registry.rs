@@ -15,7 +15,7 @@ use crate::trace::TraceRing;
 /// Snapshot schema identifier, bumped on breaking layout changes.
 pub const SCHEMA: &str = "amf-obs/v1";
 
-/// Default trace-ring capacity for registries that don't specify one.
+/// Trace-ring capacity of every registry.
 pub const DEFAULT_TRACE_CAPACITY: usize = 256;
 
 fn metric_key(name: &'static str, label: Option<&str>) -> String {
@@ -69,7 +69,9 @@ impl std::fmt::Debug for MetricsRegistry {
     }
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Locks `mutex`, recovering the guard if a holder panicked: every value
+/// this crate keeps behind a mutex stays valid after each single update.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
@@ -77,18 +79,14 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl MetricsRegistry {
-    /// A registry with the default trace capacity.
+    /// An empty registry whose trace ring holds the last
+    /// [`DEFAULT_TRACE_CAPACITY`] events.
     pub fn new() -> Self {
-        Self::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// A registry whose trace ring holds at most `capacity` events.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
         Self {
             counters: Mutex::new(Slots::new()),
             gauges: Mutex::new(Slots::new()),
             histograms: Mutex::new(Slots::new()),
-            trace: TraceRing::new(capacity),
+            trace: TraceRing::new(DEFAULT_TRACE_CAPACITY),
         }
     }
 

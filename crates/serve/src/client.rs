@@ -272,7 +272,7 @@ fn backoff_sleep(rng: &mut u64, base: Duration, attempt: u32) {
 /// re-established transparently when the server closes it (`Connection:
 /// close`, max-requests budget, idle reap). Connection-reuse accounting
 /// ([`KeepAliveClient::connects`] / [`KeepAliveClient::reuses`]) feeds the
-/// loadtest's `BENCH_SERVE.json` v2 fields.
+/// loadtest report's `connects` and `conn_reuses` fields.
 ///
 /// Retry semantics match [`ServeClient`]: idempotent requests only, faults
 /// hit the first attempt, 503 is retryable. A failed exchange always drops

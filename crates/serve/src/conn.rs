@@ -19,7 +19,7 @@
 //!   responses before it, reads stop, and the connection closes after the
 //!   flush — the worker pool never sees the bad bytes.
 //! * **Bounded buffering.** Reads pause (TCP backpressure, not rejects)
-//!   while a connection has `max_inflight_per_conn` requests outstanding
+//!   while a connection has its in-flight quota of requests outstanding
 //!   or its read buffer is at the high-water mark, so one greedy pipelined
 //!   peer cannot monopolize queue slots or memory.
 

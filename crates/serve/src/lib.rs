@@ -28,14 +28,14 @@
 //!   per-connection state machine (keep-alive, in-order pipelined
 //!   responses, read backpressure), and the earliest-deadline-first
 //!   pending queue that replaced FIFO ordering.
-//! * [`client`] + [`loadgen`] — the load harness: a closed/open-loop
+//! * [`client`] + [`loadgen`] — the load harness: a closed-loop
 //!   generator with per-connection and keep-alive transports, per-request
 //!   timeouts, bounded retry (idempotent `predict`/`rank` only —
 //!   `observe` is never retried) with exponential backoff + jitter, and
 //!   deterministic network-fault injection ([`amf_core::NetFault`]:
 //!   conn-reset, slow-read, black-hole) so the hardening claims are
-//!   measured, not asserted (`BENCH_SERVE.json`, schema
-//!   `amf-bench-serve/v3`).
+//!   measured, not asserted (`amf-qos loadtest --out`, schema
+//!   `amf-bench-serve/v4`). Serving speed is benchmarked by `servebench/`.
 //!
 //! Every request carries a trace id (client-supplied `x-amf-trace-id` or
 //! minted) and a per-stage [`qos_obs::StageClock`] breakdown echoed as
@@ -65,7 +65,5 @@ pub mod poller;
 
 pub use client::{ClientConfig, ClientError, HttpResponse, KeepAliveClient, ServeClient};
 pub use edf::{EdfQueue, PushError};
-pub use loadgen::{
-    LoadConfig, LoadMode, LoadReport, LoadRunner, StageReconciliation, BENCH_SERVE_SCHEMA,
-};
+pub use loadgen::{LoadConfig, LoadReport, LoadRunner, StageReconciliation, BENCH_SERVE_SCHEMA};
 pub use plane::{ServeConfig, ServePlane, ServeStats, SERVE_SCHEMA};

@@ -1,4 +1,4 @@
-//! Closed/open-loop load generator with deterministic fault injection.
+//! Closed-loop load generator with deterministic fault injection.
 //!
 //! The harness measures the serving plane the way the paper's runtime
 //! adaptation loop would experience it: a mixed `observe`/`predict`/`rank`
@@ -6,16 +6,12 @@
 //! per logical request — whether the network misbehaves
 //! (conn-reset / slow-read / black-hole, see [`crate::client`]).
 //!
-//! Two arrival models:
-//!
-//! * **closed loop** — each worker issues its next request as soon as the
-//!   previous one finishes. Driven at enough concurrency this saturates
-//!   the plane, so the measured throughput of *successful* answers is the
-//!   max-sustainable-QPS estimate reported in `achieved_qps`.
-//! * **open loop** — workers pace request *starts* on a fixed schedule
-//!   (`offered_qps`), regardless of completions, which is what exposes
-//!   queue-wait deadline rejections: arrivals do not slow down just
-//!   because the server is struggling.
+//! Arrivals are a **closed loop**: each of `concurrency` workers issues its
+//! next request as soon as the previous one finishes. Driven at enough
+//! concurrency this saturates the plane, so the measured throughput of
+//! *successful* answers is the max-sustainable-QPS estimate reported in
+//! `achieved_qps`. Open-loop capacity, timed from each request's due time,
+//! is `servebench`'s `adapt-open` workload.
 //!
 //! Two transports (PR 8):
 //!
@@ -33,10 +29,10 @@
 //! `server_worker_panics`) next to the client-side measurements, plus a
 //! `/debug/exemplars` fetch that reconciles the server's tail exemplars
 //! against the client's own clock by trace id. Reports serialize to the
-//! `amf-bench-serve/v3` schema committed in `BENCH_SERVE.json` (v2 added
-//! the transport/reuse fields and the paired per-conn vs keep-alive run
-//! layout; v3 added the per-stage breakdown and the client/server
-//! reconciliation block).
+//! `amf-bench-serve/v4` schema (v2 added the transport/reuse fields and the
+//! paired per-conn vs keep-alive run layout; v3 added the per-stage
+//! breakdown and the client/server reconciliation block; v4 dropped the
+//! open mode's `mode` and `offered_qps` keys).
 
 use crate::client::{ClientConfig, ClientError, HttpResponse, KeepAliveClient, ServeClient};
 use amf_core::{FaultPlan, NetFault};
@@ -46,40 +42,13 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 /// Schema tag of a serialized [`LoadReport`].
-pub const BENCH_SERVE_SCHEMA: &str = "amf-bench-serve/v3";
-
-/// Arrival model for the generated load.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LoadMode {
-    /// `concurrency` workers, back-to-back requests (saturating).
-    Closed {
-        /// Worker count.
-        concurrency: usize,
-    },
-    /// Request starts paced at `qps` across `concurrency` workers.
-    Open {
-        /// Offered load, requests per second (> 0).
-        qps: f64,
-        /// Worker count bounding in-flight requests.
-        concurrency: usize,
-    },
-}
-
-impl LoadMode {
-    fn concurrency(self) -> usize {
-        match self {
-            LoadMode::Closed { concurrency } | LoadMode::Open { concurrency, .. } => {
-                concurrency.max(1)
-            }
-        }
-    }
-}
+pub const BENCH_SERVE_SCHEMA: &str = "amf-bench-serve/v4";
 
 /// Load-harness configuration.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
-    /// Arrival model.
-    pub mode: LoadMode,
+    /// Closed-loop workers, each issuing back-to-back requests (at least 1).
+    pub concurrency: usize,
     /// Total logical requests to issue.
     pub requests: u64,
     /// Seed for workload mix and fault decisions.
@@ -111,7 +80,7 @@ pub struct LoadConfig {
 impl Default for LoadConfig {
     fn default() -> Self {
         Self {
-            mode: LoadMode::Closed { concurrency: 4 },
+            concurrency: 4,
             requests: 200,
             seed: 42,
             fault_plan: None,
@@ -134,8 +103,6 @@ pub struct LoadReport {
     pub label: String,
     /// Canonical fault-plan spec, if any.
     pub fault_plan: Option<String>,
-    /// `"closed"` or `"open"`.
-    pub mode: &'static str,
     /// `"per-conn"` or `"keep-alive"`.
     pub transport: &'static str,
     /// Pipeline depth the workers ran with (1 = no pipelining).
@@ -148,8 +115,6 @@ pub struct LoadReport {
     pub conn_reuses: u64,
     /// Worker count.
     pub concurrency: usize,
-    /// Offered QPS for open-loop runs.
-    pub offered_qps: Option<f64>,
     /// Logical requests issued.
     pub requests: u64,
     /// 2xx responses.
@@ -256,7 +221,7 @@ impl LoadReport {
         self.requests as f64 / self.connects as f64
     }
 
-    /// Serializes to the `amf-bench-serve/v3` report object.
+    /// Serializes to the `amf-bench-serve/v4` report object.
     pub fn to_json(&self) -> Json {
         let mean_us = if self.latencies_us.is_empty() {
             0.0
@@ -289,20 +254,12 @@ impl LoadReport {
                     None => Json::Null,
                 },
             )
-            .set("mode", Json::Str(self.mode.into()))
             .set("transport", Json::Str(self.transport.into()))
             .set("pipeline_depth", Json::UInt(self.pipeline_depth))
             .set("connects", Json::UInt(self.connects))
             .set("conn_reuses", Json::UInt(self.conn_reuses))
             .set("requests_per_conn", Json::Num(self.requests_per_conn()))
             .set("concurrency", Json::UInt(self.concurrency as u64))
-            .set(
-                "offered_qps",
-                match self.offered_qps {
-                    Some(qps) => Json::Num(qps),
-                    None => Json::Null,
-                },
-            )
             .set("requests", Json::UInt(self.requests))
             .set("ok", Json::UInt(self.ok))
             .set("http_4xx", Json::UInt(self.http_4xx))
@@ -398,14 +355,8 @@ impl LoadRunner {
     /// report labelled `label`.
     pub fn run(&self, addr: SocketAddr, label: &str) -> LoadReport {
         let config = &self.config;
-        let threads = config.mode.concurrency();
+        let threads = config.concurrency.max(1);
         let per_thread = config.requests.div_ceil(threads as u64);
-        let open_interval = match config.mode {
-            LoadMode::Open { qps, .. } if qps > 0.0 => {
-                Some(Duration::from_secs_f64(threads as f64 / qps))
-            }
-            _ => None,
-        };
 
         let started = Instant::now();
         let tallies: Vec<ThreadTally> = std::thread::scope(|scope| {
@@ -413,9 +364,9 @@ impl LoadRunner {
             for thread_id in 0..threads {
                 let first = thread_id as u64 * per_thread;
                 let count = per_thread.min(config.requests.saturating_sub(first));
-                handles.push(scope.spawn(move || {
-                    run_thread(addr, config, thread_id as u64, first, count, open_interval)
-                }));
+                handles.push(
+                    scope.spawn(move || run_thread(addr, config, thread_id as u64, first, count)),
+                );
             }
             handles
                 .into_iter()
@@ -431,10 +382,6 @@ impl LoadRunner {
                 .as_ref()
                 .filter(|plan| plan.mutates_network())
                 .map(ToString::to_string),
-            mode: match config.mode {
-                LoadMode::Closed { .. } => "closed",
-                LoadMode::Open { .. } => "open",
-            },
             transport: if config.keep_alive {
                 "keep-alive"
             } else {
@@ -446,10 +393,6 @@ impl LoadRunner {
                 1
             },
             concurrency: threads,
-            offered_qps: match config.mode {
-                LoadMode::Open { qps, .. } => Some(qps),
-                LoadMode::Closed { .. } => None,
-            },
             requests: config.requests,
             wall,
             ..LoadReport::default()
@@ -569,7 +512,6 @@ fn run_thread(
     thread_id: u64,
     first: u64,
     count: u64,
-    open_interval: Option<Duration>,
 ) -> ThreadTally {
     let mut tally = ThreadTally::default();
     let client_seed = config.seed ^ (thread_id << 32);
@@ -584,20 +526,10 @@ fn run_thread(
         1
     };
     let mut rng = Xorshift::new(config.seed ^ 0xC0FFEE ^ thread_id.wrapping_mul(0x9E37_79B9));
-    let epoch = Instant::now();
     // Consecutive un-faulted requests waiting to go out in one pipelined
     // write (depth > 1 only).
     let mut pending: Vec<(&'static str, String)> = Vec::new();
     for i in 0..count {
-        if let Some(interval) = open_interval {
-            // Open loop: pace the *start* time; a slow server does not slow
-            // down arrivals.
-            let target = interval.mul_f64(i as f64);
-            let elapsed = epoch.elapsed();
-            if target > elapsed {
-                std::thread::sleep(target - elapsed);
-            }
-        }
         let request_id = first + i;
         let fault = config
             .fault_plan
@@ -802,7 +734,6 @@ mod tests {
     fn empty_report_serializes_finite() {
         let report = LoadReport {
             label: "empty".into(),
-            mode: "closed",
             ..LoadReport::default()
         };
         let json = report.to_json();
@@ -824,7 +755,6 @@ mod tests {
     fn reconciliation_serializes_and_gates_on_tolerance() {
         let mut report = LoadReport {
             label: "traced".into(),
-            mode: "closed",
             stage_samples: 2,
             stage_us_sum: [2, 4, 6, 8, 10, 12],
             ..LoadReport::default()

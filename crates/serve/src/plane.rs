@@ -25,10 +25,10 @@
 //!    zero fast-rejects inline; workers re-check expiry at pop (reject
 //!    after queue wait) and handlers re-check mid-batch.
 //!
-//! Per-connection fairness: a connection may have at most
-//! [`ServeConfig::max_inflight_per_conn`] requests in flight — beyond
-//! that the poller stops re-arming its reads (TCP backpressure), so one
-//! greedy pipelined peer cannot monopolize queue slots.
+//! Per-connection fairness: a connection may have at most 32 requests in
+//! flight — beyond that the poller stops re-arming its reads (TCP
+//! backpressure), so one greedy pipelined peer cannot monopolize queue
+//! slots.
 //!
 //! ## Drain
 //!
@@ -43,9 +43,7 @@ use crate::conn::{CompletedResponse, ConnState, ReadEvent, ReadOutcome, ReqTimin
 use crate::edf::{EdfQueue, PushError};
 use crate::http::{self, Request};
 use crate::poller::{self, PollFd, WakeReceiver, Waker, INTEREST_READ, INTEREST_WRITE};
-use qos_obs::{
-    FlightConfig, FlightRecorder, FlightRing, Json, StageClock, TailExemplars, TraceRecord,
-};
+use qos_obs::{FlightRecorder, Json, LogConfig, Ring, StageClock, TailExemplars, TraceRecord};
 use qos_service::telemetry::health_body_from;
 use qos_service::QosPredictionService;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -60,6 +58,27 @@ pub const SERVE_SCHEMA: &str = "amf-serve/v1";
 /// Poller tick: upper bound on how long completions/timeouts wait when no
 /// socket readiness arrives (wakes cut it short).
 const TICK: Duration = Duration::from_millis(25);
+
+/// Per-connection in-flight quota: beyond it reads pause (TCP
+/// backpressure) until responses flush.
+const MAX_INFLIGHT_PER_CONN: u64 = 32;
+
+/// First value of the minted-trace-id counter (ids are `amf-<16 hex>`).
+const TRACE_SEED: u64 = 1;
+
+/// Slowest-N requests kept per interval as tail exemplars.
+const EXEMPLAR_CAPACITY: usize = 8;
+
+/// Recent trace records retained for flight dumps.
+const FLIGHT_RING_CAPACITY: usize = 256;
+
+/// Deadline-reject fraction per interval that triggers an automatic flight
+/// dump (above a minimum sample floor).
+const SLO_DUMP_THRESHOLD: f64 = 0.5;
+
+/// Minimum spacing between automatic flight dumps (a manual
+/// `POST /debug/dump` bypasses it).
+const FLIGHT_COOLDOWN: Duration = Duration::from_millis(500);
 
 /// Serving-plane configuration.
 #[derive(Debug, Clone, Copy)]
@@ -87,22 +106,6 @@ pub struct ServeConfig {
     pub max_requests_per_conn: u64,
     /// Idle keep-alive connections are closed after this long.
     pub idle_timeout: Duration,
-    /// Per-connection in-flight quota: beyond it reads pause (TCP
-    /// backpressure) until responses flush.
-    pub max_inflight_per_conn: u64,
-    /// Seed of the minted-trace-id counter (ids are `amf-<16 hex>`);
-    /// distinct planes in one process should use distinct seeds.
-    pub trace_seed: u64,
-    /// Slowest-N requests kept per interval as tail exemplars.
-    pub exemplar_capacity: usize,
-    /// Recent trace records retained for flight dumps.
-    pub flight_ring_capacity: usize,
-    /// Deadline-reject fraction per interval that triggers an automatic
-    /// flight dump (with a minimum sample floor).
-    pub slo_dump_threshold: f64,
-    /// Minimum spacing between automatic flight dumps (manual
-    /// `POST /debug/dump` bypasses it).
-    pub flight_cooldown: Duration,
 }
 
 impl Default for ServeConfig {
@@ -117,12 +120,6 @@ impl Default for ServeConfig {
             max_connections: 256,
             max_requests_per_conn: 1024,
             idle_timeout: Duration::from_secs(30),
-            max_inflight_per_conn: 32,
-            trace_seed: 1,
-            exemplar_capacity: 8,
-            flight_ring_capacity: 256,
-            slo_dump_threshold: 0.5,
-            flight_cooldown: Duration::from_millis(500),
         }
     }
 }
@@ -239,17 +236,17 @@ struct PlaneState {
     draining: AtomicBool,
     open_connections: AtomicU64,
     queue: EdfQueue<Job>,
-    /// Minted-trace-id counter (seeded by [`ServeConfig::trace_seed`]).
+    /// Minted-trace-id counter (starts at `TRACE_SEED`).
     trace_seq: AtomicU64,
     /// Slowest-N requests of the current/previous interval.
     exemplars: TailExemplars,
     /// Last-N completed requests, whatever their latency.
-    flight_ring: FlightRing,
+    flight_ring: Ring<TraceRecord>,
     /// Hot-path histograms, resolved once: the registry's by-name lookup
     /// (lock + string scan) is too heavy to repeat per request.
     queue_wait_us: std::sync::Arc<qos_obs::Histogram>,
     deadline_slack_us: std::sync::Arc<qos_obs::Histogram>,
-    /// Incident dump sink (file-backed when started with a flight config).
+    /// Incident dump sink (file-backed when started with a flight log).
     flight: FlightRecorder,
     /// Cooldown clock for automatic dumps.
     last_dump: Mutex<Option<Instant>>,
@@ -340,14 +337,14 @@ impl PlaneState {
             };
             if !force {
                 if let Some(at) = *last {
-                    if at.elapsed() < self.config.flight_cooldown {
+                    if at.elapsed() < FLIGHT_COOLDOWN {
                         return None;
                     }
                 }
             }
             *last = Some(Instant::now());
         }
-        let records = self.flight_ring.recent();
+        let records = self.flight_ring.snapshot();
         let exemplars = self.exemplars.snapshot();
         let events = qos_obs::global().trace().events();
         let metrics = self.snapshot();
@@ -379,12 +376,13 @@ impl ServePlane {
         service: Arc<QosPredictionService>,
         config: ServeConfig,
     ) -> std::io::Result<Self> {
-        Self::start_with_flight(addr, service, config, FlightConfig::default())
+        Self::start_with_flight(addr, service, config, None)
     }
 
     /// [`ServePlane::start`] with a file-backed flight recorder: incident
     /// dumps (worker panic, drift alarm, SLO burst, `POST /debug/dump`)
-    /// are appended as `amf-flight/v1` JSONL to `flight.path`.
+    /// are appended as `amf-flight/v1` JSONL to the rotating log `flight`,
+    /// if given.
     ///
     /// # Errors
     ///
@@ -393,7 +391,7 @@ impl ServePlane {
         addr: &str,
         service: Arc<QosPredictionService>,
         config: ServeConfig,
-        flight: FlightConfig,
+        flight: Option<LogConfig>,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -406,9 +404,9 @@ impl ServePlane {
             draining: AtomicBool::new(false),
             open_connections: AtomicU64::new(0),
             queue: EdfQueue::new(config.max_pending.max(1)),
-            trace_seq: AtomicU64::new(config.trace_seed),
-            exemplars: TailExemplars::new(config.exemplar_capacity),
-            flight_ring: FlightRing::new(config.flight_ring_capacity),
+            trace_seq: AtomicU64::new(TRACE_SEED),
+            exemplars: TailExemplars::new(EXEMPLAR_CAPACITY),
+            flight_ring: Ring::new(FLIGHT_RING_CAPACITY),
             queue_wait_us: qos_obs::global().histogram("serve.queue_wait_us"),
             deadline_slack_us: qos_obs::global().histogram("serve.deadline_slack_us"),
             flight: FlightRecorder::new(flight),
@@ -721,7 +719,7 @@ fn poller_loop(
         for (id, slot) in table.slots.iter().enumerate() {
             let Some(conn) = slot else { continue };
             let mut interest = 0i16;
-            if conn.wants_read(config.max_inflight_per_conn, request_budget(conn, &config)) {
+            if conn.wants_read(MAX_INFLIGHT_PER_CONN, request_budget(conn, &config)) {
                 interest |= INTEREST_READ;
             }
             if conn.wants_write() {
@@ -782,15 +780,11 @@ fn poller_loop(
             };
             let readable = ready_reads.contains(&id);
             let budget = request_budget(conn, &config);
-            if !readable && !conn.wants_parse(config.max_inflight_per_conn, budget) {
+            if !readable && !conn.wants_parse(MAX_INFLIGHT_PER_CONN, budget) {
                 continue;
             }
-            let (events, outcome) = conn.read_and_parse(
-                config.max_body_bytes,
-                config.max_inflight_per_conn,
-                budget,
-                now,
-            );
+            let (events, outcome) =
+                conn.read_and_parse(config.max_body_bytes, MAX_INFLIGHT_PER_CONN, budget, now);
             for event in events {
                 match event {
                     ReadEvent::Request(request, seq, timing) => {
@@ -895,8 +889,7 @@ fn poller_loop(
             let d_rejects = deadline_rejects.saturating_sub(prev_deadline_rejects);
             // Minimum sample floor so a lone reject on a quiet plane does
             // not read as an SLO incident.
-            if d_requests >= 20 && d_rejects as f64 / d_requests as f64 > config.slo_dump_threshold
-            {
+            if d_requests >= 20 && d_rejects as f64 / d_requests as f64 > SLO_DUMP_THRESHOLD {
                 state.flight_dump("slo_violation", false);
             }
             prev_requests = requests;

@@ -24,7 +24,7 @@ use std::path::PathBuf;
 
 use amf_core::{FaultContext, FaultPlan};
 use qos_dataset::{RegimePhase, RegimeTimeline, RegimeWorld, RegimeWorldConfig};
-use qos_obs::{FlightConfig, FlightRecorder, Json};
+use qos_obs::{FlightRecorder, Json, LogConfig, DEFAULT_MAX_LOG_BYTES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -360,10 +360,10 @@ impl ScenarioEngine {
         let Some(dir) = &self.flight_dir else {
             return;
         };
-        let recorder = FlightRecorder::new(FlightConfig {
-            path: Some(dir.join(format!("{}.flight.jsonl", outcome.name))),
-            ..FlightConfig::default()
-        });
+        let recorder = FlightRecorder::new(Some(LogConfig {
+            path: dir.join(format!("{}.flight.jsonl", outcome.name)),
+            max_bytes: DEFAULT_MAX_LOG_BYTES,
+        }));
         let events = qos_obs::global().trace().events();
         let mut metrics = Json::obj();
         metrics

@@ -8,7 +8,7 @@
 //! (`conn-reset@0.05,slow-read@0.02`).
 
 use amf_core::FaultPlan;
-use qos_serve::{ClientConfig, LoadConfig, LoadMode, LoadRunner, ServeConfig, ServePlane};
+use qos_serve::{ClientConfig, LoadConfig, LoadRunner, ServeConfig, ServePlane};
 use qos_service::{QosPredictionService, QosRecord, ServiceConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -617,7 +617,7 @@ fn loadtest_under_acceptance_fault_plan_is_clean() {
 
     let plan = FaultPlan::parse("conn-reset@0.05,slow-read@0.02").expect("acceptance spec parses");
     let config = LoadConfig {
-        mode: LoadMode::Closed { concurrency: 4 },
+        concurrency: 4,
         requests: 160,
         seed: 7,
         fault_plan: Some(plan),
@@ -663,7 +663,7 @@ fn keep_alive_loadtest_under_fault_plan_is_clean() {
 
     let plan = FaultPlan::parse("conn-reset@0.05,slow-read@0.02").expect("acceptance spec parses");
     let config = LoadConfig {
-        mode: LoadMode::Closed { concurrency: 4 },
+        concurrency: 4,
         requests: 160,
         seed: 7,
         fault_plan: Some(plan),
