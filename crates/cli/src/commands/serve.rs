@@ -159,7 +159,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         "serve: endpoint {addr} ({} requests, {} ok, {} rejected, {} panics)\n\
          admission       {} overload, {} deadline, {} draining\n\
          workload        {fed} samples fed, {} accepted, {} rejected\n\
-         served          {} predictions ({} degraded), {} ranks, {} observed ({} shed)\n\
+         served          {} predictions ({} degraded), {} ranks, {} observed\n\
          model           {} users, {} services, {} updates\n\
          windowed MRE    {}\n\
          telemetry log   {lines} lines, {rotations} rotations",
@@ -176,7 +176,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         serve.degraded_answers,
         serve.ranks,
         serve.observe_queued,
-        serve.observe_shed,
         stats.users,
         stats.services,
         stats.updates,
@@ -197,26 +196,51 @@ fn feed_workload(
         super::submit_batched(service, super::seeded_stream(samples, seed));
         return Ok(samples);
     };
-    let triplets = io::read_triplets(std::fs::File::open(path)?)?;
-    if triplets.is_empty() {
-        return Err(CliError(format!("{path}: no samples")));
-    }
-    // Cycle the file until `--samples` records have been fed, so a small
-    // fixture can still drive a long-running serve.
-    let records = triplets
-        .iter()
-        .cycle()
-        .take(samples.try_into().unwrap_or(usize::MAX));
+    // The file is read as it is fed, never held whole, and re-opened to
+    // cycle until `--samples` records have been fed, so a small fixture can
+    // still drive a long-running serve.
+    let open = || -> Result<_, CliError> { Ok(io::triplets(std::fs::File::open(path)?)) };
+    let mut pass = open()?;
+    let mut fresh = true;
+    let mut failure = None;
+    let records = std::iter::from_fn(|| loop {
+        match pass.next() {
+            Some(Ok(sample)) => {
+                fresh = false;
+                return Some(sample);
+            }
+            Some(Err(e)) => {
+                failure = Some(CliError(format!("{path}: {e}")));
+                return None;
+            }
+            None if fresh => {
+                failure = Some(CliError(format!("{path}: no samples")));
+                return None;
+            }
+            None => match open() {
+                Ok(next) => {
+                    pass = next;
+                    fresh = true;
+                }
+                Err(e) => {
+                    failure = Some(e);
+                    return None;
+                }
+            },
+        }
+    });
     super::submit_batched(
         service,
-        records.map(|s| QosRecord {
-            user: format!("user-{}", s.user),
-            service: format!("svc-{}", s.service),
-            timestamp: s.timestamp,
-            value: s.value,
-        }),
+        records
+            .take(samples.try_into().unwrap_or(usize::MAX))
+            .map(|s| QosRecord {
+                user: format!("user-{}", s.user),
+                service: format!("svc-{}", s.service),
+                timestamp: s.timestamp,
+                value: s.value,
+            }),
     );
-    Ok(samples)
+    failure.map_or(Ok(samples), Err)
 }
 
 #[cfg(test)]
@@ -358,5 +382,22 @@ mod tests {
         .unwrap();
         assert!(out.contains("10 samples fed"), "{out}");
         std::fs::remove_file(data).unwrap();
+    }
+
+    #[test]
+    fn file_fed_workload_rejects_empty_and_malformed_files() {
+        let dir = std::env::temp_dir().join("amf_cli_serve_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let serve_file = |name: &str, text: &str| {
+            let data = dir.join(name);
+            std::fs::write(&data, text).unwrap();
+            let out = run(&args(&["serve", "--data", &data.to_string_lossy()]));
+            std::fs::remove_file(data).unwrap();
+            out.unwrap_err().0
+        };
+        let empty = serve_file("empty.txt", "\n  \n");
+        assert!(empty.ends_with("no samples"), "{empty}");
+        let malformed = serve_file("malformed.txt", "0 0 0 1.5\n\n0 1 0\n1 0 1 2.2\n");
+        assert!(malformed.contains("line 3"), "{malformed}");
     }
 }

@@ -8,9 +8,67 @@
 //! and if so, discard this value (set `I_ij = 0`)".
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
 use rand::Rng;
+
+/// A `(user, service)` pair as one hash key: the two ids narrowed to `u32`
+/// and hashed as the packed `u64` `user << 32 | service`.
+///
+/// The halves are stored as `[u32; 2]`, so the key is 4-byte aligned and a
+/// `(PairKey, u32)` table entry takes 12 bytes where a `(u64, u32)` one
+/// takes 16.
+///
+/// # Examples
+///
+/// ```
+/// use amf_core::expiry::PairKey;
+///
+/// let key = PairKey::new(3, 7);
+/// assert_eq!((key.user(), key.service()), (3, 7));
+/// assert_eq!(PairKey::lookup(1 << 32, 0), None);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairKey([u32; 2]);
+
+impl PairKey {
+    /// The key of a pair that is being stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the id, when either id exceeds `u32::MAX`: a silently
+    /// truncated id would alias another pair's key.
+    pub fn new(user: usize, service: usize) -> Self {
+        Self([narrow("user", user), narrow("service", service)])
+    }
+
+    /// The key of a pair that is being looked up: `None` when either id
+    /// exceeds `u32::MAX`, because no such pair can have been stored.
+    pub fn lookup(user: usize, service: usize) -> Option<Self> {
+        Some(Self([user.try_into().ok()?, service.try_into().ok()?]))
+    }
+
+    /// The user id.
+    pub fn user(self) -> usize {
+        self.0[0] as usize
+    }
+
+    /// The service id.
+    pub fn service(self) -> usize {
+        self.0[1] as usize
+    }
+}
+
+impl Hash for PairKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::from(self.0[0]) << 32 | u64::from(self.0[1]));
+    }
+}
+
+fn narrow(kind: &str, id: usize) -> u32 {
+    u32::try_from(id).unwrap_or_else(|_| panic!("{kind} id {id} exceeds u32::MAX"))
+}
 
 /// A stored observation: the latest value and its timestamp for one pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,14 +83,33 @@ pub struct StoredObservation {
     pub value: f64,
 }
 
+/// One store entry: 24 bytes, where [`StoredObservation`] takes 32.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: PairKey,
+    timestamp: u64,
+    value: f64,
+}
+
+impl Entry {
+    fn observation(self) -> StoredObservation {
+        StoredObservation {
+            user: self.key.user(),
+            service: self.key.service(),
+            timestamp: self.timestamp,
+            value: self.value,
+        }
+    }
+}
+
 /// Keyed store of the latest observation per pair, with O(1) insert, O(1)
 /// random sampling, and lazy expiry.
 #[derive(Debug, Clone, Default)]
 pub struct ObservationStore {
     /// Pair -> index into `entries`.
-    index: HashMap<(usize, usize), usize>,
+    index: HashMap<PairKey, u32>,
     /// Dense entry list enabling O(1) uniform sampling (swap-remove on expiry).
-    entries: Vec<StoredObservation>,
+    entries: Vec<Entry>,
 }
 
 impl ObservationStore {
@@ -52,43 +129,48 @@ impl ObservationStore {
     }
 
     /// Inserts or refreshes the observation for `(user, service)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either id exceeds `u32::MAX` (see [`PairKey::new`]).
     pub fn upsert(&mut self, user: usize, service: usize, timestamp: u64, value: f64) {
-        let obs = StoredObservation {
-            user,
-            service,
+        let key = PairKey::new(user, service);
+        let entry = Entry {
+            key,
             timestamp,
             value,
         };
-        match self.index.entry((user, service)) {
+        match self.index.entry(key) {
             std::collections::hash_map::Entry::Occupied(slot) => {
-                self.entries[*slot.get()] = obs;
+                self.entries[*slot.get() as usize] = entry;
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(self.entries.len());
-                self.entries.push(obs);
+                let idx = u32::try_from(self.entries.len()).expect("at most u32::MAX pairs");
+                slot.insert(idx);
+                self.entries.push(entry);
             }
         }
     }
 
     /// The current observation for a pair, if present.
-    pub fn get(&self, user: usize, service: usize) -> Option<&StoredObservation> {
-        self.index.get(&(user, service)).map(|&i| &self.entries[i])
+    pub fn get(&self, user: usize, service: usize) -> Option<StoredObservation> {
+        let idx = *self.index.get(&PairKey::lookup(user, service)?)?;
+        Some(self.entries[idx as usize].observation())
     }
 
     fn swap_remove(&mut self, idx: usize) -> StoredObservation {
         let removed = self.entries.swap_remove(idx);
-        self.index.remove(&(removed.user, removed.service));
-        if idx < self.entries.len() {
-            let moved = self.entries[idx];
-            self.index.insert((moved.user, moved.service), idx);
+        self.index.remove(&removed.key);
+        if let Some(moved) = self.entries.get(idx) {
+            self.index.insert(moved.key, idx as u32);
         }
-        removed
+        removed.observation()
     }
 
     /// Removes and returns the observation for a pair, if present.
     pub fn remove(&mut self, user: usize, service: usize) -> Option<StoredObservation> {
-        let idx = self.index.get(&(user, service)).copied()?;
-        Some(self.swap_remove(idx))
+        let idx = *self.index.get(&PairKey::lookup(user, service)?)?;
+        Some(self.swap_remove(idx as usize))
     }
 
     /// Draws one uniformly random *live* observation: entries found expired
@@ -103,9 +185,9 @@ impl ObservationStore {
         let horizon = expiry.as_secs();
         while !self.entries.is_empty() {
             let idx = rng.random_range(0..self.entries.len());
-            let obs = self.entries[idx];
-            if now.saturating_sub(obs.timestamp) < horizon {
-                return Some(obs);
+            let entry = self.entries[idx];
+            if now.saturating_sub(entry.timestamp) < horizon {
+                return Some(entry.observation());
             }
             // Obsolete: set I_ij <- 0 (drop it) and try another.
             self.swap_remove(idx);
@@ -131,8 +213,8 @@ impl ObservationStore {
     }
 
     /// Iterator over all stored observations (live status not checked).
-    pub fn iter(&self) -> impl Iterator<Item = &StoredObservation> + '_ {
-        self.entries.iter()
+    pub fn iter(&self) -> impl Iterator<Item = StoredObservation> + '_ {
+        self.entries.iter().map(|entry| entry.observation())
     }
 }
 
@@ -249,6 +331,23 @@ mod tests {
         for &c in &counts {
             assert!((700..=1300).contains(&c), "count {c} far from uniform");
         }
+    }
+
+    #[test]
+    fn entries_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
+        assert_eq!(std::mem::size_of::<(PairKey, u32)>(), 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "service id 4294967296 exceeds u32::MAX")]
+    fn ids_above_u32_max_panic_instead_of_aliasing() {
+        let mut store = ObservationStore::new();
+        store.upsert(0, 0, 1, 1.0);
+        assert!(store.get(0, 1 << 32).is_none());
+        assert!(store.remove(1 << 32, 0).is_none());
+        // Truncated to 32 bits this would be (0, 0) and overwrite it.
+        store.upsert(0, 1 << 32, 2, 2.0);
     }
 
     #[test]

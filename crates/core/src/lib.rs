@@ -60,7 +60,7 @@ pub mod weights;
 
 pub use config::{AmfConfig, LossKind};
 pub use diagnostics::{ModelDiagnostics, QuarantineDiagnostics};
-pub use expiry::ObservationStore;
+pub use expiry::{ObservationStore, PairKey};
 pub use fault::{FaultContext, FaultPlan, NetFault};
 pub use guard::{GuardConfig, GuardStats, QuarantinedSample, RejectReason, SampleGuard};
 pub use model::AmfModel;

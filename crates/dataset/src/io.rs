@@ -125,39 +125,92 @@ pub fn write_triplets<W: Write>(samples: &[QosSample], writer: W) -> Result<(), 
     Ok(())
 }
 
-/// Reads triplet lines written by [`write_triplets`].
+/// Reads triplet lines written by [`write_triplets`]: [`triplets`],
+/// collected.
 ///
 /// # Errors
 ///
 /// Returns [`DatasetError::Parse`] for malformed lines and propagates I/O
 /// errors.
 pub fn read_triplets<R: Read>(reader: R) -> Result<Vec<QosSample>, DatasetError> {
-    let mut samples = Vec::new();
-    for (line_no, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let parts: Vec<&str> = trimmed.split_whitespace().collect();
-        if parts.len() != 4 {
-            return Err(DatasetError::Parse {
-                line: line_no + 1,
-                message: format!("expected 4 fields, got {}", parts.len()),
-            });
-        }
-        let parse_err = |what: &str| DatasetError::Parse {
-            line: line_no + 1,
-            message: format!("bad {what}"),
-        };
-        samples.push(QosSample::new(
-            parts[2].parse().map_err(|_| parse_err("timestamp"))?,
-            parts[0].parse().map_err(|_| parse_err("user id"))?,
-            parts[1].parse().map_err(|_| parse_err("service id"))?,
-            parts[3].parse().map_err(|_| parse_err("value"))?,
-        ));
+    triplets(reader).collect()
+}
+
+/// Parses triplet lines one at a time, skipping blank lines, so a file of
+/// any size is read in constant memory.
+///
+/// # Errors
+///
+/// Yields [`DatasetError::Parse`], with the 1-based line number, for a
+/// malformed line, and [`DatasetError::Io`] for a read error. Callers stop
+/// at the first error.
+///
+/// # Examples
+///
+/// ```
+/// use qos_dataset::{io, DatasetError};
+///
+/// let mut lines = io::triplets("0 1 2 1.5\n\n0 1 x 1.5\n".as_bytes());
+/// assert_eq!(lines.next().unwrap().unwrap().service, 1);
+/// assert!(matches!(lines.next(), Some(Err(DatasetError::Parse { line: 3, .. }))));
+/// ```
+pub fn triplets<R: Read>(reader: R) -> impl Iterator<Item = Result<QosSample, DatasetError>> {
+    Triplets {
+        reader: BufReader::new(reader),
+        line: String::new(),
+        line_no: 0,
     }
-    Ok(samples)
+}
+
+/// The iterator behind [`triplets`]: one line buffer, reused.
+struct Triplets<R> {
+    reader: BufReader<R>,
+    line: String,
+    line_no: usize,
+}
+
+impl<R: Read> Iterator for Triplets<R> {
+    type Item = Result<QosSample, DatasetError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            self.line.clear();
+            match self.reader.read_line(&mut self.line) {
+                Ok(0) => return None,
+                Ok(_) => self.line_no += 1,
+                Err(e) => return Some(Err(e.into())),
+            }
+            if let Some(sample) = parse_triplet(self.line_no, &self.line).transpose() {
+                return Some(sample);
+            }
+        }
+    }
+}
+
+/// One triplet line; `Ok(None)` for a blank one.
+fn parse_triplet(line_no: usize, line: &str) -> Result<Option<QosSample>, DatasetError> {
+    let mut fields = line.split_whitespace();
+    let Some(user) = fields.next() else {
+        return Ok(None);
+    };
+    let (Some(service), Some(timestamp), Some(value), None) =
+        (fields.next(), fields.next(), fields.next(), fields.next())
+    else {
+        return Err(DatasetError::Parse {
+            line: line_no,
+            message: format!("expected 4 fields, got {}", line.split_whitespace().count()),
+        });
+    };
+    let parse_err = |what: &str| DatasetError::Parse {
+        line: line_no,
+        message: format!("bad {what}"),
+    };
+    Ok(Some(QosSample::new(
+        timestamp.parse().map_err(|_| parse_err("timestamp"))?,
+        user.parse().map_err(|_| parse_err("user id"))?,
+        service.parse().map_err(|_| parse_err("service id"))?,
+        value.parse().map_err(|_| parse_err("value"))?,
+    )))
 }
 
 /// Writes a dense matrix to a file path.
@@ -252,6 +305,20 @@ mod tests {
             Err(DatasetError::Parse { .. })
         ));
         assert!(read_triplets("a 2 3 4\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn triplet_errors_name_their_line() {
+        let text = "0 1 2 1.5\n\n   \n0 1 2\n";
+        let err = read_triplets(text.as_bytes()).unwrap_err();
+        assert!(matches!(err, DatasetError::Parse { line: 4, .. }), "{err}");
+        assert!(err.to_string().contains("line 4"), "{err}");
+        let mut lines = triplets("0 1 2 1.5\n3 4 5 bad\n".as_bytes());
+        assert_eq!(lines.next().unwrap().unwrap().user, 0);
+        assert!(matches!(
+            lines.next(),
+            Some(Err(DatasetError::Parse { line: 2, .. }))
+        ));
     }
 
     #[test]

@@ -150,10 +150,8 @@ pub struct ServeStats {
     pub io_errors: u64,
     /// Keep-alive connections reaped by the idle timeout.
     pub idle_closed: u64,
-    /// Observation records queued for training.
+    /// Well-formed observation records submitted for training.
     pub observe_queued: u64,
-    /// Observation records shed by the bounded input queue.
-    pub observe_shed: u64,
     /// Individual predictions served.
     pub predictions: u64,
     /// Predictions answered below the `model` rung (degraded answers).
@@ -176,7 +174,6 @@ struct Counters {
     io_errors: AtomicU64,
     idle_closed: AtomicU64,
     observe_queued: AtomicU64,
-    observe_shed: AtomicU64,
     predictions: AtomicU64,
     degraded_answers: AtomicU64,
     ranks: AtomicU64,
@@ -198,7 +195,6 @@ impl Counters {
             io_errors: get(&self.io_errors),
             idle_closed: get(&self.idle_closed),
             observe_queued: get(&self.observe_queued),
-            observe_shed: get(&self.observe_shed),
             predictions: get(&self.predictions),
             degraded_answers: get(&self.degraded_answers),
             ranks: get(&self.ranks),
@@ -271,7 +267,6 @@ impl PlaneState {
             ("serve.io_errors", stats.io_errors),
             ("serve.idle_closed", stats.idle_closed),
             ("serve.observe_queued", stats.observe_queued),
-            ("serve.observe_shed", stats.observe_shed),
             ("serve.predictions", stats.predictions),
             ("serve.degraded_answers", stats.degraded_answers),
             ("serve.ranks", stats.ranks),
@@ -1206,41 +1201,33 @@ fn route(request: &Request, state: &PlaneState, expires: Instant) -> RouteRespon
 
 /// `POST /v1/observe` — newline-delimited JSON records. Not idempotent:
 /// clients must never retry (DESIGN.md §14 retry-safety table). Garbage
-/// lines are counted, never fatal; valid records ride the bounded input
-/// queue (load-shedding) and are applied in one batch drain.
+/// lines are counted, never fatal; the request's valid records are applied
+/// as one batch before it is answered, so `applied` counts this request's
+/// records and no other's. The batch path never sheds: `shed` is always 0.
 fn handle_observe(request: &Request, state: &PlaneState) -> RouteResponse {
     let body = match request.body_str() {
         Ok(body) => body,
         Err(e) => return (400, "application/json".to_string(), error_body(e.message())),
     };
-    let mut queued = 0u64;
-    let mut shed = 0u64;
+    let mut records = Vec::new();
     let mut invalid = 0u64;
     for line in body.lines().filter(|l| !l.trim().is_empty()) {
-        let Some(record) = parse_observe_line(line) else {
-            invalid += 1;
-            continue;
-        };
-        if state.service.offer(record) {
-            queued += 1;
-        } else {
-            shed += 1;
+        match parse_observe_line(line) {
+            Some(record) => records.push(record),
+            None => invalid += 1,
         }
     }
-    let applied = state.service.drain_inputs() as u64;
+    let queued = records.len() as u64;
+    let applied = state.service.submit_batch(records) as u64;
     state
         .counters
         .observe_queued
         .fetch_add(queued, Ordering::Relaxed);
-    state
-        .counters
-        .observe_shed
-        .fetch_add(shed, Ordering::Relaxed);
     let mut out = Json::obj();
     out.set("schema", Json::Str(SERVE_SCHEMA.into()))
         .set("op", Json::Str("observe".into()))
         .set("queued", Json::UInt(queued))
-        .set("shed", Json::UInt(shed))
+        .set("shed", Json::UInt(0))
         .set("invalid", Json::UInt(invalid))
         .set("applied", Json::UInt(applied));
     (200, "application/json".to_string(), out.to_string_compact())

@@ -1,5 +1,6 @@
 //! Integration suite for the hardened serving plane (DESIGN.md §14–15):
-//! exact accept/shed accounting under concurrent producers, a
+//! exact accept/shed accounting under concurrent producers, observe
+//! answers that count only their own records, a
 //! malformed-HTTP corpus that must never panic a worker, admission-control
 //! fast-rejects under overload, earliest-deadline-first queue ordering,
 //! the keep-alive connection lifecycle (pipelining, idle timeout,
@@ -753,4 +754,119 @@ fn drain_under_load_terminates_promptly() {
         stats.ok > 0,
         "served real traffic before draining: {stats:?}"
     );
+}
+
+/// The count under `key` in a compact JSON response body.
+fn json_count(response: &str, key: &str) -> u64 {
+    let needle = format!("\"{key}\":");
+    let at = response
+        .find(&needle)
+        .unwrap_or_else(|| panic!("no {key}: {response}"))
+        + needle.len();
+    let digits: String = response[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("{key} is not a count: {response}"))
+}
+
+/// An observe body of `clean` admissible records for `user`, followed by
+/// `garbage` lines: unparsable ones, and parsable ones the guard
+/// quarantines (a `null` value, a negative value).
+fn observe_body(user: &str, clean: usize, garbage: usize) -> String {
+    let mut body = String::new();
+    for i in 0..clean {
+        body.push_str(&format!(
+            "{{\"user\":\"{user}\",\"service\":\"svc-{}\",\"timestamp\":{i},\"value\":{}}}\n",
+            i % 7,
+            0.5 + i as f64 / 10.0
+        ));
+    }
+    for i in 0..garbage {
+        body.push_str(match i % 3 {
+            0 => "not json at all\n",
+            1 => "{\"user\":\"u\",\"service\":\"s\",\"value\":null}\n",
+            _ => "{\"user\":\"u\",\"service\":\"s\",\"value\":-1.0}\n",
+        });
+    }
+    body
+}
+
+/// Records already waiting on the service's input channel are not this
+/// request's: an observe applies its own records and reports those alone.
+#[test]
+fn observe_applies_and_reports_only_its_own_records() {
+    let svc = service(0);
+    let channel = svc.input_channel();
+    for t in 0..5 {
+        channel
+            .send(QosRecord {
+                user: "queued-user".into(),
+                service: "queued-svc".into(),
+                timestamp: t,
+                value: 1.0,
+            })
+            .unwrap();
+    }
+    let plane = ServePlane::start("127.0.0.1:0", Arc::clone(&svc), ServeConfig::default())
+        .expect("bind plane");
+    let response = raw_exchange(
+        plane.local_addr(),
+        &post_raw("/v1/observe", &observe_body("user-0", 3, 0), ""),
+    );
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    assert_eq!(json_count(&response, "applied"), 3, "{response}");
+    assert_eq!(json_count(&response, "queued"), 3, "{response}");
+    assert_eq!(
+        svc.stats().updates,
+        3,
+        "the channel's records were not applied"
+    );
+    assert_eq!(svc.drain_inputs(), 5, "they are still queued");
+    plane.stop();
+}
+
+/// Two clients post observes with different mixes of clean and garbage
+/// lines at the same time: every answer reports its own applied count, and
+/// the model took exactly the clean records. A barrier releases both
+/// clients' posts of each round together.
+#[test]
+fn concurrent_observes_each_report_their_own_applied() {
+    const ROUNDS: usize = 25;
+    let svc = service(0);
+    let plane = ServePlane::start("127.0.0.1:0", Arc::clone(&svc), ServeConfig::default())
+        .expect("bind plane");
+    let addr = plane.local_addr();
+    let round = Arc::new(std::sync::Barrier::new(2));
+    let mixes = [("user-a", 40, 7), ("user-b", 13, 11)];
+    let clients: Vec<_> = mixes
+        .map(|(user, clean, garbage)| {
+            let round = Arc::clone(&round);
+            std::thread::spawn(move || {
+                let body = observe_body(user, clean, garbage);
+                for _ in 0..ROUNDS {
+                    round.wait();
+                    let response = raw_exchange(addr, &post_raw("/v1/observe", &body, ""));
+                    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+                    assert_eq!(json_count(&response, "applied"), clean as u64, "{response}");
+                    assert_eq!(
+                        json_count(&response, "queued")
+                            + json_count(&response, "shed")
+                            + json_count(&response, "invalid"),
+                        (clean + garbage) as u64,
+                        "{response}"
+                    );
+                }
+            })
+        })
+        .into_iter()
+        .collect();
+    for client in clients {
+        client.join().expect("client saw a wrong count");
+    }
+    let expected: usize = mixes.iter().map(|(_, clean, _)| clean * ROUNDS).sum();
+    assert_eq!(svc.stats().updates, expected as u64);
+    assert_eq!(plane.stop().worker_panics, 0);
 }
