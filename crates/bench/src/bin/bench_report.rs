@@ -15,15 +15,20 @@
 //!    score every service for one user and keep the top-k
 //!    (`AmfModel::rank_candidates` vs. the naive per-pair `predict` scan).
 //!
+//! Each arm runs [`TRIALS`] times ([`QUICK_TRIALS`] under `--quick`) and
+//! reports its median trial, plus `trials`, `secs_min` and `secs_max`, so a
+//! reader sees each number's spread.
+//!
 //! Output is a JSON document (default `BENCH_CORE.json` in the working
-//! directory) with a stable schema (`amf-bench-core/v3`) so CI can check it
+//! directory) with a stable schema (`amf-bench-core/v4`) so CI can check it
 //! with `jq` without gating on absolute numbers. The document embeds the
 //! run's own `amf-obs/v1` observability snapshot under `"obs"` — the timed
 //! sections exercise the real instrumented paths, so the snapshot carries a
 //! stage-level latency breakdown (sampled `model.observe_ns`, the batch
 //! path's `engine.chunk_apply_ns`) alongside the aggregate rates. Only the
-//! `feed_batch` arm moves the `engine.*` counters, so they count exactly
-//! its samples and batches:
+//! `feed_batch` arm moves the `engine.*` counters, so over its trials they
+//! count exactly `trials × samples` jobs and `trials × ceil(samples / 256)`
+//! chunks:
 //!
 //! ```text
 //! bench-report [--quick] [--out PATH] [--label NAME] [--merge-before PATH]
@@ -46,6 +51,7 @@ struct Workload {
     batch_samples: usize,
     rank_queries: usize,
     top_k: usize,
+    trials: usize,
 }
 
 impl Workload {
@@ -57,6 +63,7 @@ impl Workload {
             batch_samples: 200_000,
             rank_queries: 339,
             top_k: 10,
+            trials: TRIALS,
         }
     }
 
@@ -68,7 +75,49 @@ impl Workload {
             batch_samples: 30_000,
             rank_queries: 64,
             top_k: 10,
+            trials: QUICK_TRIALS,
         }
+    }
+}
+
+/// Timed runs of each arm.
+const TRIALS: usize = 5;
+/// Timed runs of each arm under `--quick`.
+const QUICK_TRIALS: usize = 3;
+
+/// Wall times of one arm's trials.
+struct Timing {
+    /// The median trial's seconds (`trials` is odd).
+    secs: f64,
+    min: f64,
+    max: f64,
+    trials: usize,
+}
+
+impl Timing {
+    /// Runs `trial` `trials` times; each call returns its own timed seconds.
+    fn of(trials: usize, mut trial: impl FnMut() -> f64) -> Self {
+        let mut secs: Vec<f64> = (0..trials).map(|_| trial()).collect();
+        secs.sort_by(f64::total_cmp);
+        Self {
+            secs: secs[trials / 2],
+            min: secs[0],
+            max: secs[trials - 1],
+            trials,
+        }
+    }
+
+    /// The spread keys every result object ends with.
+    fn json(&self) -> String {
+        format!(
+            "\"trials\": {}, \"secs_min\": {:.6}, \"secs_max\": {:.6}",
+            self.trials, self.min, self.max
+        )
+    }
+
+    /// The spread as the console shows it.
+    fn range(&self) -> String {
+        format!("[{:.3}–{:.3}] s", self.min, self.max)
     }
 }
 
@@ -104,22 +153,30 @@ fn warmed_model(w: &Workload) -> AmfModel {
 }
 
 fn feed_sequential(w: &Workload, out: &mut String) {
-    let mut model = warmed_model(w);
     let stream = qos_stream(w.feed_samples, w.users, w.services);
-    let start = Instant::now();
-    for &(u, s, v) in &stream {
-        black_box(model.observe(u, s, v));
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let rate = w.feed_samples as f64 / secs;
+    let t = Timing::of(w.trials, || {
+        let mut model = warmed_model(w);
+        let start = Instant::now();
+        for &(u, s, v) in &stream {
+            black_box(model.observe(u, s, v));
+        }
+        start.elapsed().as_secs_f64()
+    });
+    let rate = w.feed_samples as f64 / t.secs;
     println!(
-        "feed_sequential        {:>9} samples  {:>8.3} s  {:>12.0} samples/s",
-        w.feed_samples, secs, rate
+        "feed_sequential        {:>9} samples  {:>8.3} s  {:>12.0} samples/s  {}",
+        w.feed_samples,
+        t.secs,
+        rate,
+        t.range()
     );
     let _ = writeln!(
         out,
-        "    \"feed_sequential\": {{\"samples\": {}, \"secs\": {:.6}, \"samples_per_sec\": {:.1}}},",
-        w.feed_samples, secs, rate
+        "    \"feed_sequential\": {{\"samples\": {}, \"secs\": {:.6}, \"samples_per_sec\": {:.1}, {}}},",
+        w.feed_samples,
+        t.secs,
+        rate,
+        t.json()
     );
 }
 
@@ -128,27 +185,35 @@ fn feed_sequential(w: &Workload, out: &mut String) {
 const BATCH: usize = 256;
 
 fn feed_batch(w: &Workload, out: &mut String) {
-    let mut trainer = AmfTrainer::new(AmfConfig::response_time()).expect("valid config");
-    *trainer.model_mut() = warmed_model(w);
     let stream: Vec<(usize, usize, u64, f64)> = qos_stream(w.batch_samples, w.users, w.services)
         .into_iter()
         .enumerate()
         .map(|(t, (u, s, v))| (u, s, t as u64, v))
         .collect();
-    let start = Instant::now();
-    for batch in stream.chunks(BATCH) {
-        black_box(trainer.feed_batch(batch.iter().copied()));
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let rate = w.batch_samples as f64 / secs;
+    let t = Timing::of(w.trials, || {
+        let mut trainer = AmfTrainer::new(AmfConfig::response_time()).expect("valid config");
+        *trainer.model_mut() = warmed_model(w);
+        let start = Instant::now();
+        for batch in stream.chunks(BATCH) {
+            black_box(trainer.feed_batch(batch.iter().copied()));
+        }
+        start.elapsed().as_secs_f64()
+    });
+    let rate = w.batch_samples as f64 / t.secs;
     println!(
-        "feed_batch ({BATCH})       {:>9} samples  {:>8.3} s  {:>12.0} samples/s",
-        w.batch_samples, secs, rate
+        "feed_batch ({BATCH})       {:>9} samples  {:>8.3} s  {:>12.0} samples/s  {}",
+        w.batch_samples,
+        t.secs,
+        rate,
+        t.range()
     );
     let _ = writeln!(
         out,
-        "    \"feed_batch\": {{\"batch\": {BATCH}, \"samples\": {}, \"secs\": {:.6}, \"samples_per_sec\": {:.1}}},",
-        w.batch_samples, secs, rate
+        "    \"feed_batch\": {{\"batch\": {BATCH}, \"samples\": {}, \"secs\": {:.6}, \"samples_per_sec\": {:.1}, {}}},",
+        w.batch_samples,
+        t.secs,
+        rate,
+        t.json()
     );
 }
 
@@ -157,71 +222,97 @@ fn predict_and_rank(w: &Workload, out: &mut String) {
 
     // Single-pair predict latency over a full scan.
     let pairs = w.users * w.services;
-    let start = Instant::now();
-    let mut acc = 0.0;
-    for u in 0..w.users {
-        for s in 0..w.services {
-            acc += model.predict(u, s).unwrap_or(0.0);
+    let t = Timing::of(w.trials, || {
+        let start = Instant::now();
+        let mut acc = 0.0;
+        for u in 0..w.users {
+            for s in 0..w.services {
+                acc += model.predict(u, s).unwrap_or(0.0);
+            }
         }
-    }
-    black_box(acc);
-    let secs = start.elapsed().as_secs_f64();
-    let ns_per_pair = secs * 1e9 / pairs as f64;
+        black_box(acc);
+        start.elapsed().as_secs_f64()
+    });
+    let ns_per_pair = t.secs * 1e9 / pairs as f64;
     println!(
-        "predict_single         {:>9} pairs    {:>8.3} s  {:>9.1} ns/pair",
-        pairs, secs, ns_per_pair
+        "predict_single         {:>9} pairs    {:>8.3} s  {:>9.1} ns/pair  {}",
+        pairs,
+        t.secs,
+        ns_per_pair,
+        t.range()
     );
     let _ = writeln!(
         out,
-        "    \"predict_single\": {{\"pairs\": {}, \"secs\": {:.6}, \"ns_per_pair\": {:.2}}},",
-        pairs, secs, ns_per_pair
+        "    \"predict_single\": {{\"pairs\": {}, \"secs\": {:.6}, \"ns_per_pair\": {:.2}, {}}},",
+        pairs,
+        t.secs,
+        ns_per_pair,
+        t.json()
     );
 
     // Per-pair baseline for candidate ranking: predict every service for one
     // user and argsort-select the top-k. This is what the adaptation loop
     // would do without a batch kernel.
-    let start = Instant::now();
-    let mut keep = 0usize;
-    for q in 0..w.rank_queries {
-        let user = q % w.users;
-        let mut scored: Vec<(usize, f64)> = (0..w.services)
-            .map(|s| (s, model.predict(user, s).unwrap_or(f64::INFINITY)))
-            .collect();
-        scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        scored.truncate(w.top_k);
-        keep += black_box(&scored).len();
-    }
-    let naive_secs = start.elapsed().as_secs_f64();
-    let naive_rate = w.rank_queries as f64 / naive_secs;
+    let naive = Timing::of(w.trials, || {
+        let start = Instant::now();
+        for q in 0..w.rank_queries {
+            let user = q % w.users;
+            let mut scored: Vec<(usize, f64)> = (0..w.services)
+                .map(|s| (s, model.predict(user, s).unwrap_or(f64::INFINITY)))
+                .collect();
+            scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            scored.truncate(w.top_k);
+            black_box(&scored);
+        }
+        start.elapsed().as_secs_f64()
+    });
+    let naive_rate = w.rank_queries as f64 / naive.secs;
     println!(
-        "rank_naive_per_pair    {:>9} queries  {:>8.3} s  {:>12.1} queries/s",
-        w.rank_queries, naive_secs, naive_rate
+        "rank_naive_per_pair    {:>9} queries  {:>8.3} s  {:>12.1} queries/s  {}",
+        w.rank_queries,
+        naive.secs,
+        naive_rate,
+        naive.range()
     );
     let _ = writeln!(
         out,
-        "    \"rank_naive_per_pair\": {{\"queries\": {}, \"services\": {}, \"k\": {}, \"secs\": {:.6}, \"queries_per_sec\": {:.2}}},",
-        w.rank_queries, w.services, w.top_k, naive_secs, naive_rate
+        "    \"rank_naive_per_pair\": {{\"queries\": {}, \"services\": {}, \"k\": {}, \"secs\": {:.6}, \"queries_per_sec\": {:.2}, {}}},",
+        w.rank_queries,
+        w.services,
+        w.top_k,
+        naive.secs,
+        naive_rate,
+        naive.json()
     );
 
     // Batch candidate-ranking kernel.
-    let start = Instant::now();
-    for q in 0..w.rank_queries {
-        let user = q % w.users;
-        let ranked = rank_candidates(&model, user, w.top_k);
-        keep += black_box(&ranked).len();
-    }
-    let rank_secs = start.elapsed().as_secs_f64();
-    let rank_rate = w.rank_queries as f64 / rank_secs;
-    black_box(keep);
-    let speedup = naive_secs / rank_secs;
+    let rank = Timing::of(w.trials, || {
+        let start = Instant::now();
+        for q in 0..w.rank_queries {
+            let user = q % w.users;
+            black_box(rank_candidates(&model, user, w.top_k));
+        }
+        start.elapsed().as_secs_f64()
+    });
+    let rank_rate = w.rank_queries as f64 / rank.secs;
+    let speedup = naive.secs / rank.secs;
     println!(
-        "rank_candidates        {:>9} queries  {:>8.3} s  {:>12.1} queries/s  ({speedup:.2}x vs per-pair)",
-        w.rank_queries, rank_secs, rank_rate
+        "rank_candidates        {:>9} queries  {:>8.3} s  {:>12.1} queries/s  {}  ({speedup:.2}x vs per-pair)",
+        w.rank_queries,
+        rank.secs,
+        rank_rate,
+        rank.range()
     );
     let _ = writeln!(
         out,
-        "    \"rank_candidates\": {{\"queries\": {}, \"services\": {}, \"k\": {}, \"secs\": {:.6}, \"queries_per_sec\": {:.2}, \"speedup_vs_per_pair\": {:.3}}}",
-        w.rank_queries, w.services, w.top_k, rank_secs, rank_rate, speedup
+        "    \"rank_candidates\": {{\"queries\": {}, \"services\": {}, \"k\": {}, \"secs\": {:.6}, \"queries_per_sec\": {:.2}, \"speedup_vs_per_pair\": {:.3}, {}}}",
+        w.rank_queries,
+        w.services,
+        w.top_k,
+        rank.secs,
+        rank_rate,
+        speedup,
+        rank.json()
     );
 }
 
@@ -259,10 +350,11 @@ fn main() {
         Workload::full()
     };
     println!(
-        "bench-report: {} users x {} services, dimension {}{}",
+        "bench-report: {} users x {} services, dimension {}, {} trials per arm{}",
         w.users,
         w.services,
         AmfConfig::response_time().dimension,
+        w.trials,
         if quick { " (quick)" } else { "" }
     );
 
@@ -273,7 +365,7 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"amf-bench-core/v3\",");
+    let _ = writeln!(json, "  \"schema\": \"amf-bench-core/v4\",");
     if !label.is_empty() {
         let _ = writeln!(json, "  \"label\": \"{label}\",");
     }

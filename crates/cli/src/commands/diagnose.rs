@@ -46,14 +46,13 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 mod tests {
     use super::*;
     use amf_core::{AmfConfig, AmfModel};
+    use std::path::Path;
 
     fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
     }
 
-    fn saved_model(name: &str, updates: usize) -> String {
-        let dir = std::env::temp_dir().join("amf_cli_diagnose_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn saved_model(dir: &Path, name: &str, updates: usize) -> String {
         let path = dir.join(name).to_string_lossy().into_owned();
         let mut model = AmfModel::new(AmfConfig::response_time()).unwrap();
         for k in 0..updates {
@@ -65,28 +64,31 @@ mod tests {
 
     #[test]
     fn healthy_trained_model() {
-        let path = saved_model("good.amf", 500);
+        let dir = crate::test_dir("healthy_trained_model");
+        let path = saved_model(&dir, "good.amf", 500);
         let out = run(&args(&["--model", &path])).unwrap();
         assert!(out.contains("HEALTHY"));
         assert!(out.contains("users: 3 registered"));
         assert!(out.contains("services: 5 registered"));
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn empty_model_needs_attention() {
-        let path = saved_model("empty.amf", 0);
+        let dir = crate::test_dir("empty_model_needs_attention");
+        let path = saved_model(&dir, "empty.amf", 0);
         let out = run(&args(&["--model", &path])).unwrap();
         assert!(out.contains("ATTENTION NEEDED"));
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn rejects_bad_flags_and_files() {
+        let dir = crate::test_dir("rejects_bad_flags_and_files");
         assert!(run(&args(&["--model", "/nonexistent.amf"])).is_err());
-        let path = saved_model("x.amf", 10);
+        let path = saved_model(&dir, "x.amf", 10);
         assert!(run(&args(&["--model", &path, "--threshold", "-1"])).is_err());
         assert!(run(&args(&["--model", &path, "--norm-limit", "0"])).is_err());
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -89,20 +89,20 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
     }
 
-    fn temp_path(name: &str) -> String {
-        let dir = std::env::temp_dir().join("amf_cli_generate_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn temp_path(dir: &Path, name: &str) -> String {
         dir.join(name).to_string_lossy().into_owned()
     }
 
     #[test]
     fn dense_export_roundtrips() {
-        let out = temp_path("dense.txt");
+        let dir = crate::test_dir("dense_export_roundtrips");
+        let out = temp_path(&dir, "dense.txt");
         let summary = run(&args(&[
             "--out",
             &out,
@@ -117,12 +117,13 @@ mod tests {
         assert!(summary.contains("60 RT values"));
         let m = io::read_dense_file(&out).unwrap();
         assert_eq!(m.shape(), (6, 10));
-        std::fs::remove_file(out).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn triplet_export_at_density() {
-        let out = temp_path("trip.txt");
+        let dir = crate::test_dir("triplet_export_at_density");
+        let out = temp_path(&dir, "trip.txt");
         let summary = run(&args(&[
             "--out",
             &out,
@@ -143,16 +144,18 @@ mod tests {
         assert!(summary.contains("30 TP values"));
         let samples = io::read_triplets(std::fs::File::open(&out).unwrap()).unwrap();
         assert_eq!(samples.len(), 30);
-        std::fs::remove_file(out).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn rejects_bad_flags() {
+        let dir = crate::test_dir("rejects_bad_flags");
         assert!(run(&args(&[])).is_err()); // missing --out
-        let out = temp_path("x.txt");
+        let out = temp_path(&dir, "x.txt");
         assert!(run(&args(&["--out", &out, "--format", "parquet"])).is_err());
         assert!(run(&args(&["--out", &out, "--density", "0"])).is_err());
         assert!(run(&args(&["--out", &out, "--slices", "2", "--slice", "5"])).is_err());
         assert!(run(&args(&["--out", &out, "--users", "0"])).is_err());
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

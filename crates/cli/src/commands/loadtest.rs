@@ -319,10 +319,8 @@ mod tests {
     fn loadtest_against_live_plane_writes_report() {
         let plane = live_plane();
         let addr = plane.local_addr().to_string();
-        let dir = std::env::temp_dir().join("amf_cli_loadtest_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("loadtest_against_live_plane_writes_report");
         let out_path = dir.join("bench_serve.json");
-        let _ = std::fs::remove_file(&out_path);
 
         let out = run(&args(&[
             "loadtest",
@@ -371,17 +369,15 @@ mod tests {
         }
         let stats = plane.stop();
         assert_eq!(stats.worker_panics, 0);
-        std::fs::remove_file(out_path).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn keep_alive_loadtest_pairs_runs_and_emits_comparison() {
         let plane = live_plane();
         let addr = plane.local_addr().to_string();
-        let dir = std::env::temp_dir().join("amf_cli_loadtest_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("keep_alive_loadtest_pairs_runs_and_emits_comparison");
         let out_path = dir.join("bench_serve_keepalive.json");
-        let _ = std::fs::remove_file(&out_path);
 
         let out = run(&args(&[
             "loadtest",
@@ -445,7 +441,7 @@ mod tests {
         );
         let stats = plane.stop();
         assert_eq!(stats.worker_panics, 0);
-        std::fs::remove_file(out_path).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

@@ -17,8 +17,9 @@ pub mod trace;
 pub mod train;
 
 use crate::args::{Args, ArgsError};
-use qos_dataset::Attribute;
-use qos_service::{QosPredictionService, QosRecord};
+use qos_dataset::{Attribute, QosSample};
+use qos_service::QosPredictionService;
+use std::collections::HashMap;
 
 /// A CLI failure with a user-facing message.
 #[derive(Debug)]
@@ -56,27 +57,35 @@ impl From<amf_core::AmfError> for CliError {
     }
 }
 
-/// Submits `records` to `service` in batches of 256, the batch size the
-/// CLI warms a service with.
-pub fn submit_batched(
-    service: &QosPredictionService,
-    records: impl IntoIterator<Item = QosRecord>,
-) {
+/// Feeds numbered samples to `service` in batches of 256, the batch size the
+/// CLI warms a service with. User `n` is the entity named `user-n` and
+/// service `n` the one named `svc-n`: each is joined under that name on its
+/// first sight, and its id is looked up by number from then on.
+pub fn feed_numbered(service: &QosPredictionService, samples: impl IntoIterator<Item = QosSample>) {
+    let mut users = HashMap::new();
+    let mut services = HashMap::new();
     let mut batch = Vec::with_capacity(256);
-    for record in records {
-        batch.push(record);
+    for s in samples {
+        let user = *users
+            .entry(s.user)
+            .or_insert_with(|| service.join_user(&format!("user-{}", s.user)));
+        let svc = *services
+            .entry(s.service)
+            .or_insert_with(|| service.join_service(&format!("svc-{}", s.service)));
+        batch.push((user, svc, s.timestamp, s.value));
         if batch.len() == 256 {
-            service.submit_batch(std::mem::take(&mut batch));
+            service.submit_batch_ids(&batch);
+            batch.clear();
         }
     }
-    service.submit_batch(batch);
+    service.submit_batch_ids(&batch);
 }
 
 /// The seeded warm-up stream of `serve` and `stats --obs`: `samples`
-/// records from an LCG over a 24×32 entity grid (`user-N`, `svc-N`), about
-/// 5% of them deliberately invalid (NaN, negative, out of range) so the
-/// guard counters are exercised, not just the happy path.
-pub fn seeded_stream(samples: u64, seed: u64) -> impl Iterator<Item = QosRecord> {
+/// samples from an LCG over a 24×32 entity grid, about 5% of them
+/// deliberately invalid (NaN, negative, out of range) so the guard counters
+/// are exercised, not just the happy path.
+pub fn seeded_stream(samples: u64, seed: u64) -> impl Iterator<Item = QosSample> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
     let mut next = move || {
         state = state
@@ -97,12 +106,7 @@ pub fn seeded_stream(samples: u64, seed: u64) -> impl Iterator<Item = QosRecord>
         } else {
             0.05 + (next() % 19_000) as f64 / 1_000.0
         };
-        QosRecord {
-            user: format!("user-{user}"),
-            service: format!("svc-{svc}"),
-            timestamp: t,
-            value,
-        }
+        QosSample::new(t, user as usize, svc as usize, value)
     })
 }
 
@@ -198,6 +202,89 @@ mod tests {
         assert_eq!(c.seed, 9);
         // untouched defaults
         assert_eq!(c.beta, 0.3);
+    }
+
+    /// Feeds `samples` through [`feed_numbered`] into one service and, as
+    /// named records in the same 256-record batches, through `submit_batch`
+    /// into another, and requires the two services to agree.
+    fn assert_numbered_matches_named(samples: &[QosSample]) {
+        let config = qos_service::ServiceConfig::default();
+        let numbered = QosPredictionService::new(config);
+        feed_numbered(&numbered, samples.iter().copied());
+        let named = QosPredictionService::new(config);
+        for batch in samples.chunks(256) {
+            named.submit_batch(
+                batch
+                    .iter()
+                    .map(|s| qos_service::QosRecord {
+                        user: format!("user-{}", s.user),
+                        service: format!("svc-{}", s.service),
+                        timestamp: s.timestamp,
+                        value: s.value,
+                    })
+                    .collect(),
+            );
+        }
+        assert!(numbered.stats().rejected > 0, "the stream must be dirty");
+        assert_eq!(numbered.stats(), named.stats());
+        assert_eq!(numbered.guard_stats(), named.guard_stats());
+
+        let names = |prefix: &str, number: fn(&QosSample) -> usize| {
+            let mut names: Vec<String> = samples
+                .iter()
+                .map(|s| format!("{prefix}-{}", number(s)))
+                .collect();
+            names.sort();
+            names.dedup();
+            names.push(format!("{prefix}-unknown"));
+            names
+        };
+        let users = names("user", |s| s.user);
+        let services = names("svc", |s| s.service);
+        for user in &users {
+            for service in &services {
+                let (a, b) = (
+                    numbered.predict_degraded(user, service),
+                    named.predict_degraded(user, service),
+                );
+                assert_eq!((a.value.to_bits(), a.source), (b.value.to_bits(), b.source));
+            }
+        }
+        // Last, as joining gives the named service's entities model rows.
+        for user in &users {
+            assert_eq!(numbered.join_user(user), named.join_user(user));
+        }
+        for service in &services {
+            assert_eq!(numbered.join_service(service), named.join_service(service));
+        }
+    }
+
+    #[test]
+    fn numbered_warm_up_matches_the_named_one() {
+        let seeded: Vec<QosSample> = seeded_stream(1_500, 7).collect();
+        assert_numbered_matches_named(&seeded);
+
+        // A triplet file with sparse, huge numbers, `nan` and negative lines,
+        // and an entity (user 99, service 77) named only in a rejected line.
+        let dir = crate::test_dir("numbered_warm_up_matches_the_named_one");
+        let path = dir.join("dirty.txt");
+        let mut text = String::from("99 77 0 nan\n");
+        for k in 1..700u64 {
+            let user = [7u64, 3, 4_000_000_000, 12][k as usize % 4];
+            let service = [0, 5_000, 42][k as usize % 3];
+            let value = match k % 9 {
+                2 => "nan".to_string(),
+                5 => "-1.5".to_string(),
+                _ => format!("{}", 0.2 + (k % 13) as f64 * 0.4),
+            };
+            text.push_str(&format!("{user} {service} {k} {value}\n"));
+        }
+        std::fs::write(&path, text).unwrap();
+        let file: Vec<QosSample> = qos_dataset::io::triplets(std::fs::File::open(&path).unwrap())
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_numbered_matches_named(&file);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

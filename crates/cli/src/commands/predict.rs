@@ -99,19 +99,18 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 mod tests {
     use super::*;
     use amf_core::{AmfConfig, AmfModel};
+    use std::path::Path;
 
     fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
     }
 
-    fn temp_path(name: &str) -> String {
-        let dir = std::env::temp_dir().join("amf_cli_predict_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn temp_path(dir: &Path, name: &str) -> String {
         dir.join(name).to_string_lossy().into_owned()
     }
 
-    fn saved_model(name: &str) -> String {
-        let path = temp_path(name);
+    fn saved_model(dir: &Path, name: &str) -> String {
+        let path = temp_path(dir, name);
         let mut model = AmfModel::new(AmfConfig::response_time()).unwrap();
         for k in 0..100 {
             model.observe(k % 3, k % 4, 1.0 + (k % 2) as f64);
@@ -122,16 +121,18 @@ mod tests {
 
     #[test]
     fn single_pair_prediction() {
-        let model = saved_model("m1.amf");
+        let dir = crate::test_dir("single_pair_prediction");
+        let model = saved_model(&dir, "m1.amf");
         let out = run(&args(&["--model", &model, "--user", "0", "--service", "1"])).unwrap();
         let value: f64 = out.parse().unwrap();
         assert!((0.0..=20.0).contains(&value));
-        std::fs::remove_file(model).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn unknown_pair_is_an_error() {
-        let model = saved_model("m2.amf");
+        let dir = crate::test_dir("unknown_pair_is_an_error");
+        let model = saved_model(&dir, "m2.amf");
         let err = run(&args(&[
             "--model",
             &model,
@@ -141,38 +142,39 @@ mod tests {
             "0",
         ]));
         assert!(err.unwrap_err().to_string().contains("unknown"));
-        std::fs::remove_file(model).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn pairs_file_batch() {
-        let model = saved_model("m3.amf");
-        let pairs = temp_path("pairs.txt");
+        let dir = crate::test_dir("pairs_file_batch");
+        let model = saved_model(&dir, "m3.amf");
+        let pairs = temp_path(&dir, "pairs.txt");
         std::fs::write(&pairs, "0 0\n1 2\n\n99 0\n").unwrap();
         let out = run(&args(&["--model", &model, "--pairs", &pairs])).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("0 0 "));
         assert!(lines[2].ends_with("unknown"));
-        std::fs::remove_file(model).unwrap();
-        std::fs::remove_file(pairs).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn malformed_pairs_rejected() {
-        let model = saved_model("m4.amf");
-        let pairs = temp_path("bad_pairs.txt");
+        let dir = crate::test_dir("malformed_pairs_rejected");
+        let model = saved_model(&dir, "m4.amf");
+        let pairs = temp_path(&dir, "bad_pairs.txt");
         std::fs::write(&pairs, "0\n").unwrap();
         assert!(run(&args(&["--model", &model, "--pairs", &pairs])).is_err());
         std::fs::write(&pairs, "a b\n").unwrap();
         assert!(run(&args(&["--model", &model, "--pairs", &pairs])).is_err());
-        std::fs::remove_file(model).unwrap();
-        std::fs::remove_file(pairs).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn rank_mode_lists_top_k_ascending() {
-        let model = saved_model("m6.amf");
+        let dir = crate::test_dir("rank_mode_lists_top_k_ascending");
+        let model = saved_model(&dir, "m6.amf");
         let out = run(&args(&["--model", &model, "--user", "0", "--rank", "3"])).unwrap();
         let rows: Vec<(usize, f64)> = out
             .lines()
@@ -197,24 +199,26 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(single, format!("{:.6}", rows[0].1));
-        std::fs::remove_file(model).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn rank_mode_rejects_bad_input() {
-        let model = saved_model("m7.amf");
+        let dir = crate::test_dir("rank_mode_rejects_bad_input");
+        let model = saved_model(&dir, "m7.amf");
         assert!(run(&args(&["--model", &model, "--rank", "3"])).is_err());
         assert!(run(&args(&["--model", &model, "--user", "0", "--rank", "x"])).is_err());
         let err = run(&args(&["--model", &model, "--user", "99", "--rank", "3"])).unwrap_err();
         assert!(err.to_string().contains("unknown"));
-        std::fs::remove_file(model).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn missing_selectors_explains_usage() {
-        let model = saved_model("m5.amf");
+        let dir = crate::test_dir("missing_selectors_explains_usage");
+        let model = saved_model(&dir, "m5.amf");
         let err = run(&args(&["--model", &model])).unwrap_err();
         assert!(err.to_string().contains("--user"));
-        std::fs::remove_file(model).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

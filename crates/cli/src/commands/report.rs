@@ -137,6 +137,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::{Path, PathBuf};
 
     fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
@@ -157,9 +158,7 @@ mod tests {
         )
     }
 
-    fn write_log(name: &str, lines: &[String]) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("amf_cli_report_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn write_log(dir: &Path, name: &str, lines: &[String]) -> PathBuf {
         let path = dir.join(name);
         std::fs::write(&path, lines.join("\n") + "\n").unwrap();
         path
@@ -167,7 +166,9 @@ mod tests {
 
     #[test]
     fn report_summarizes_trends() {
+        let dir = crate::test_dir("report_summarizes_trends");
         let path = write_log(
+            &dir,
             "ok.jsonl",
             &[
                 line(0, 1_000, 0.50, 100, 0),
@@ -184,12 +185,14 @@ mod tests {
         );
         assert!(out.contains("drift alarms      +1"));
         assert!(out.contains("healthy"));
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn last_flag_trims_the_window() {
+        let dir = crate::test_dir("last_flag_trims_the_window");
         let path = write_log(
+            &dir,
             "tail.jsonl",
             &[
                 line(0, 0, 0.90, 0, 0),
@@ -200,18 +203,20 @@ mod tests {
         let out = run(&args(&["report", &path.to_string_lossy(), "--last", "2"])).unwrap();
         assert!(out.contains("snapshots         2 (seq 1..2)"));
         assert!(out.contains("(worsening)"), "{out}");
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn wrong_schema_is_rejected() {
+        let dir = crate::test_dir("wrong_schema_is_rejected");
         let path = write_log(
+            &dir,
             "bad.jsonl",
             &["{\"schema\":\"nope/v9\",\"seq\":0,\"snapshot\":{}}".to_string()],
         );
         let err = run(&args(&["report", &path.to_string_lossy()])).unwrap_err();
         assert!(err.to_string().contains("schema"));
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

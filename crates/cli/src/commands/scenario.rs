@@ -142,8 +142,7 @@ mod tests {
 
     #[test]
     fn out_flag_writes_file_and_summarizes() {
-        let dir = std::env::temp_dir().join("amf_cli_scenario_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("out_flag_writes_file_and_summarizes");
         let path = dir.join("report.json").to_string_lossy().into_owned();
         let summary = run(&args(&[
             "scenario", "run", "--name", "good", "--quick", "--out", &path,
@@ -152,6 +151,6 @@ mod tests {
         assert!(summary.contains("report written"), "{summary}");
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(Json::parse(&text).is_ok());
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -19,7 +19,7 @@ use crate::args::Args;
 use qos_dataset::io;
 use qos_obs::{LogConfig, SnapshotRecorder, DEFAULT_MAX_LOG_BYTES};
 use qos_serve::{ServeConfig, ServePlane};
-use qos_service::{QosPredictionService, QosRecord, ServiceConfig};
+use qos_service::{QosPredictionService, ServiceConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -193,7 +193,7 @@ fn feed_workload(
     seed: u64,
 ) -> Result<u64, CliError> {
     let Some(path) = args.get("data") else {
-        super::submit_batched(service, super::seeded_stream(samples, seed));
+        super::feed_numbered(service, super::seeded_stream(samples, seed));
         return Ok(samples);
     };
     // The file is read as it is fed, never held whole, and re-opened to
@@ -229,16 +229,9 @@ fn feed_workload(
             },
         }
     });
-    super::submit_batched(
+    super::feed_numbered(
         service,
-        records
-            .take(samples.try_into().unwrap_or(usize::MAX))
-            .map(|s| QosRecord {
-                user: format!("user-{}", s.user),
-                service: format!("svc-{}", s.service),
-                timestamp: s.timestamp,
-                value: s.value,
-            }),
+        records.take(samples.try_into().unwrap_or(usize::MAX)),
     );
     failure.map_or(Ok(samples), Err)
 }
@@ -254,11 +247,9 @@ mod tests {
 
     #[test]
     fn serve_feeds_writes_addr_and_telemetry() {
-        let dir = std::env::temp_dir().join("amf_cli_serve_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("serve_feeds_writes_addr_and_telemetry");
         let addr_file = dir.join("addr.txt");
         let log = dir.join("telemetry.jsonl");
-        let _ = std::fs::remove_file(&log);
 
         let out = run(&args(&[
             "serve",
@@ -287,18 +278,15 @@ mod tests {
             parsed.get("schema").and_then(qos_obs::Json::as_str),
             Some(qos_obs::TS_SCHEMA)
         );
-        std::fs::remove_file(addr_file).unwrap();
-        std::fs::remove_file(log).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn serve_endpoint_answers_while_running() {
         // Drive /metrics and /v1/predict from a second thread while serve
         // holds the port.
-        let dir = std::env::temp_dir().join("amf_cli_serve_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("serve_endpoint_answers_while_running");
         let addr_file = dir.join("live-addr.txt");
-        let _ = std::fs::remove_file(&addr_file);
         let addr_path = addr_file.to_string_lossy().into_owned();
 
         let probe_path = addr_path.clone();
@@ -358,7 +346,7 @@ mod tests {
         assert!(predict.contains("\"source\""), "{predict}");
         assert!(out.contains("requests"));
         assert!(out.contains("0 panics"), "{out}");
-        std::fs::remove_file(addr_file).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -368,8 +356,7 @@ mod tests {
 
     #[test]
     fn file_fed_workload_cycles() {
-        let dir = std::env::temp_dir().join("amf_cli_serve_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("file_fed_workload_cycles");
         let data = dir.join("w.txt");
         std::fs::write(&data, "0 0 0 1.5\n0 1 0 0.7\n1 0 1 2.2\n").unwrap();
         let out = run(&args(&[
@@ -381,23 +368,23 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("10 samples fed"), "{out}");
-        std::fs::remove_file(data).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn file_fed_workload_rejects_empty_and_malformed_files() {
-        let dir = std::env::temp_dir().join("amf_cli_serve_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("file_fed_workload_rejects_empty_and_malformed_files");
         let serve_file = |name: &str, text: &str| {
             let data = dir.join(name);
             std::fs::write(&data, text).unwrap();
-            let out = run(&args(&["serve", "--data", &data.to_string_lossy()]));
-            std::fs::remove_file(data).unwrap();
-            out.unwrap_err().0
+            run(&args(&["serve", "--data", &data.to_string_lossy()]))
+                .unwrap_err()
+                .0
         };
         let empty = serve_file("empty.txt", "\n  \n");
         assert!(empty.ends_with("no samples"), "{empty}");
         let malformed = serve_file("malformed.txt", "0 0 0 1.5\n\n0 1 0\n1 0 1 2.2\n");
         assert!(malformed.contains("line 3"), "{malformed}");
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

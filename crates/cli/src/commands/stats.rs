@@ -63,7 +63,7 @@ fn run_obs(args: &Args) -> Result<String, CliError> {
     let service = QosPredictionService::try_new(ServiceConfig::default())
         .map_err(|e| CliError(format!("service: {e}")))?;
 
-    super::submit_batched(&service, super::seeded_stream(samples, seed));
+    super::feed_numbered(&service, super::seeded_stream(samples, seed));
 
     // Exercise the full prediction surface: the model path, the degraded
     // fallback ladder (unknown entities), and the batch ranking kernel.
@@ -94,14 +94,13 @@ mod tests {
 
     #[test]
     fn file_stats() {
-        let dir = std::env::temp_dir().join("amf_cli_stats_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("file_stats");
         let path = dir.join("m.txt");
         std::fs::write(&path, "1.0 -1.0 3.0\n2.0 4.0 -1.0\n").unwrap();
         let out = run(&args(&["stats", "--data", &path.to_string_lossy()])).unwrap();
         assert!(out.contains("2 x 3"));
         assert!(out.contains("66.7% density"));
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -131,11 +130,10 @@ mod tests {
 
     #[test]
     fn empty_file_rejected() {
-        let dir = std::env::temp_dir().join("amf_cli_stats_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("empty_file_rejected");
         let path = dir.join("empty.txt");
         std::fs::write(&path, "-1.0 -1.0\n").unwrap();
         assert!(run(&args(&["stats", "--data", &path.to_string_lossy()])).is_err());
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

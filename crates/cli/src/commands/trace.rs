@@ -249,10 +249,8 @@ mod tests {
 
     #[test]
     fn summarizes_a_real_dump() {
-        let dir = std::env::temp_dir().join("amf_cli_trace_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("dump-{}.flight.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let dir = crate::test_dir("summarizes_a_real_dump");
+        let path = dir.join("dump.flight.jsonl");
 
         let recorder = FlightRecorder::new(Some(LogConfig {
             path: path.clone(),
@@ -269,19 +267,18 @@ mod tests {
         assert!(out.contains("critical path: execute > queue"), "{out}");
         assert!(out.contains("amf-1"), "{out}");
         assert!(out.contains("slowest exemplars"), "{out}");
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn missing_and_empty_files_are_errors() {
         assert!(run(&args(&["trace"])).is_err());
         assert!(run(&args(&["trace", "/nonexistent/flight.jsonl"])).is_err());
-        let dir = std::env::temp_dir().join("amf_cli_trace_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("missing_and_empty_files_are_errors");
         let path = dir.join("not-flight.jsonl");
         std::fs::write(&path, "{\"schema\":\"other/v1\"}\n").unwrap();
         let err = run(&args(&["trace", &path.to_string_lossy()])).unwrap_err();
         assert!(err.to_string().contains("no amf-flight/v1 lines"), "{err}");
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

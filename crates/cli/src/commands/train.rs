@@ -104,14 +104,13 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 mod tests {
     use super::*;
     use qos_dataset::stream::QosSample;
+    use std::path::Path;
 
     fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
     }
 
-    fn temp_path(name: &str) -> String {
-        let dir = std::env::temp_dir().join("amf_cli_train_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn temp_path(dir: &Path, name: &str) -> String {
         dir.join(name).to_string_lossy().into_owned()
     }
 
@@ -124,8 +123,9 @@ mod tests {
 
     #[test]
     fn trains_and_saves_model() {
-        let data = temp_path("data.txt");
-        let model = temp_path("model.amf");
+        let dir = crate::test_dir("trains_and_saves_model");
+        let data = temp_path(&dir, "data.txt");
+        let model = temp_path(&dir, "model.amf");
         write_samples(&data, 60);
         let summary = run(&args(&[
             "--data",
@@ -141,8 +141,7 @@ mod tests {
         let restored = persistence::load_file(&model).unwrap();
         assert_eq!(restored.num_users(), 5);
         assert_eq!(restored.num_services(), 8);
-        std::fs::remove_file(data).unwrap();
-        std::fs::remove_file(model).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -158,17 +157,19 @@ mod tests {
 
     #[test]
     fn rejects_empty_data() {
-        let data = temp_path("empty.txt");
+        let dir = crate::test_dir("rejects_empty_data");
+        let data = temp_path(&dir, "empty.txt");
         std::fs::write(&data, "").unwrap();
-        let model = temp_path("never.amf");
+        let model = temp_path(&dir, "never.amf");
         assert!(run(&args(&["--data", &data, "--out", &model])).is_err());
-        std::fs::remove_file(data).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn guard_quarantines_garbage_and_reports() {
-        let data = temp_path("garbage.txt");
-        let model = temp_path("garbage.amf");
+        let dir = crate::test_dir("guard_quarantines_garbage_and_reports");
+        let data = temp_path(&dir, "garbage.txt");
+        let model = temp_path(&dir, "garbage.amf");
         // Mix clean samples with out-of-range garbage (writable as triplets,
         // unlike NaN).
         let samples: Vec<QosSample> = (0..40)
@@ -194,22 +195,22 @@ mod tests {
         .unwrap();
         assert!(summary.contains("trained on 36 samples"), "{summary}");
         assert!(summary.contains("4 rejected"), "{summary}");
-        std::fs::remove_file(data).unwrap();
-        std::fs::remove_file(model).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn fault_plan_kill_is_rejected_naming_the_verb() {
+        let dir = crate::test_dir("fault_plan_kill_is_rejected_naming_the_verb");
         // No worker thread exists to kill or stall: the verbs are gone, and
         // a spec that still uses them fails instead of training unfaulted.
-        let data = temp_path("data11.txt");
+        let data = temp_path(&dir, "data11.txt");
         write_samples(&data, 20);
         for (spec, verb) in [("seed=7;kill=0@0", "kill"), ("stall=0@1:5", "stall")] {
             let err = run(&args(&[
                 "--data",
                 &data,
                 "--out",
-                &temp_path("never6.amf"),
+                &temp_path(&dir, "never6.amf"),
                 "--fault-plan",
                 spec,
             ]))
@@ -217,13 +218,14 @@ mod tests {
             assert!(err.0.contains("--fault-plan"), "{}", err.0);
             assert!(err.0.contains(&format!("'{verb}'")), "{}", err.0);
         }
-        std::fs::remove_file(data).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn fault_plan_drop_shrinks_stream() {
-        let data = temp_path("data6.txt");
-        let model = temp_path("model6.amf");
+        let dir = crate::test_dir("fault_plan_drop_shrinks_stream");
+        let data = temp_path(&dir, "data6.txt");
+        let model = temp_path(&dir, "model6.amf");
         write_samples(&data, 100);
         let summary = run(&args(&[
             "--data",
@@ -237,48 +239,50 @@ mod tests {
         ]))
         .unwrap();
         assert!(summary.contains("stream mutated 100 ->"), "{summary}");
-        std::fs::remove_file(data).unwrap();
-        std::fs::remove_file(model).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn rejects_network_fault_verbs() {
-        let data = temp_path("data10.txt");
+        let dir = crate::test_dir("rejects_network_fault_verbs");
+        let data = temp_path(&dir, "data10.txt");
         write_samples(&data, 10);
         let err = run(&args(&[
             "--data",
             &data,
             "--out",
-            &temp_path("never5.amf"),
+            &temp_path(&dir, "never5.amf"),
             "--fault-plan",
             "seed=1;drop=0.1;conn-reset=0.05",
         ]))
         .unwrap_err();
         assert!(err.0.contains("conn-reset"), "{}", err.0);
         assert!(err.0.contains("inert in the train context"), "{}", err.0);
-        std::fs::remove_file(data).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn rejects_malformed_fault_plan() {
-        let data = temp_path("data7.txt");
+        let dir = crate::test_dir("rejects_malformed_fault_plan");
+        let data = temp_path(&dir, "data7.txt");
         write_samples(&data, 10);
         let err = run(&args(&[
             "--data",
             &data,
             "--out",
-            &temp_path("never3.amf"),
+            &temp_path(&dir, "never3.amf"),
             "--fault-plan",
             "bogus=1",
         ]));
         assert!(err.is_err());
-        std::fs::remove_file(data).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn hyperparameter_overrides_reach_model() {
-        let data = temp_path("data2.txt");
-        let model = temp_path("model2.amf");
+        let dir = crate::test_dir("hyperparameter_overrides_reach_model");
+        let data = temp_path(&dir, "data2.txt");
+        let model = temp_path(&dir, "model2.amf");
         write_samples(&data, 30);
         run(&args(&[
             "--data",
@@ -296,7 +300,6 @@ mod tests {
         let restored = persistence::load_file(&model).unwrap();
         assert_eq!(restored.config().alpha, 0.5);
         assert_eq!(restored.config().dimension, 4);
-        std::fs::remove_file(data).unwrap();
-        std::fs::remove_file(model).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

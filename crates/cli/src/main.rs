@@ -100,6 +100,17 @@ fn main() {
     }
 }
 
+/// An empty directory of one test's own, `<temp>/amf_cli_<test>_<pid>`, so
+/// neither other tests of this run nor a second test run on the same host
+/// touch its files.
+#[cfg(test)]
+fn test_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("amf_cli_{test}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the test's temp dir");
+    dir
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,8 +170,7 @@ mod tests {
 
     #[test]
     fn generate_then_train_then_predict() {
-        let dir = std::env::temp_dir().join("amf_cli_main_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("generate_then_train_then_predict");
         let data = dir.join("d.txt").to_string_lossy().into_owned();
         let model = dir.join("m.amf").to_string_lossy().into_owned();
 
@@ -207,7 +217,6 @@ mod tests {
         let value: f64 = out.trim().parse().unwrap();
         assert!((0.0..=20.0).contains(&value));
 
-        std::fs::remove_file(data).unwrap();
-        std::fs::remove_file(model).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

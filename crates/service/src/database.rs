@@ -200,17 +200,33 @@ impl QosDatabase {
         }
     }
 
-    /// Records an observation.
+    /// Records an observation: [`QosDatabase::record_batch`] with one
+    /// sample.
     ///
     /// # Panics
     ///
     /// Panics when either id exceeds `u32::MAX` (see [`PairKey::new`]).
     pub fn record(&self, user: usize, service: usize, timestamp: u64, value: f64) {
-        let key = PairKey::new(user, service);
+        self.record_batch(&[(user, service, timestamp, value)]);
+    }
+
+    /// Records `(user, service, timestamp, value)` observations in order,
+    /// under one write lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either id exceeds `u32::MAX` (see [`PairKey::new`]); the
+    /// observations before it stay recorded.
+    pub fn record_batch(&self, observations: &[(usize, usize, u64, f64)]) {
         let mut pairs = self.pairs.write();
-        pairs.sums.add(key, value);
-        if let Some(evicted) = pairs.push(key, Observation { timestamp, value }, self.history_cap) {
-            pairs.sums.remove(key, evicted.value);
+        for &(user, service, timestamp, value) in observations {
+            let key = PairKey::new(user, service);
+            pairs.sums.add(key, value);
+            if let Some(evicted) =
+                pairs.push(key, Observation { timestamp, value }, self.history_cap)
+            {
+                pairs.sums.remove(key, evicted.value);
+            }
         }
     }
 

@@ -385,63 +385,81 @@ impl QosPredictionService {
         self.submit_batch(batch)
     }
 
-    /// Registers a record's identities and screens its value. Returns the
-    /// dense ids plus whether the record was admitted (admitted records are
-    /// logged in the database; rejects are only quarantined).
-    fn admit(&self, record: &QosRecord) -> (usize, usize, bool) {
-        let user = self.users.lock().join(&record.user);
-        let service = self.services.lock().join(&record.service);
-        let admitted = match &self.guard {
-            Some(guard) => guard.lock().admit(user, service, record.value).is_ok(),
-            None => true,
+    /// Names → ids: registers every record's user under one `users` lock,
+    /// then every service under one `services` lock. Each registry issues
+    /// new ids in first-appearance order, as registering the records one by
+    /// one would.
+    fn register_all(&self, records: &[QosRecord]) -> Vec<(usize, usize, u64, f64)> {
+        let mut samples: Vec<_> = {
+            let mut users = self.users.lock();
+            records
+                .iter()
+                .map(|r| (users.join(&r.user), 0, r.timestamp, r.value))
+                .collect()
         };
-        if admitted {
-            self.database
-                .record(user, service, record.timestamp, record.value);
-            self.accepted.inc();
+        let mut services = self.services.lock();
+        for (sample, record) in samples.iter_mut().zip(records) {
+            sample.1 = services.join(&record.service);
         }
-        (user, service, admitted)
+        samples
     }
 
-    /// Input handling + online updating for a whole batch of records.
+    /// Input handling + online updating for a whole batch of records: the
+    /// names → ids stage, then [`QosPredictionService::submit_batch_ids`].
     ///
-    /// Identities are registered and admitted records logged exactly like
-    /// [`QosPredictionService::submit`]. The admitted samples then go to
-    /// [`amf_core::AmfTrainer::feed_batch`] under one trainer lock, on the
-    /// calling thread and in stream order, so the resulting model is
-    /// identical to one-by-one submission and the cost is one SGD step per
-    /// sample whatever the model's size. Returns the number of records
-    /// accepted for training (quarantined records are counted in
-    /// [`ServiceStats::rejected`], not here).
+    /// The result is identical to one-by-one submission, and the cost is
+    /// one SGD step per sample whatever the model's size. Returns the
+    /// number of records accepted for training (quarantined records are
+    /// counted in [`ServiceStats::rejected`], not here).
     pub fn submit_batch(&self, records: Vec<QosRecord>) -> usize {
-        if records.is_empty() {
-            return 0;
-        }
-        let mut samples = Vec::with_capacity(records.len());
-        for record in &records {
-            let (user, service, admitted) = self.admit(record);
-            if admitted {
-                samples.push((user, service, record.timestamp, record.value));
-            }
-        }
-        if samples.is_empty() {
-            return 0;
-        }
-        self.trainer.lock().feed_batch(samples)
+        self.submit_batch_ids(&self.register_all(&records))
     }
 
-    /// Input handling + online updating for one record: registers identities,
-    /// screens the value, stores and applies admitted records.
-    /// Returns the `(user, service)` dense ids (assigned even for
-    /// quarantined records — identity and data quality are independent).
-    pub fn submit(&self, record: QosRecord) -> (usize, usize) {
-        let (user, service, admitted) = self.admit(&record);
-        if admitted {
-            self.trainer
-                .lock()
-                .feed(user, service, record.timestamp, record.value);
+    /// Ids → state: input handling + online updating for
+    /// `(user, service, timestamp, value)` samples whose ids the registries
+    /// already issued (as [`QosPredictionService::join_user`] and
+    /// [`QosPredictionService::join_service`] return them).
+    ///
+    /// Each step takes its lock once per batch: the guard screens every
+    /// sample, the database logs the admitted ones, and
+    /// [`amf_core::AmfTrainer::feed_batch`] trains on them on the calling
+    /// thread and in stream order. Returns the number of samples accepted
+    /// for training.
+    ///
+    /// A sample naming an id at or above its registry's [`Registry::len`]
+    /// is refused: it is not screened, logged, trained on or counted, so no
+    /// caller can make the model or the database grow rows for an entity
+    /// nobody registered.
+    pub fn submit_batch_ids(&self, samples: &[(usize, usize, u64, f64)]) -> usize {
+        let users = self.users.lock().len();
+        let services = self.services.lock().len();
+        let issued = samples
+            .iter()
+            .filter(|&&(user, service, _, _)| user < users && service < services);
+        let mut admitted = Vec::with_capacity(samples.len());
+        match &self.guard {
+            Some(guard) => {
+                let mut guard = guard.lock();
+                admitted.extend(issued.filter(|&&(u, s, _, v)| guard.admit(u, s, v).is_ok()));
+            }
+            None => admitted.extend(issued),
         }
-        (user, service)
+        if admitted.is_empty() {
+            return 0;
+        }
+        self.database.record_batch(&admitted);
+        self.accepted.add(admitted.len() as u64);
+        self.trainer.lock().feed_batch(admitted)
+    }
+
+    /// Input handling + online updating for one record: both stages of
+    /// [`QosPredictionService::submit_batch`] with one record. Returns the
+    /// `(user, service)` dense ids (assigned even for quarantined records —
+    /// identity and data quality are independent).
+    pub fn submit(&self, record: QosRecord) -> (usize, usize) {
+        let sample = self.register_all(std::slice::from_ref(&record));
+        self.submit_batch_ids(&sample);
+        (sample[0].0, sample[0].1)
     }
 
     /// Idle-time refinement: replays live samples until convergence
@@ -884,28 +902,81 @@ mod tests {
 
     #[test]
     fn sharded_batch_ingestion_matches_sequential() {
-        let records: Vec<QosRecord> = (0..120u64)
+        // A dirty stream: NaN, negative and out-of-range records among the
+        // valid ones. Users u6.. are first named in a rejected record and
+        // admitted later; services s8.. are only ever named in rejected ones.
+        let records: Vec<QosRecord> = (0..160u64)
             .map(|k| {
-                record(
-                    &format!("u{}", k % 6),
-                    &format!("s{}", k % 8),
-                    k,
-                    0.4 + (k % 5) as f64 * 0.7,
-                )
+                let user = match k % 10 {
+                    3 | 9 => format!("u{}", 6 + k / 20),
+                    _ => format!("u{}", k % 6),
+                };
+                let service = match k % 10 {
+                    5 => format!("s{}", 8 + k / 50),
+                    _ => format!("s{}", k % 8),
+                };
+                let value = match k % 10 {
+                    3 => f64::NAN,
+                    5 => -1.5,
+                    7 => 1.0e9,
+                    _ => 0.4 + (k % 5) as f64 * 0.7,
+                };
+                record(&user, &service, k, value)
             })
             .collect();
         let seq = QosPredictionService::new(ServiceConfig::default());
-        for r in records.clone() {
-            seq.submit(r);
-        }
+        let ids: Vec<(usize, usize)> = records.iter().map(|r| seq.submit(r.clone())).collect();
         let batched = QosPredictionService::new(ServiceConfig::default());
-        assert_eq!(batched.submit_batch(records), 120);
-        assert_eq!(seq.stats(), batched.stats());
-        for u in 0..6 {
-            for s in 0..8 {
-                assert_eq!(seq.predict_ids(u, s), batched.predict_ids(u, s));
+        assert_eq!(batched.submit_batch(records.clone()), 112);
+        for (r, &(user, service)) in records.iter().zip(&ids) {
+            assert_eq!(batched.users.lock().resolve(&r.user), Some(user));
+            assert_eq!(batched.services.lock().resolve(&r.service), Some(service));
+        }
+        let stats = seq.stats();
+        assert_eq!((stats.users, stats.services, stats.rejected), (14, 12, 48));
+        assert_eq!(stats, batched.stats());
+        assert_eq!(seq.guard_stats(), batched.guard_stats());
+        for u in 0..stats.users {
+            for s in 0..stats.services {
+                assert_eq!(
+                    seq.database().history(u, s),
+                    batched.database().history(u, s)
+                );
+                assert_eq!(
+                    seq.predict_ids(u, s).map(f64::to_bits),
+                    batched.predict_ids(u, s).map(f64::to_bits)
+                );
             }
         }
+    }
+
+    #[test]
+    fn unissued_ids_are_refused() {
+        let svc = QosPredictionService::new(ServiceConfig::default());
+        svc.submit(record("alice", "ws-1", 0, 1.0));
+        let rows = |svc: &QosPredictionService| {
+            let trainer = svc.trainer.lock();
+            (trainer.model().num_users(), trainer.model().num_services())
+        };
+        let (stats, pairs, model_rows) = (svc.stats(), svc.database().pair_count(), rows(&svc));
+        let unissued = [
+            (1, 0, 1, 1.0),
+            (0, 1, 2, 1.0),
+            (usize::MAX, usize::MAX, 3, 1.0),
+        ];
+        assert_eq!(svc.submit_batch_ids(&unissued), 0);
+        assert_eq!(svc.stats(), stats);
+        assert_eq!(svc.database().pair_count(), pairs);
+        assert_eq!(rows(&svc), model_rows);
+        assert_eq!(
+            svc.guard_stats().unwrap().seen(),
+            1,
+            "refused, not screened"
+        );
+        // Issued ids in the same batch still go through.
+        assert_eq!(svc.submit_batch_ids(&[(0, 0, 4, 1.1), (1, 0, 5, 1.0)]), 1);
+        assert_eq!(svc.stats().accepted, 2);
+        assert_eq!(rows(&svc), model_rows);
     }
 
     #[test]

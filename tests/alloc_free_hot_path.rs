@@ -1,17 +1,18 @@
-//! Allocation accounting for the two ingestion hot paths.
+//! Allocation accounting for the ingestion hot paths.
 //!
 //! The contiguous-slab refactor promises that steady-state training does not
 //! touch the heap: the sequential `observe` path performs *zero* allocations
 //! per sample, and so does `AmfTrainer::feed_batch` — the serving plane's
-//! ingest path — once every pair in the stream is already stored. This suite
-//! pins both properties with a counting global allocator.
+//! ingest path — once every pair in the stream is already stored. The
+//! service's id stage (`QosPredictionService::submit_batch_ids`) allocates
+//! per batch, never per sample. This suite pins these properties with a
+//! counting global allocator.
 //!
 //! It lives in its own integration-test binary (own process) so the
-//! `#[global_allocator]` cannot interfere with any other suite, and runs
-//! both measurements from a single `#[test]` so no concurrent test thread
-//! pollutes the counter. The counter is *thread-scoped* (a const-initialized
-//! TLS flag gates it), because the property under test is "the measuring
-//! thread performs zero allocations". A process-global counter is not usable
+//! `#[global_allocator]` cannot interfere with any other suite. The counter
+//! is *thread-scoped* (const-initialized TLS), because the property under
+//! test is "the measuring thread performs zero allocations", and so the
+//! tests here can run in parallel threads. A process-global counter is not usable
 //! here: while the test thread runs, the libtest harness's main thread
 //! blocks in `mpsc::Receiver::recv`, and std's mpmc channel lazily allocates
 //! its per-thread parking `Context` the first time a thread blocks — two
@@ -19,24 +20,24 @@
 //! it on others.
 
 use amf_core::{AmfConfig, AmfModel, AmfTrainer};
+use qos_service::{QosPredictionService, ServiceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAllocator;
-
-static THREAD_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Set only on the measuring thread while it measures. Const
     /// initialization keeps the TLS access itself allocation-free, and
     /// `try_with` keeps the allocator safe during thread teardown.
     static COUNT_THIS_THREAD: Cell<bool> = const { Cell::new(false) };
+    /// Allocations counted on this thread.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(delta: u64) {
     if COUNT_THIS_THREAD.try_with(Cell::get).unwrap_or(false) {
-        THREAD_ALLOCATIONS.fetch_add(delta, Ordering::Relaxed);
+        let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + delta));
     }
 }
 
@@ -62,9 +63,9 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Allocations the calling thread makes while running `f`.
 fn thread_allocations(f: impl FnOnce()) -> u64 {
     COUNT_THIS_THREAD.with(|flag| flag.set(true));
-    let before = THREAD_ALLOCATIONS.load(Ordering::Relaxed);
+    let before = THREAD_ALLOCATIONS.with(Cell::get);
     f();
-    let allocs = THREAD_ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocs = THREAD_ALLOCATIONS.with(Cell::get) - before;
     COUNT_THIS_THREAD.with(|flag| flag.set(false));
     allocs
 }
@@ -144,4 +145,50 @@ fn hot_paths_do_not_allocate_per_sample() {
          steady-state batch ingestion must stay off the heap"
     );
     assert_eq!(trainer.model().update_count(), (3 * SAMPLES + 1000) as u64);
+}
+
+#[test]
+fn service_id_stage_allocates_per_batch_not_per_sample() {
+    const USERS: usize = 8;
+    const SERVICES: usize = 32;
+
+    let service = QosPredictionService::new(ServiceConfig::default());
+    for u in 0..USERS {
+        service.join_user(&format!("user-{u}"));
+    }
+    for s in 0..SERVICES {
+        service.join_service(&format!("svc-{s}"));
+    }
+    // Every pair in serve's steady state: each holds `history_cap`
+    // observations, so a new one evicts the oldest, and the model and the
+    // observation store already know it.
+    let pairs = USERS * SERVICES;
+    let sample = |t: usize| {
+        let pair = t % pairs;
+        let value = 0.5 + (t % 7) as f64 * 0.25;
+        (pair / SERVICES, pair % SERVICES, t as u64, value)
+    };
+    let cap = service.config().history_cap;
+    let warm: Vec<_> = (0..pairs * (cap + 1)).map(sample).collect();
+    for batch in warm.chunks(256) {
+        service.submit_batch_ids(batch);
+    }
+    assert_eq!(service.database().observation_count(), pairs * cap);
+
+    let mut t = warm.len();
+    let mut allocations = |n: usize| {
+        let batch: Vec<_> = (t..t + n).map(sample).collect();
+        t += n;
+        let mut accepted = 0;
+        let allocs = thread_allocations(|| accepted = service.submit_batch_ids(&batch));
+        assert_eq!(accepted, n);
+        allocs
+    };
+    let (small, large) = (allocations(16), allocations(256));
+    assert_eq!(
+        small, large,
+        "submit_batch_ids allocated {small} times for 16 samples and {large} for 256; \
+         the id stage must allocate per batch, not per sample"
+    );
+    assert_eq!(service.database().observation_count(), pairs * cap);
 }
