@@ -9,10 +9,11 @@
 //! are benchmarked by `servebench/`, which times open-loop requests from
 //! their due time; this command checks the plane under faults.
 //!
-//! Transports: the baseline opens one connection per request; with
-//! `--keep-alive` a second clean pass runs over persistent connections
-//! (`--conns N` workers, optional `--pipeline D` requests per write) and
-//! the report gains a `comparison` block quantifying the reuse win.
+//! Transports: every pass runs `--concurrency` workers, each with one
+//! client. The baseline pass sends `Connection: close` on every request;
+//! with `--keep-alive` a second clean pass reuses one connection per worker
+//! (optional `--pipeline D` requests per write) and the report gains a
+//! `comparison` block quantifying the reuse win.
 //!
 //! Without `--fault-plan` the clean pass(es) run; with it, a faulted pass
 //! runs back-to-back (over the keep-alive transport when enabled, so the
@@ -37,7 +38,7 @@ use std::time::Duration;
 
 /// Usage text for the subcommand.
 pub const USAGE: &str = "amf-qos loadtest (--addr HOST:PORT | --addr-file PATH) \
-[--requests N] [--concurrency N] [--keep-alive] [--conns N] [--pipeline D] \
+[--requests N] [--concurrency N] [--keep-alive] [--pipeline D] \
 [--fault-plan SPEC] [--seed S] [--timeout-ms MS] [--retries N] [--deadline-ms MS] \
 [--batch N] [--out PATH] [--quick]";
 
@@ -57,11 +58,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let retries: u32 = args.parse_or("retries", 2)?;
     let batch: usize = args.parse_or("batch", 8)?;
     let keep_alive = args.switch("keep-alive");
-    let conns: usize = args.parse_or("conns", concurrency)?;
     let pipeline: usize = args.parse_or("pipeline", 1)?;
-    if conns == 0 {
-        return Err(CliError("--conns must be at least 1".into()));
-    }
     let deadline_ms: Option<u64> = match args.get("deadline-ms") {
         Some(raw) => Some(
             raw.parse()
@@ -93,21 +90,18 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             request_timeout: Duration::from_millis(timeout_ms.max(1)),
             max_retries: retries,
             deadline_ms,
-            ..ClientConfig::default()
         },
         batch,
-        ..LoadConfig::default()
+        keep_alive: false,
+        pipeline,
     };
 
     let probe_client = base.client;
     let mut runs: Vec<LoadReport> = Vec::new();
     runs.push(LoadRunner::new(base.clone()).run(addr, "clean"));
     if keep_alive {
-        // One worker per persistent connection.
         let reused = LoadConfig {
-            concurrency: conns,
             keep_alive: true,
-            pipeline,
             ..base.clone()
         };
         runs.push(LoadRunner::new(reused).run(addr, "clean-keepalive"));
@@ -117,9 +111,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         // exactly the keep-alive path worth measuring under faults.
         let faulted = LoadConfig {
             fault_plan: Some(plan),
-            concurrency: if keep_alive { conns } else { concurrency },
             keep_alive,
-            pipeline: if keep_alive { pipeline } else { 1 },
             ..base
         };
         runs.push(LoadRunner::new(faulted).run(addr, "faulted"));
@@ -128,7 +120,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     // a manual dump is forced (no cooldown), so a `--flight-log` server
     // persists the window this harness just disturbed.
     let flight_dumped = runs.iter().any(|r| r.label == "faulted") && {
-        let mut probe = ServeClient::new(addr, probe_client, seed ^ 0x51EF);
+        let mut probe = ServeClient::new(addr, probe_client, false, seed ^ 0x51EF);
         probe
             .request("POST", "/debug/dump", "", None, false)
             .map(|r| r.status == 200)
@@ -308,10 +300,7 @@ mod tests {
     }
 
     fn live_plane() -> ServePlane {
-        let service = Arc::new(QosPredictionService::new(ServiceConfig {
-            input_queue_capacity: 4096,
-            ..ServiceConfig::default()
-        }));
+        let service = Arc::new(QosPredictionService::new(ServiceConfig::default()));
         ServePlane::start("127.0.0.1:0", service, ServeConfig::default()).expect("bind")
     }
 
@@ -389,8 +378,6 @@ mod tests {
             "--concurrency",
             "3",
             "--keep-alive",
-            "--conns",
-            "3",
             "--pipeline",
             "4",
             "--timeout-ms",

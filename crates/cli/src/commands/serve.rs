@@ -1,18 +1,14 @@
 //! `amf-qos serve` — run the hardened serving plane over the prediction
 //! service.
 //!
-//! Earlier revisions only exposed the observability routes; this command
-//! now boots a full [`qos_serve::ServePlane`]: `POST /v1/observe`,
-//! `/v1/predict`, `/v1/rank` (newline-delimited JSON bodies, per-request
-//! deadlines via `x-amf-deadline-ms`, two-level admission control) next to
+//! Boots a [`qos_serve::ServePlane`]: `POST /v1/observe`, `/v1/predict`,
+//! `/v1/rank` (newline-delimited JSON bodies, per-request deadlines via
+//! `x-amf-deadline-ms`, two-level admission control) next to
 //! `GET /metrics`, `/healthz`, and `/snapshot.json` — one listener, one
 //! graceful drain path. An optional seeded (or file-fed) workload warms
 //! the model before the port is published, and a
 //! [`qos_obs::SnapshotRecorder`] can append `amf-obs-ts/v1` interval
 //! snapshots for `amf-qos report`.
-//!
-//! `--metrics-addr` is kept as an alias of `--listen` for pre-plane
-//! supervisors and CI jobs.
 
 use super::CliError;
 use crate::args::Args;
@@ -24,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Usage text for the subcommand.
-pub const USAGE: &str = "amf-qos serve [--listen HOST:PORT | --metrics-addr HOST:PORT] \
+pub const USAGE: &str = "amf-qos serve [--listen HOST:PORT] \
 [--addr-file PATH] [--workers N] [--max-pending N] [--deadline-ms MS] \
 [--io-timeout-ms MS] [--max-body-bytes N] [--max-conns N] \
 [--max-requests-per-conn N] [--idle-timeout-ms MS] [--samples N] [--seed S] \
@@ -51,12 +47,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let max_connections: usize = args.parse_or("max-conns", 256)?;
     let max_requests_per_conn: u64 = args.parse_or("max-requests-per-conn", 1024)?;
     let idle_timeout_ms: u64 = args.parse_or("idle-timeout-ms", 30_000)?;
-    // `--metrics-addr` predates the serving plane; both spell the one
-    // listener that now carries every route.
-    let listen = args
-        .get("listen")
-        .or_else(|| args.get("metrics-addr"))
-        .unwrap_or("127.0.0.1:0");
+    let listen = args.get("listen").unwrap_or("127.0.0.1:0");
     if workers == 0 {
         return Err(CliError("--workers must be at least 1".into()));
     }
@@ -78,10 +69,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     // waits on --addr-file sees a plane that already answers above the
     // bottom of the fallback ladder.
     let fed = feed_workload(&service, args, samples, seed)?;
-    for u in 0..16 {
-        let _ = service.predict(&format!("user-{u}"), &format!("svc-{}", u % 32));
-        let _ = service.rank_candidates(&format!("user-{u}"), 5);
-    }
 
     // Black-box flight recorder: panic / drift / SLO-burst / manual dumps
     // land in this JSONL file (readable with `amf-qos trace`).

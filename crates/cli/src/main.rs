@@ -158,6 +158,25 @@ mod tests {
             );
             assert!(err.0.contains("usage: amf-qos train"), "{}", err.0);
         }
+        // `serve --metrics-addr` was an alias of `--listen`; `loadtest
+        // --conns` set the keep-alive worker count, which `--concurrency`
+        // now sets for every pass.
+        for (command, flag, value) in [
+            ("serve", "--metrics-addr", "127.0.0.1:0"),
+            ("loadtest", "--conns", "4"),
+        ] {
+            let err = dispatch(&parse(&[command, flag, value])).unwrap_err();
+            assert!(
+                err.0.starts_with(&format!("unknown flag {flag}\n")),
+                "{}",
+                err.0
+            );
+            assert!(
+                err.0.contains(&format!("usage: amf-qos {command}")),
+                "{}",
+                err.0
+            );
+        }
         let err = dispatch(&parse(&["stats", "--verbose"])).unwrap_err();
         assert!(err.0.contains("unknown flag --verbose"), "{}", err.0);
     }

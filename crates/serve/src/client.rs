@@ -2,6 +2,13 @@
 //! bounded retry with exponential backoff + jitter, and client-side
 //! network-fault injection.
 //!
+//! One type, [`ServeClient`], serves both transports. A keep-alive client
+//! holds one socket across requests; a per-conn client sends
+//! `Connection: close` on every request, so the server closes after each
+//! answer and the next request dials again. Either way responses are
+//! framed by `Content-Length`, and every dial is counted
+//! ([`ServeClient::connects`] / [`ServeClient::reuses`]).
+//!
 //! Fault injection happens *here*, on the client, because the point of the
 //! harness is to measure how the **server** behaves when the network
 //! misbehaves — std-only sockets cannot force an RST (`SO_LINGER` is
@@ -13,9 +20,9 @@
 //! * [`NetFault::SlowRead`] — trickle the request a few bytes at a time
 //!   with sleeps (a classic slowloris-shaped client); the request
 //!   eventually completes and must still be answered correctly.
-//! * [`NetFault::Blackhole`] — connect, send nothing, and hold the socket
-//!   open until the client's own timeout; the server's read deadline must
-//!   reap the connection.
+//! * [`NetFault::Blackhole`] — send nothing and hold the socket open until
+//!   the client's own timeout; the server's read deadline must reap the
+//!   connection.
 //!
 //! Retries obey the retry-safety table in DESIGN.md §14: only idempotent
 //! requests (`predict`, `rank`, `GET`s) may be retried; `observe` mutates
@@ -29,17 +36,19 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+/// TCP connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Base backoff: retry `n` sleeps `BACKOFF_BASE * 2^(n-1)` plus jitter.
+const BACKOFF_BASE: Duration = Duration::from_millis(25);
+
 /// Client-side configuration for the load harness.
 #[derive(Debug, Clone, Copy)]
 pub struct ClientConfig {
-    /// TCP connect timeout.
-    pub connect_timeout: Duration,
     /// Socket read/write timeout per request.
     pub request_timeout: Duration,
     /// Retry attempts *beyond* the first, for idempotent requests only.
     pub max_retries: u32,
-    /// Base backoff; attempt `n` sleeps `base * 2^n` plus jitter.
-    pub backoff_base: Duration,
     /// Optional deadline propagated as `x-amf-deadline-ms`.
     pub deadline_ms: Option<u64>,
 }
@@ -47,10 +56,8 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         Self {
-            connect_timeout: Duration::from_secs(1),
             request_timeout: Duration::from_secs(2),
             max_retries: 2,
-            backoff_base: Duration::from_millis(25),
             deadline_ms: None,
         }
     }
@@ -70,19 +77,6 @@ pub struct HttpResponse {
     pub trace_id: String,
     /// Raw `x-amf-stage-us` breakdown from the server (empty when absent).
     pub stage_us: String,
-}
-
-impl HttpResponse {
-    /// Whether the status is 2xx.
-    pub fn is_ok(&self) -> bool {
-        (200..300).contains(&self.status)
-    }
-
-    /// Sum of the server-reported stage breakdown in µs (`None` when the
-    /// response carried no parsable `x-amf-stage-us` header).
-    pub fn stage_total_us(&self) -> Option<u64> {
-        qos_obs::StageClock::parse_header_us(&self.stage_us).map(|us| us.iter().sum())
-    }
 }
 
 /// Transport-level failure after all permitted attempts.
@@ -116,25 +110,53 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// One connection-per-request HTTP/1.1 client with fault injection and
-/// idempotent-only retry. Each load-generator thread owns one (the jitter
-/// RNG state makes it `&mut self`).
+/// HTTP/1.1 client with fault injection and idempotent-only retry. Each
+/// load-generator thread owns one (the jitter RNG state and the open
+/// socket make it `&mut self`).
+///
+/// A keep-alive client reuses its socket until the server closes it
+/// (`Connection: close`, max-requests budget, idle reap) and then dials
+/// again transparently; bytes read past one response stay buffered for the
+/// next. A per-conn client asks the server to close after every response.
+/// A failed exchange always drops the connection — a half-read socket
+/// cannot be trusted for framing.
 #[derive(Debug)]
 pub struct ServeClient {
     addr: SocketAddr,
     config: ClientConfig,
+    keep_alive: bool,
+    stream: Option<TcpStream>,
+    buf: Vec<u8>,
+    connects: u64,
+    requests_sent: u64,
     rng: u64,
 }
 
 impl ServeClient {
-    /// Creates a client for `addr`; `seed` derives backoff jitter (two
-    /// clients with the same seed behave identically).
-    pub fn new(addr: SocketAddr, config: ClientConfig, seed: u64) -> Self {
+    /// Creates a client for `addr`: `keep_alive` reuses one connection,
+    /// otherwise every request sends `Connection: close`. `seed` derives
+    /// backoff jitter (two clients with the same seed behave identically).
+    pub fn new(addr: SocketAddr, config: ClientConfig, keep_alive: bool, seed: u64) -> Self {
         Self {
             addr,
             config,
+            keep_alive,
+            stream: None,
+            buf: Vec::new(),
+            connects: 0,
+            requests_sent: 0,
             rng: seed | 1,
         }
+    }
+
+    /// TCP connections opened so far, reconnects and retries included.
+    pub fn connects(&self) -> u64 {
+        self.connects
+    }
+
+    /// Requests sent on an already-open connection (always 0 per-conn).
+    pub fn reuses(&self) -> u64 {
+        self.requests_sent.saturating_sub(self.connects)
     }
 
     /// Issues `method path` with `body`, injecting `fault` on the first
@@ -183,179 +205,11 @@ impl ServeClient {
         Err(last_err.unwrap_or(ClientError::Faulted(fault.unwrap_or(NetFault::ConnReset))))
     }
 
-    fn attempt(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &str,
-        fault: Option<NetFault>,
-    ) -> Result<HttpResponse, ClientError> {
-        let mut stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
-            .map_err(ClientError::Connect)?;
-        stream
-            .set_read_timeout(Some(self.config.request_timeout))
-            .map_err(ClientError::Io)?;
-        stream
-            .set_write_timeout(Some(self.config.request_timeout))
-            .map_err(ClientError::Io)?;
-
-        let deadline_header = match self.config.deadline_ms {
-            Some(ms) => format!("x-amf-deadline-ms: {ms}\r\n"),
-            None => String::new(),
-        };
-        let raw = format!(
-            "{method} {path} HTTP/1.1\r\nHost: amf\r\nContent-Length: {}\r\n\
-             {deadline_header}Connection: close\r\n\r\n{body}",
-            body.len()
-        );
-        let raw = raw.as_bytes();
-
-        match fault {
-            Some(NetFault::ConnReset) => {
-                // Early FIN mid-request: send roughly half the head, then
-                // close without shutdown ceremony.
-                let cut = (raw.len() / 2).max(1).min(raw.len().saturating_sub(1));
-                let _ = stream.write_all(&raw[..cut]);
-                drop(stream);
-                return Err(ClientError::Faulted(NetFault::ConnReset));
-            }
-            Some(NetFault::Blackhole) => {
-                // Hold the connection silent until our own deadline; the
-                // server's read timeout must reap it on its side.
-                let mut sink = [0u8; 16];
-                let _ = stream.read(&mut sink);
-                drop(stream);
-                return Err(ClientError::Faulted(NetFault::Blackhole));
-            }
-            Some(NetFault::SlowRead) => {
-                // Byte-trickle: the request arrives, eventually. Chunks are
-                // sized so the total added delay stays ~tens of ms.
-                for chunk in raw.chunks(8.max(raw.len() / 64)) {
-                    stream.write_all(chunk).map_err(map_io)?;
-                    stream.flush().map_err(map_io)?;
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-            None => {
-                stream.write_all(raw).map_err(map_io)?;
-            }
-        }
-        stream.flush().map_err(map_io)?;
-        let _ = stream.shutdown(std::net::Shutdown::Write);
-
-        let mut response = Vec::new();
-        stream.read_to_end(&mut response).map_err(map_io)?;
-        parse_response(&response)
-    }
-
-    fn backoff(&mut self, attempt: u32) {
-        backoff_sleep(&mut self.rng, self.config.backoff_base, attempt);
-    }
-}
-
-/// Exponential backoff with deterministic jitter: `base * 2^(n-1)` plus
-/// up to 50% extra, so synchronized clients de-correlate their retries.
-fn backoff_sleep(rng: &mut u64, base: Duration, attempt: u32) {
-    let base = base.as_micros() as u64;
-    let exp = base.saturating_mul(1u64 << (attempt - 1).min(16));
-    // xorshift64* step for the jitter roll.
-    *rng ^= *rng << 13;
-    *rng ^= *rng >> 7;
-    *rng ^= *rng << 17;
-    let jitter = *rng % (exp / 2).max(1);
-    std::thread::sleep(Duration::from_micros(exp + jitter));
-}
-
-/// Persistent-connection HTTP/1.1 client (PR 8): requests ride one
-/// keep-alive socket, responses are framed by `Content-Length` (leftover
-/// bytes stay buffered for the next response), and the connection is
-/// re-established transparently when the server closes it (`Connection:
-/// close`, max-requests budget, idle reap). Connection-reuse accounting
-/// ([`KeepAliveClient::connects`] / [`KeepAliveClient::reuses`]) feeds the
-/// loadtest report's `connects` and `conn_reuses` fields.
-///
-/// Retry semantics match [`ServeClient`]: idempotent requests only, faults
-/// hit the first attempt, 503 is retryable. A failed exchange always drops
-/// the connection — a half-read socket cannot be trusted for framing.
-#[derive(Debug)]
-pub struct KeepAliveClient {
-    addr: SocketAddr,
-    config: ClientConfig,
-    stream: Option<TcpStream>,
-    buf: Vec<u8>,
-    connects: u64,
-    requests_sent: u64,
-    rng: u64,
-}
-
-impl KeepAliveClient {
-    /// Creates a client for `addr`; `seed` derives backoff jitter.
-    pub fn new(addr: SocketAddr, config: ClientConfig, seed: u64) -> Self {
-        Self {
-            addr,
-            config,
-            stream: None,
-            buf: Vec::new(),
-            connects: 0,
-            requests_sent: 0,
-            rng: seed | 1,
-        }
-    }
-
-    /// TCP connections opened so far.
-    pub fn connects(&self) -> u64 {
-        self.connects
-    }
-
-    /// Requests that reused an already-open connection.
-    pub fn reuses(&self) -> u64 {
-        self.requests_sent.saturating_sub(self.connects)
-    }
-
-    /// Issues `method path` with `body` over the persistent connection.
-    /// Same contract as [`ServeClient::request`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the last transport failure once attempts are exhausted.
-    pub fn request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &str,
-        fault: Option<NetFault>,
-        idempotent: bool,
-    ) -> Result<HttpResponse, ClientError> {
-        let attempts = if idempotent {
-            1 + self.config.max_retries
-        } else {
-            1
-        };
-        let mut last_err = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                backoff_sleep(&mut self.rng, self.config.backoff_base, attempt);
-            }
-            let injected = if attempt == 0 { fault } else { None };
-            match self.attempt(method, path, body, injected) {
-                Ok(mut response) => {
-                    if response.status == 503 && attempt + 1 < attempts {
-                        last_err = None;
-                        continue;
-                    }
-                    response.retries = attempt;
-                    return Ok(response);
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.unwrap_or(ClientError::Faulted(fault.unwrap_or(NetFault::ConnReset))))
-    }
-
     /// Writes `requests` back-to-back (HTTP pipelining) and reads the
     /// responses in order. Clean path only — no fault injection or retry;
     /// any transport failure drops the connection and surfaces as the
-    /// error for the whole batch.
+    /// error for the whole batch. Only a keep-alive client can pipeline:
+    /// a per-conn server closes after the first response.
     ///
     /// # Errors
     ///
@@ -367,50 +221,33 @@ impl KeepAliveClient {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        self.ensure_connected()?;
-        let Some(mut stream) = self.stream.take() else {
-            return Err(ClientError::Protocol("no connection"));
-        };
+        let mut stream = self.open_stream()?;
         let mut raw = Vec::new();
         for (method, path, body) in requests {
             raw.extend_from_slice(self.render_request(method, path, body).as_bytes());
         }
         self.requests_sent += requests.len() as u64;
-        if let Err(e) = stream.write_all(&raw).and_then(|()| stream.flush()) {
-            self.buf.clear();
-            return Err(map_io(e));
-        }
+        stream.write_all(&raw).map_err(map_io)?;
         let mut responses = Vec::with_capacity(requests.len());
         let mut closed = false;
         for _ in requests {
             if closed {
-                self.buf.clear();
                 return Err(ClientError::Protocol("connection closed mid-pipeline"));
             }
-            match read_framed_response(&mut stream, &mut self.buf) {
-                Ok((response, close)) => {
-                    closed = close;
-                    responses.push(response);
-                }
-                Err(e) => {
-                    self.buf.clear();
-                    return Err(e);
-                }
-            }
+            let (response, close) = read_response(&mut stream, &mut self.buf)?;
+            closed = close;
+            responses.push(response);
         }
-        if !closed {
-            self.stream = Some(stream);
-        } else {
-            self.buf.clear();
-        }
+        self.keep(stream, closed);
         Ok(responses)
     }
 
-    fn ensure_connected(&mut self) -> Result<(), ClientError> {
-        if self.stream.is_some() {
-            return Ok(());
+    /// The open keep-alive socket, or a freshly dialled one.
+    fn open_stream(&mut self) -> Result<TcpStream, ClientError> {
+        if let Some(stream) = self.stream.take() {
+            return Ok(stream);
         }
-        let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)
+        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)
             .map_err(ClientError::Connect)?;
         stream
             .set_read_timeout(Some(self.config.request_timeout))
@@ -421,8 +258,14 @@ impl KeepAliveClient {
         let _ = stream.set_nodelay(true);
         self.connects += 1;
         self.buf.clear();
-        self.stream = Some(stream);
-        Ok(())
+        Ok(stream)
+    }
+
+    /// Keeps `stream` for the next request unless either side closes it.
+    fn keep(&mut self, stream: TcpStream, server_closed: bool) {
+        if self.keep_alive && !server_closed {
+            self.stream = Some(stream);
+        }
     }
 
     fn render_request(&self, method: &str, path: &str, body: &str) -> String {
@@ -430,13 +273,19 @@ impl KeepAliveClient {
             Some(ms) => format!("x-amf-deadline-ms: {ms}\r\n"),
             None => String::new(),
         };
+        let connection = if self.keep_alive {
+            ""
+        } else {
+            "Connection: close\r\n"
+        };
         format!(
             "{method} {path} HTTP/1.1\r\nHost: amf\r\nContent-Length: {}\r\n\
-             {deadline_header}\r\n{body}",
+             {deadline_header}{connection}\r\n{body}",
             body.len()
         )
     }
 
+    /// One exchange. Every early return drops `stream`, closing the socket.
     fn attempt(
         &mut self,
         method: &str,
@@ -444,70 +293,63 @@ impl KeepAliveClient {
         body: &str,
         fault: Option<NetFault>,
     ) -> Result<HttpResponse, ClientError> {
-        self.ensure_connected()?;
-        let Some(mut stream) = self.stream.take() else {
-            return Err(ClientError::Protocol("no connection"));
-        };
+        let mut stream = self.open_stream()?;
         self.requests_sent += 1;
         let raw = self.render_request(method, path, body);
         let raw = raw.as_bytes();
 
         match fault {
             Some(NetFault::ConnReset) => {
-                // Early FIN mid-request on a (possibly reused) keep-alive
-                // connection — the server must 400-and-close without
-                // poisoning other connections.
+                // Early FIN mid-request, possibly on a reused connection:
+                // send roughly half the head, then close without shutdown
+                // ceremony. The server must 400-and-close without poisoning
+                // other connections.
                 let cut = (raw.len() / 2).max(1).min(raw.len().saturating_sub(1));
                 let _ = stream.write_all(&raw[..cut]);
-                drop(stream);
-                self.buf.clear();
                 return Err(ClientError::Faulted(NetFault::ConnReset));
             }
             Some(NetFault::Blackhole) => {
+                // Hold the connection silent until our own deadline; the
+                // server's read timeout must reap it on its side.
                 let mut sink = [0u8; 16];
                 let _ = stream.read(&mut sink);
-                drop(stream);
-                self.buf.clear();
                 return Err(ClientError::Faulted(NetFault::Blackhole));
             }
             Some(NetFault::SlowRead) => {
+                // Byte-trickle: the request arrives, eventually. Chunks are
+                // sized so the total added delay stays ~tens of ms.
                 for chunk in raw.chunks(8.max(raw.len() / 64)) {
-                    if let Err(e) = stream.write_all(chunk).and_then(|()| stream.flush()) {
-                        self.buf.clear();
-                        return Err(map_io(e));
-                    }
+                    stream.write_all(chunk).map_err(map_io)?;
                     std::thread::sleep(Duration::from_millis(1));
                 }
             }
-            None => {
-                if let Err(e) = stream.write_all(raw).and_then(|()| stream.flush()) {
-                    self.buf.clear();
-                    return Err(map_io(e));
-                }
-            }
+            None => stream.write_all(raw).map_err(map_io)?,
         }
 
-        match read_framed_response(&mut stream, &mut self.buf) {
-            Ok((response, close)) => {
-                if !close {
-                    self.stream = Some(stream);
-                } else {
-                    self.buf.clear();
-                }
-                Ok(response)
-            }
-            Err(e) => {
-                self.buf.clear();
-                Err(e)
-            }
-        }
+        let (response, close) = read_response(&mut stream, &mut self.buf)?;
+        self.keep(stream, close);
+        Ok(response)
+    }
+
+    /// Exponential backoff with deterministic jitter: `base * 2^(n-1)` plus
+    /// up to 50% extra, so synchronized clients de-correlate their retries.
+    fn backoff(&mut self, attempt: u32) {
+        let base = BACKOFF_BASE.as_micros() as u64;
+        let exp = base.saturating_mul(1u64 << (attempt - 1).min(16));
+        // xorshift64* step for the jitter roll.
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        let jitter = self.rng % (exp / 2).max(1);
+        std::thread::sleep(Duration::from_micros(exp + jitter));
     }
 }
 
-/// Reads exactly one `Content-Length`-framed response; bytes beyond it
-/// stay in `buf` for the next response. Returns the response and whether
-/// the server announced `Connection: close`.
-fn read_framed_response(
+/// Reads exactly one `Content-Length`-framed response (a missing header
+/// means an empty body); bytes beyond it stay in `buf` for the next
+/// response. Returns the response and whether the server announced
+/// `Connection: close`.
+fn read_response(
     stream: &mut TcpStream,
     buf: &mut Vec<u8>,
 ) -> Result<(HttpResponse, bool), ClientError> {
@@ -584,40 +426,6 @@ fn map_io(e: std::io::Error) -> ClientError {
     }
 }
 
-fn parse_response(raw: &[u8]) -> Result<HttpResponse, ClientError> {
-    if raw.is_empty() {
-        return Err(ClientError::Protocol("empty response"));
-    }
-    let text = String::from_utf8_lossy(raw);
-    let Some((head, body)) = text.split_once("\r\n\r\n") else {
-        return Err(ClientError::Protocol("no header/body separator"));
-    };
-    let mut parts = head.split_whitespace();
-    let version = parts.next().unwrap_or("");
-    if !version.starts_with("HTTP/") {
-        return Err(ClientError::Protocol("missing HTTP version"));
-    }
-    let status = parts
-        .next()
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or(ClientError::Protocol("unparsable status code"))?;
-    let header_value = |name: &str| {
-        head.split("\r\n").skip(1).find_map(|line| {
-            let (n, v) = line.split_once(':')?;
-            n.trim()
-                .eq_ignore_ascii_case(name)
-                .then(|| v.trim().to_string())
-        })
-    };
-    Ok(HttpResponse {
-        status,
-        body: body.to_string(),
-        retries: 0,
-        trace_id: header_value("x-amf-trace-id").unwrap_or_default(),
-        stage_us: header_value("x-amf-stage-us").unwrap_or_default(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,10 +452,15 @@ mod tests {
         addr
     }
 
+    /// A per-conn client, the transport the canned server speaks.
+    fn per_conn(addr: SocketAddr, config: ClientConfig) -> ServeClient {
+        ServeClient::new(addr, config, false, 7)
+    }
+
     #[test]
     fn parses_a_plain_response() {
         let addr = canned_server(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi", 1);
-        let mut client = ServeClient::new(addr, ClientConfig::default(), 7);
+        let mut client = per_conn(addr, ClientConfig::default());
         let response = client.request("GET", "/healthz", "", None, true).unwrap();
         assert_eq!(response.status, 200);
         assert_eq!(response.body, "hi");
@@ -657,7 +470,7 @@ mod tests {
     #[test]
     fn conn_reset_fault_fails_non_idempotent_without_retry() {
         let addr = canned_server(b"HTTP/1.1 200 OK\r\n\r\n", 4);
-        let mut client = ServeClient::new(addr, ClientConfig::default(), 7);
+        let mut client = per_conn(addr, ClientConfig::default());
         let err = client
             .request(
                 "POST",
@@ -673,7 +486,7 @@ mod tests {
     #[test]
     fn idempotent_request_retries_through_a_fault() {
         let addr = canned_server(b"HTTP/1.1 200 OK\r\n\r\nok", 4);
-        let mut client = ServeClient::new(addr, ClientConfig::default(), 7);
+        let mut client = per_conn(addr, ClientConfig::default());
         let response = client
             .request("POST", "/v1/predict", "{}", Some(NetFault::ConnReset), true)
             .unwrap();
@@ -684,14 +497,13 @@ mod tests {
     #[test]
     fn blackhole_is_reaped_by_client_timeout() {
         let addr = canned_server(b"HTTP/1.1 200 OK\r\n\r\n", 1);
-        let mut client = ServeClient::new(
+        let mut client = per_conn(
             addr,
             ClientConfig {
                 request_timeout: Duration::from_millis(100),
                 max_retries: 0,
                 ..ClientConfig::default()
             },
-            7,
         );
         let started = std::time::Instant::now();
         let err = client
@@ -716,7 +528,7 @@ mod tests {
     #[test]
     fn keep_alive_client_reuses_the_connection() {
         let plane = live_plane();
-        let mut client = KeepAliveClient::new(plane.local_addr(), ClientConfig::default(), 7);
+        let mut client = ServeClient::new(plane.local_addr(), ClientConfig::default(), true, 7);
         for round in 0..5 {
             let response = client.request("GET", "/healthz", "", None, true).unwrap();
             assert_eq!(response.status, 200, "round {round}");
@@ -729,9 +541,54 @@ mod tests {
     }
 
     #[test]
+    fn per_conn_client_dials_once_per_request() {
+        const N: u64 = 5;
+        let plane = live_plane();
+        let mut client = per_conn(plane.local_addr(), ClientConfig::default());
+        for round in 0..N {
+            let response = client.request("GET", "/healthz", "", None, true).unwrap();
+            assert_eq!(response.status, 200, "round {round}");
+        }
+        assert_eq!(client.connects(), N, "one dial per request");
+        assert_eq!(client.reuses(), 0);
+        let stats = plane.stop();
+        assert_eq!(stats.accepted, N, "the plane closed after every answer");
+        assert_eq!(stats.ok, N);
+    }
+
+    #[test]
+    fn only_per_conn_requests_carry_connection_close() {
+        for keep_alive in [false, true] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let server = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut head = Vec::new();
+                let mut byte = [0u8; 1];
+                while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap() == 1 {
+                    head.push(byte[0]);
+                }
+                stream
+                    .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
+                    .unwrap();
+                String::from_utf8(head).unwrap()
+            });
+            let mut client = ServeClient::new(addr, ClientConfig::default(), keep_alive, 7);
+            let response = client.request("GET", "/healthz", "", None, true).unwrap();
+            assert_eq!(response.status, 200);
+            let head = server.join().unwrap();
+            assert_eq!(
+                head.contains("\r\nConnection: close\r\n"),
+                !keep_alive,
+                "keep_alive={keep_alive}: {head}"
+            );
+        }
+    }
+
+    #[test]
     fn keep_alive_pipeline_answers_in_order() {
         let plane = live_plane();
-        let mut client = KeepAliveClient::new(plane.local_addr(), ClientConfig::default(), 7);
+        let mut client = ServeClient::new(plane.local_addr(), ClientConfig::default(), true, 7);
         let responses = client
             .pipeline(&[
                 ("GET", "/healthz", ""),
@@ -749,7 +606,7 @@ mod tests {
     #[test]
     fn keep_alive_client_reconnects_after_server_close() {
         let plane = live_plane();
-        let mut client = KeepAliveClient::new(plane.local_addr(), ClientConfig::default(), 7);
+        let mut client = ServeClient::new(plane.local_addr(), ClientConfig::default(), true, 7);
         assert_eq!(
             client
                 .request("GET", "/healthz", "", None, true)
@@ -788,14 +645,12 @@ mod tests {
             .unwrap()
             .local_addr()
             .unwrap();
-        let mut client = ServeClient::new(
+        let mut client = per_conn(
             addr,
             ClientConfig {
                 max_retries: 1,
-                backoff_base: Duration::from_millis(1),
                 ..ClientConfig::default()
             },
-            7,
         );
         let err = client
             .request("GET", "/healthz", "", None, true)

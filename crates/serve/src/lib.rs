@@ -1,4 +1,4 @@
-//! Hardened serving plane for the QoS prediction service (ROADMAP item 3).
+//! Hardened serving plane for the QoS prediction service.
 //!
 //! Everything before this crate assumed callers hold a
 //! [`qos_service::QosPredictionService`] in-process; a runtime-adaptation
@@ -23,13 +23,15 @@
 //!   renderer behind it, written for hostile input (truncated heads, bad
 //!   `Content-Length`, oversized bodies, early FIN) and for pipelining
 //!   (leftover bytes after one request are the next request).
-//! * [`poller`] + [`conn`] + [`edf`] — the readiness-loop machinery
-//!   (PR 8): a std-only `poll(2)` binding with a cross-thread waker, the
+//! * [`poller`] + [`conn`] + [`edf`] — the readiness-loop machinery: a
+//!   std-only `poll(2)` binding with a cross-thread waker, the
 //!   per-connection state machine (keep-alive, in-order pipelined
 //!   responses, read backpressure), and the earliest-deadline-first
-//!   pending queue that replaced FIFO ordering.
+//!   pending queue.
 //! * [`client`] + [`loadgen`] — the load harness: a closed-loop
-//!   generator with per-connection and keep-alive transports, per-request
+//!   generator over one client, [`ServeClient`], that either keeps its
+//!   connection alive (optionally pipelining) or sends `Connection: close`
+//!   on every request, and counts every dial either way; per-request
 //!   timeouts, bounded retry (idempotent `predict`/`rank` only —
 //!   `observe` is never retried) with exponential backoff + jitter, and
 //!   deterministic network-fault injection ([`amf_core::NetFault`]:
@@ -63,7 +65,7 @@ pub mod loadgen;
 pub mod plane;
 pub mod poller;
 
-pub use client::{ClientConfig, ClientError, HttpResponse, KeepAliveClient, ServeClient};
+pub use client::{ClientConfig, ClientError, HttpResponse, ServeClient};
 pub use edf::{EdfQueue, PushError};
 pub use loadgen::{LoadConfig, LoadReport, LoadRunner, StageReconciliation, BENCH_SERVE_SCHEMA};
 pub use plane::{ServeConfig, ServePlane, ServeStats, SERVE_SCHEMA};

@@ -13,16 +13,18 @@
 //! `achieved_qps`. Open-loop capacity, timed from each request's due time,
 //! is `servebench`'s `adapt-open` workload.
 //!
-//! Two transports (PR 8):
+//! Each worker owns one [`ServeClient`]; [`LoadConfig::keep_alive`] picks
+//! its transport:
 //!
-//! * **per-conn** — one TCP connection per request (`Connection: close`),
-//!   the PR 7 baseline that prices the handshake tax.
-//! * **keep-alive** — each worker holds one persistent connection
-//!   ([`crate::client::KeepAliveClient`]) and may **pipeline** up to
-//!   `pipeline` requests per write; connection-reuse accounting
-//!   (`connects`, `conn_reuses`, `requests_per_conn`) lands in the
-//!   report. Pipelined batches record the batch's end-to-end latency for
-//!   each member (the wait of the last response — conservative).
+//! * **per-conn** — every request carries `Connection: close`, so each one
+//!   pays a TCP handshake: the baseline that prices the handshake tax.
+//! * **keep-alive** — each worker holds one persistent connection and may
+//!   **pipeline** up to `pipeline` requests per write. Pipelined batches
+//!   record the batch's end-to-end latency for each member (the wait of
+//!   the last response — conservative).
+//!
+//! Both report counted dials: `connects` (retries and reconnects
+//! included), `conn_reuses` and `requests_per_conn`.
 //!
 //! Every run ends with a `/healthz` probe and a `/snapshot.json` scrape so
 //! the report carries the server's own verdict (`server_health`,
@@ -34,7 +36,7 @@
 //! breakdown and the client/server reconciliation block; v4 dropped the
 //! open mode's `mode` and `offered_qps` keys).
 
-use crate::client::{ClientConfig, ClientError, HttpResponse, KeepAliveClient, ServeClient};
+use crate::client::{ClientConfig, HttpResponse, ServeClient};
 use amf_core::{FaultPlan, NetFault};
 use qos_obs::Json;
 use std::collections::HashMap;
@@ -43,6 +45,15 @@ use std::time::{Duration, Instant};
 
 /// Schema tag of a serialized [`LoadReport`].
 pub const BENCH_SERVE_SCHEMA: &str = "amf-bench-serve/v4";
+
+/// Fraction of requests that are `observe` batches.
+const OBSERVE_FRACTION: f64 = 0.4;
+/// Fraction of requests that are `rank` queries.
+const RANK_FRACTION: f64 = 0.1;
+/// Distinct synthetic users (`user-{n}`).
+const USERS: usize = 24;
+/// Distinct synthetic services (`svc-{n}`).
+const SERVICES: usize = 32;
 
 /// Load-harness configuration.
 #[derive(Debug, Clone)]
@@ -57,24 +68,29 @@ pub struct LoadConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Per-request client behaviour (timeouts, retry budget, deadline).
     pub client: ClientConfig,
-    /// Fraction of requests that are `observe` batches.
-    pub observe_fraction: f64,
-    /// Fraction of requests that are `rank` queries.
-    pub rank_fraction: f64,
-    /// Distinct synthetic users (`user-{n}`).
-    pub users: usize,
-    /// Distinct synthetic services (`svc-{n}`).
-    pub services: usize,
     /// Records (lines) per observe/predict body.
     pub batch: usize,
-    /// Use one persistent connection per worker ([`KeepAliveClient`])
-    /// instead of one connection per request.
+    /// Keep one persistent connection per worker instead of sending
+    /// `Connection: close` on every request.
     pub keep_alive: bool,
     /// Pipeline depth for keep-alive workers (requests written back to
-    /// back before reading responses). `<= 1` disables pipelining; only
-    /// consecutive un-faulted requests are batched, so fault injection
-    /// still lands on the exact seeded request ids.
+    /// back before reading responses). `<= 1` disables pipelining, and a
+    /// per-conn pass ignores it; only consecutive un-faulted requests are
+    /// batched, so fault injection still lands on the exact seeded
+    /// request ids.
     pub pipeline: usize,
+}
+
+impl LoadConfig {
+    /// Requests written per exchange: a per-conn server closes after the
+    /// first response, so only keep-alive pipelines.
+    fn depth(&self) -> usize {
+        if self.keep_alive {
+            self.pipeline.max(1)
+        } else {
+            1
+        }
+    }
 }
 
 impl Default for LoadConfig {
@@ -85,10 +101,6 @@ impl Default for LoadConfig {
             seed: 42,
             fault_plan: None,
             client: ClientConfig::default(),
-            observe_fraction: 0.4,
-            rank_fraction: 0.1,
-            users: 24,
-            services: 32,
             batch: 8,
             keep_alive: false,
             pipeline: 1,
@@ -107,11 +119,10 @@ pub struct LoadReport {
     pub transport: &'static str,
     /// Pipeline depth the workers ran with (1 = no pipelining).
     pub pipeline_depth: u64,
-    /// TCP connections opened by the workers. Per-conn transport opens
-    /// one per logical request by construction (retries not counted);
-    /// keep-alive counts actual dials, including reconnects.
+    /// TCP connections the workers dialled, retries and reconnects
+    /// included.
     pub connects: u64,
-    /// Requests that reused an already-open connection (keep-alive only).
+    /// Requests sent on an already-open connection (0 on a per-conn pass).
     pub conn_reuses: u64,
     /// Worker count.
     pub concurrency: usize,
@@ -213,7 +224,8 @@ impl LoadReport {
         self.degraded_answers as f64 / self.predictions as f64
     }
 
-    /// Mean requests served per opened connection (1.0 for per-conn).
+    /// Logical requests per opened connection (at most 1.0 per-conn,
+    /// where every retry dials again).
     pub fn requests_per_conn(&self) -> f64 {
         if self.connects == 0 {
             return 0.0;
@@ -387,11 +399,7 @@ impl LoadRunner {
             } else {
                 "per-conn"
             },
-            pipeline_depth: if config.keep_alive {
-                config.pipeline.max(1) as u64
-            } else {
-                1
-            },
+            pipeline_depth: config.depth() as u64,
             concurrency: threads,
             requests: config.requests,
             wall,
@@ -426,7 +434,7 @@ impl LoadRunner {
         };
 
         // The server's own verdict: health status and the panic counter.
-        let mut probe = ServeClient::new(addr, config.client, config.seed ^ 0x9d0b);
+        let mut probe = ServeClient::new(addr, config.client, false, config.seed ^ 0x9d0b);
         report.server_health = probe
             .request("GET", "/healthz", "", None, true)
             .ok()
@@ -484,28 +492,6 @@ impl LoadRunner {
     }
 }
 
-/// Either transport behind one request interface, so the issuing loop is
-/// shared between the per-conn baseline and the keep-alive mode.
-enum LoadClient {
-    PerConn(ServeClient),
-    KeepAlive(KeepAliveClient),
-}
-
-impl LoadClient {
-    fn request(
-        &mut self,
-        path: &str,
-        body: &str,
-        fault: Option<NetFault>,
-        idempotent: bool,
-    ) -> Result<HttpResponse, ClientError> {
-        match self {
-            LoadClient::PerConn(c) => c.request("POST", path, body, fault, idempotent),
-            LoadClient::KeepAlive(c) => c.request("POST", path, body, fault, idempotent),
-        }
-    }
-}
-
 fn run_thread(
     addr: SocketAddr,
     config: &LoadConfig,
@@ -515,16 +501,8 @@ fn run_thread(
 ) -> ThreadTally {
     let mut tally = ThreadTally::default();
     let client_seed = config.seed ^ (thread_id << 32);
-    let mut client = if config.keep_alive {
-        LoadClient::KeepAlive(KeepAliveClient::new(addr, config.client, client_seed))
-    } else {
-        LoadClient::PerConn(ServeClient::new(addr, config.client, client_seed))
-    };
-    let depth = if config.keep_alive {
-        config.pipeline.max(1)
-    } else {
-        1
-    };
+    let mut client = ServeClient::new(addr, config.client, config.keep_alive, client_seed);
+    let depth = config.depth();
     let mut rng = Xorshift::new(config.seed ^ 0xC0FFEE ^ thread_id.wrapping_mul(0x9E37_79B9));
     // Consecutive un-faulted requests waiting to go out in one pipelined
     // write (depth > 1 only).
@@ -541,7 +519,7 @@ fn run_thread(
             Some(NetFault::Blackhole) => tally.blackhole += 1,
             None => {}
         }
-        let (path, body, idempotent) = build_request(config, &mut rng);
+        let (path, body, idempotent) = build_request(config.batch, &mut rng);
         if depth > 1 && fault.is_none() {
             pending.push((path, body));
             if pending.len() >= depth {
@@ -553,7 +531,7 @@ fn run_thread(
         // fault hits the seeded request id, on its own exchange.
         flush_pipeline(&mut client, &mut pending, &mut tally);
         let begun = Instant::now();
-        match client.request(path, &body, fault, idempotent) {
+        match client.request("POST", path, &body, fault, idempotent) {
             Ok(response) => {
                 tally.retries += u64::from(response.retries);
                 let client_us = elapsed_us(begun);
@@ -569,14 +547,8 @@ fn run_thread(
         }
     }
     flush_pipeline(&mut client, &mut pending, &mut tally);
-    if let LoadClient::KeepAlive(c) = &client {
-        tally.connects = c.connects();
-        tally.reuses = c.reuses();
-    } else {
-        // Per-conn opens one connection per logical request by
-        // construction (retries excluded — they are reported separately).
-        tally.connects = count;
-    }
+    tally.connects = client.connects();
+    tally.reuses = client.reuses();
     tally
 }
 
@@ -584,24 +556,19 @@ fn run_thread(
 /// response. Each member records the batch's end-to-end latency (the wait
 /// of the last response); a transport failure loses the whole batch.
 fn flush_pipeline(
-    client: &mut LoadClient,
+    client: &mut ServeClient,
     pending: &mut Vec<(&'static str, String)>,
     tally: &mut ThreadTally,
 ) {
     if pending.is_empty() {
         return;
     }
-    let LoadClient::KeepAlive(keep_alive) = client else {
-        debug_assert!(false, "pipelining requires the keep-alive transport");
-        pending.clear();
-        return;
-    };
     let requests: Vec<(&str, &str, &str)> = pending
         .iter()
         .map(|(path, body)| ("POST", *path, body.as_str()))
         .collect();
     let begun = Instant::now();
-    match keep_alive.pipeline(&requests) {
+    match client.pipeline(&requests) {
         Ok(responses) => {
             let batch_us = elapsed_us(begun);
             for (response, (path, _)) in responses.iter().zip(pending.iter()) {
@@ -645,14 +612,15 @@ fn elapsed_us(begun: Instant) -> u64 {
     begun.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
-/// Picks the next operation from the configured mix and renders its body.
-fn build_request(config: &LoadConfig, rng: &mut Xorshift) -> (&'static str, String, bool) {
+/// Picks the next operation from the fixed mix and renders its body with
+/// `batch` lines.
+fn build_request(batch: usize, rng: &mut Xorshift) -> (&'static str, String, bool) {
     let roll = rng.next_f64();
-    let user = rng.next_u64() as usize % config.users.max(1);
-    if roll < config.observe_fraction {
-        let mut body = String::with_capacity(config.batch * 64);
-        for _ in 0..config.batch.max(1) {
-            let service = rng.next_u64() as usize % config.services.max(1);
+    let user = rng.next_u64() as usize % USERS;
+    if roll < OBSERVE_FRACTION {
+        let mut body = String::with_capacity(batch * 64);
+        for _ in 0..batch.max(1) {
+            let service = rng.next_u64() as usize % SERVICES;
             let value = synthetic_value(user, service, rng);
             body.push_str(&format!(
                 "{{\"user\":\"user-{user}\",\"service\":\"svc-{service}\",\
@@ -662,16 +630,16 @@ fn build_request(config: &LoadConfig, rng: &mut Xorshift) -> (&'static str, Stri
         }
         // observe mutates the model: never retried (DESIGN.md §14).
         ("/v1/observe", body, false)
-    } else if roll < config.observe_fraction + config.rank_fraction {
+    } else if roll < OBSERVE_FRACTION + RANK_FRACTION {
         (
             "/v1/rank",
             format!("{{\"user\":\"user-{user}\",\"k\":5}}"),
             true,
         )
     } else {
-        let mut body = String::with_capacity(config.batch * 40);
-        for _ in 0..config.batch.max(1) {
-            let service = rng.next_u64() as usize % config.services.max(1);
+        let mut body = String::with_capacity(batch * 40);
+        for _ in 0..batch.max(1) {
+            let service = rng.next_u64() as usize % SERVICES;
             body.push_str(&format!(
                 "{{\"user\":\"user-{user}\",\"service\":\"svc-{service}\"}}\n"
             ));
@@ -789,17 +757,12 @@ mod tests {
 
     #[test]
     fn workload_mix_is_deterministic_and_respects_fractions() {
-        let config = LoadConfig {
-            observe_fraction: 0.3,
-            rank_fraction: 0.2,
-            ..LoadConfig::default()
-        };
         let mut rng_a = Xorshift::new(9);
         let mut rng_b = Xorshift::new(9);
         let mut counts = [0u32; 3];
         for _ in 0..2000 {
-            let (path_a, body_a, idem_a) = build_request(&config, &mut rng_a);
-            let (path_b, body_b, idem_b) = build_request(&config, &mut rng_b);
+            let (path_a, body_a, idem_a) = build_request(8, &mut rng_a);
+            let (path_b, body_b, idem_b) = build_request(8, &mut rng_b);
             assert_eq!((path_a, &body_a, idem_a), (path_b, &body_b, idem_b));
             match path_a {
                 "/v1/observe" => {
@@ -812,7 +775,13 @@ mod tests {
         }
         let observed = counts[0] as f64 / 2000.0;
         let ranked = counts[1] as f64 / 2000.0;
-        assert!((observed - 0.3).abs() < 0.05, "observe fraction {observed}");
-        assert!((ranked - 0.2).abs() < 0.05, "rank fraction {ranked}");
+        assert!(
+            (observed - OBSERVE_FRACTION).abs() < 0.05,
+            "observe fraction {observed}"
+        );
+        assert!(
+            (ranked - RANK_FRACTION).abs() < 0.05,
+            "rank fraction {ranked}"
+        );
     }
 }

@@ -44,7 +44,7 @@ use crate::edf::{EdfQueue, PushError};
 use crate::http::{self, Request};
 use crate::poller::{self, PollFd, WakeReceiver, Waker, INTEREST_READ, INTEREST_WRITE};
 use qos_obs::{FlightRecorder, Json, LogConfig, Ring, StageClock, TailExemplars, TraceRecord};
-use qos_service::telemetry::health_body_from;
+use qos_service::telemetry::health_body;
 use qos_service::QosPredictionService;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1132,7 +1132,7 @@ fn count_response(state: &PlaneState, kind: RespKind) {
 }
 
 // ---------------------------------------------------------------------------
-// Routing (unchanged protocol semantics from the blocking plane)
+// Routing
 // ---------------------------------------------------------------------------
 
 type RouteResponse = (u16, String, String);
@@ -1169,7 +1169,13 @@ fn route(request: &Request, state: &PlaneState, expires: Instant) -> RouteRespon
             )
         }
         ("GET", "/snapshot.json") => json(200, state.snapshot().to_string_compact()),
-        ("GET", "/healthz") => json(200, health_body_from(&state.snapshot())),
+        ("GET", "/healthz") => json(
+            200,
+            health_body(
+                state.draining.load(Ordering::Relaxed),
+                state.service.drift_healthy(),
+            ),
+        ),
         ("GET", "/debug/exemplars") => {
             let mut out = Json::obj();
             out.set("schema", Json::Str(SERVE_SCHEMA.into()))
@@ -1377,10 +1383,7 @@ mod tests {
     use std::io::{Read, Write};
 
     fn test_plane(config: ServeConfig) -> ServePlane {
-        let service = Arc::new(QosPredictionService::new(ServiceConfig {
-            input_queue_capacity: 1024,
-            ..ServiceConfig::default()
-        }));
+        let service = Arc::new(QosPredictionService::new(ServiceConfig::default()));
         ServePlane::start("127.0.0.1:0", service, config).expect("bind")
     }
 
@@ -1774,8 +1777,8 @@ mod tests {
 
     #[test]
     fn drain_does_not_hang_on_idle_keep_alive_client() {
-        // The PR 8 drain regression: an idle persistent connection (no
-        // request in flight, no EOF) must not block stop().
+        // Drain regression: an idle persistent connection (no request in
+        // flight, no EOF) must not block stop().
         let plane = test_plane(ServeConfig::default());
         let mut stream = TcpStream::connect(plane.local_addr()).unwrap();
         stream

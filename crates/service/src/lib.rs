@@ -46,7 +46,7 @@ pub use monitor::{MonitorConfig, QosMonitor};
 pub use policy::{AdaptationPolicy, BestPredictedPolicy, ThresholdPolicy};
 pub use prediction_service::{
     Prediction, PredictionSource, QosPredictionService, QosRecord, ServiceConfig, ServiceStats,
-    SourceCounts,
+    SourceCounts, HISTORY_CAP,
 };
 pub use scenario::{
     catalog, find_scenario, report_json, RunMetrics, ScenarioConfig, ScenarioEngine,

@@ -54,13 +54,19 @@ pub struct QosRecord {
     pub value: f64,
 }
 
+/// Observations retained per pair in the QoS database.
+pub const HISTORY_CAP: usize = 16;
+
+/// EMA-error level at or above which an entity counts as *cold* for
+/// [`QosPredictionService::predict_degraded`] (freshly registered entities
+/// start at exactly `1.0`).
+const COLD_ERROR_THRESHOLD: f64 = 1.0;
+
 /// Prediction-service configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
     /// Hyperparameters of the embedded AMF model.
     pub amf: AmfConfig,
-    /// Observations retained per pair in the QoS database.
-    pub history_cap: usize,
     /// Replay stopping criteria used by [`QosPredictionService::idle`].
     pub replay: amf_core::trainer::ReplayOptions,
     /// Read by nothing; `servebench/layers` still sets it. It goes with that
@@ -77,10 +83,6 @@ pub struct ServiceConfig {
     /// / [`QosPredictionService::offer`]). `0` keeps the channel unbounded
     /// (no shedding, unbounded memory under overload).
     pub input_queue_capacity: usize,
-    /// EMA-error level at or above which an entity counts as *cold* for
-    /// [`QosPredictionService::predict_degraded`] (freshly registered
-    /// entities start at exactly `1.0`).
-    pub cold_error_threshold: f64,
 }
 
 impl Default for ServiceConfig {
@@ -88,7 +90,6 @@ impl Default for ServiceConfig {
         let amf = AmfConfig::response_time();
         Self {
             amf,
-            history_cap: 16,
             replay: amf_core::trainer::ReplayOptions::default(),
             shards: 1,
             guard: Some(GuardConfig {
@@ -96,7 +97,6 @@ impl Default for ServiceConfig {
                 ..GuardConfig::for_amf(&amf)
             }),
             input_queue_capacity: 0,
-            cold_error_threshold: 1.0,
         }
     }
 }
@@ -315,7 +315,7 @@ impl QosPredictionService {
             users: Mutex::new(Registry::new()),
             services: Mutex::new(Registry::new()),
             guard: config.guard.map(|g| Mutex::new(SampleGuard::new(g))),
-            database: QosDatabase::new(config.history_cap),
+            database: QosDatabase::new(HISTORY_CAP),
             config,
             input_tx,
             input_rx,
@@ -542,7 +542,7 @@ impl QosPredictionService {
 
     /// Infallible prediction: never errors, never returns NaN. Serves the
     /// model's estimate when both entities are known and *warm* (EMA error
-    /// below [`ServiceConfig::cold_error_threshold`]); otherwise walks the
+    /// below `1.0`, the level fresh entities start at); otherwise walks the
     /// fallback ladder — user mean, service mean, global mean, configured
     /// default — and tags the result with its [`PredictionSource`]. This is
     /// the adaptation loop's view of the service during recovery: degraded
@@ -569,8 +569,7 @@ impl QosPredictionService {
         if let (Some(u), Some(s)) = (user, service) {
             let trainer = self.trainer.lock();
             let model = trainer.model();
-            let warm =
-                |error: Option<f64>| error.is_some_and(|e| e < self.config.cold_error_threshold);
+            let warm = |error: Option<f64>| error.is_some_and(|e| e < COLD_ERROR_THRESHOLD);
             if warm(model.user_error(u)) && warm(model.service_error(s)) {
                 if let Some(value) = model.predict(u, s) {
                     if value.is_finite() {

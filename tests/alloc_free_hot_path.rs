@@ -20,7 +20,7 @@
 //! it on others.
 
 use amf_core::{AmfConfig, AmfModel, AmfTrainer};
-use qos_service::{QosPredictionService, ServiceConfig};
+use qos_service::{QosPredictionService, ServiceConfig, HISTORY_CAP};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -159,7 +159,7 @@ fn service_id_stage_allocates_per_batch_not_per_sample() {
     for s in 0..SERVICES {
         service.join_service(&format!("svc-{s}"));
     }
-    // Every pair in serve's steady state: each holds `history_cap`
+    // Every pair in serve's steady state: each holds `HISTORY_CAP`
     // observations, so a new one evicts the oldest, and the model and the
     // observation store already know it.
     let pairs = USERS * SERVICES;
@@ -168,7 +168,7 @@ fn service_id_stage_allocates_per_batch_not_per_sample() {
         let value = 0.5 + (t % 7) as f64 * 0.25;
         (pair / SERVICES, pair % SERVICES, t as u64, value)
     };
-    let cap = service.config().history_cap;
+    let cap = HISTORY_CAP;
     let warm: Vec<_> = (0..pairs * (cap + 1)).map(sample).collect();
     for batch in warm.chunks(256) {
         service.submit_batch_ids(batch);

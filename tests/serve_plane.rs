@@ -17,15 +17,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn service(input_queue_capacity: usize) -> Arc<QosPredictionService> {
-    Arc::new(QosPredictionService::new(ServiceConfig {
-        input_queue_capacity,
-        ..ServiceConfig::default()
-    }))
+fn service() -> Arc<QosPredictionService> {
+    Arc::new(QosPredictionService::new(ServiceConfig::default()))
 }
 
-fn plane(config: ServeConfig, input_queue_capacity: usize) -> ServePlane {
-    ServePlane::start("127.0.0.1:0", service(input_queue_capacity), config).expect("bind plane")
+fn plane(config: ServeConfig) -> ServePlane {
+    ServePlane::start("127.0.0.1:0", service(), config).expect("bind plane")
 }
 
 /// Sends raw bytes and reads whatever comes back (empty when the server
@@ -117,7 +114,11 @@ fn slow_predict_body(lines: usize) -> String {
 fn offer_accounting_is_exact_under_concurrent_producers() {
     const PRODUCERS: usize = 8;
     const PER_PRODUCER: u64 = 400;
-    let svc = service(64); // capacity far below the offered volume
+    // Capacity far below the offered volume.
+    let svc = QosPredictionService::new(ServiceConfig {
+        input_queue_capacity: 64,
+        ..ServiceConfig::default()
+    });
 
     let accepted = AtomicU64::new(0);
     let shed = AtomicU64::new(0);
@@ -181,14 +182,11 @@ fn offer_accounting_is_exact_under_concurrent_producers() {
 /// test lanes.)
 #[test]
 fn malformed_http_corpus_gets_4xx_never_panics() {
-    let plane = plane(
-        ServeConfig {
-            max_body_bytes: 1024,
-            io_timeout: Duration::from_millis(500),
-            ..ServeConfig::default()
-        },
-        256,
-    );
+    let plane = plane(ServeConfig {
+        max_body_bytes: 1024,
+        io_timeout: Duration::from_millis(500),
+        ..ServeConfig::default()
+    });
     let addr = plane.local_addr();
 
     // (raw request bytes, expected status-line prefix or "" for
@@ -281,18 +279,15 @@ fn malformed_http_corpus_gets_4xx_never_panics() {
 /// the plane and later arrivals are fast-rejected 503 by the acceptor.
 #[test]
 fn overload_fast_rejects_from_the_acceptor() {
-    let plane = plane(
-        ServeConfig {
-            workers: 1,
-            max_pending: 1,
-            max_body_bytes: 8 * 1024 * 1024,
-            io_timeout: Duration::from_secs(10),
-            default_deadline: Duration::from_secs(30),
-            max_deadline: Duration::from_secs(30),
-            ..ServeConfig::default()
-        },
-        256,
-    );
+    let plane = plane(ServeConfig {
+        workers: 1,
+        max_pending: 1,
+        max_body_bytes: 8 * 1024 * 1024,
+        io_timeout: Duration::from_secs(10),
+        default_deadline: Duration::from_secs(30),
+        max_deadline: Duration::from_secs(30),
+        ..ServeConfig::default()
+    });
     let addr = plane.local_addr();
 
     // Occupy the single worker with a batch that takes real time to churn
@@ -360,18 +355,15 @@ fn overload_fast_rejects_from_the_acceptor() {
 /// ~100 us apart and the client-side clocks cannot resolve queue order.
 #[test]
 fn tight_deadline_overtakes_slack_in_the_edf_queue() {
-    let plane = plane(
-        ServeConfig {
-            workers: 1,
-            max_pending: 8,
-            max_body_bytes: 8 * 1024 * 1024,
-            io_timeout: Duration::from_secs(10),
-            default_deadline: Duration::from_secs(30),
-            max_deadline: Duration::from_secs(60),
-            ..ServeConfig::default()
-        },
-        256,
-    );
+    let plane = plane(ServeConfig {
+        workers: 1,
+        max_pending: 8,
+        max_body_bytes: 8 * 1024 * 1024,
+        io_timeout: Duration::from_secs(10),
+        default_deadline: Duration::from_secs(30),
+        max_deadline: Duration::from_secs(60),
+        ..ServeConfig::default()
+    });
     let addr = plane.local_addr();
 
     // Pin the worker long enough for both probes to be queued.
@@ -447,7 +439,7 @@ fn tight_deadline_overtakes_slack_in_the_edf_queue() {
 
 #[test]
 fn zero_deadline_is_fast_rejected_on_arrival() {
-    let plane = plane(ServeConfig::default(), 256);
+    let plane = plane(ServeConfig::default());
     let addr = plane.local_addr();
     let body = "{\"user\":\"u\",\"service\":\"s\"}\n";
     let response = raw_exchange(
@@ -465,7 +457,7 @@ fn zero_deadline_is_fast_rejected_on_arrival() {
 /// in order on the same connection, each framed by Content-Length.
 #[test]
 fn pipelined_requests_are_answered_in_order_on_one_connection() {
-    let plane = plane(ServeConfig::default(), 256);
+    let plane = plane(ServeConfig::default());
     let addr = plane.local_addr();
 
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -497,13 +489,10 @@ fn pipelined_requests_are_answered_in_order_on_one_connection() {
 /// `idle_timeout` elapses, and counted as such.
 #[test]
 fn idle_keep_alive_connection_is_reaped() {
-    let plane = plane(
-        ServeConfig {
-            idle_timeout: Duration::from_millis(200),
-            ..ServeConfig::default()
-        },
-        256,
-    );
+    let plane = plane(ServeConfig {
+        idle_timeout: Duration::from_millis(200),
+        ..ServeConfig::default()
+    });
     let addr = plane.local_addr();
 
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -532,13 +521,10 @@ fn idle_keep_alive_connection_is_reaped() {
 /// requests beyond the budget on that connection are never served.
 #[test]
 fn max_requests_per_conn_is_enforced() {
-    let plane = plane(
-        ServeConfig {
-            max_requests_per_conn: 2,
-            ..ServeConfig::default()
-        },
-        256,
-    );
+    let plane = plane(ServeConfig {
+        max_requests_per_conn: 2,
+        ..ServeConfig::default()
+    });
     let addr = plane.local_addr();
 
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -575,7 +561,7 @@ fn max_requests_per_conn_is_enforced() {
 /// connection is served normally.
 #[test]
 fn malformed_second_request_on_reused_connection_is_contained() {
-    let plane = plane(ServeConfig::default(), 256);
+    let plane = plane(ServeConfig::default());
     let addr = plane.local_addr();
 
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -613,7 +599,7 @@ fn malformed_second_request_on_reused_connection_is_contained() {
 /// clean protocol error.
 #[test]
 fn loadtest_under_acceptance_fault_plan_is_clean() {
-    let plane = plane(ServeConfig::default(), 4096);
+    let plane = plane(ServeConfig::default());
     let addr = plane.local_addr();
 
     let plan = FaultPlan::parse("conn-reset@0.05,slow-read@0.02").expect("acceptance spec parses");
@@ -649,6 +635,13 @@ fn loadtest_under_acceptance_fault_plan_is_clean() {
     // Predictions that did come back were all tagged + finite (the runner
     // only counts entries carrying a source label and value).
     assert!(report.predictions > 0, "{report:?}");
+    // Per-conn: every attempt, retries included, dials its own connection.
+    assert_eq!(report.transport, "per-conn");
+    assert_eq!(report.conn_reuses, 0, "{report:?}");
+    assert!(
+        report.connects >= report.requests + report.retries,
+        "{report:?}"
+    );
 
     let stats = plane.stop();
     assert_eq!(stats.worker_panics, 0);
@@ -659,7 +652,7 @@ fn loadtest_under_acceptance_fault_plan_is_clean() {
 /// the server stays panic-free with every request accounted for.
 #[test]
 fn keep_alive_loadtest_under_fault_plan_is_clean() {
-    let plane = plane(ServeConfig::default(), 4096);
+    let plane = plane(ServeConfig::default());
     let addr = plane.local_addr();
 
     let plan = FaultPlan::parse("conn-reset@0.05,slow-read@0.02").expect("acceptance spec parses");
@@ -704,7 +697,7 @@ fn keep_alive_loadtest_under_fault_plan_is_clean() {
 /// are mid-flight, flushing rather than dropping accepted work.
 #[test]
 fn drain_under_load_terminates_promptly() {
-    let plane = plane(ServeConfig::default(), 1024);
+    let plane = plane(ServeConfig::default());
     let addr = plane.local_addr();
 
     let stop_flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -798,7 +791,7 @@ fn observe_body(user: &str, clean: usize, garbage: usize) -> String {
 /// request's: an observe applies its own records and reports those alone.
 #[test]
 fn observe_applies_and_reports_only_its_own_records() {
-    let svc = service(0);
+    let svc = service();
     let channel = svc.input_channel();
     for t in 0..5 {
         channel
@@ -835,7 +828,7 @@ fn observe_applies_and_reports_only_its_own_records() {
 #[test]
 fn concurrent_observes_each_report_their_own_applied() {
     const ROUNDS: usize = 25;
-    let svc = service(0);
+    let svc = service();
     let plane = ServePlane::start("127.0.0.1:0", Arc::clone(&svc), ServeConfig::default())
         .expect("bind plane");
     let addr = plane.local_addr();
