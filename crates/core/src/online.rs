@@ -75,25 +75,13 @@ pub fn sgd_step(
     // compile time the dot chain and update loop fully unroll (no
     // loop-carried branches, no slice-length checks). Unrolling preserves
     // the per-element operation order exactly, so results stay bit-for-bit
-    // identical to the dynamic-length path — the bitwise property test
-    // below covers both. Measured on the bench workload, this fully
-    // unrolled form also beats the four-wide lane kernel at d = 10, so it
-    // stays the first choice at the default dimension.
+    // identical to the dynamic-length path — the bitwise property tests
+    // below cover both.
     if let (Ok(u), Ok(s)) = (
         <&mut [f64; 10]>::try_from(&mut *user_factors),
         <&mut [f64; 10]>::try_from(&mut *service_factors),
     ) {
         return sgd_step_fixed::<10>(config, u, s, r, e_user, e_service);
-    }
-    // Runtime dispatch for non-default dimensions: hosts with 256-bit
-    // vector units take the f64x4 lane kernel. All kernels are bit-for-bit
-    // identical (the lane ops are the same scalar IEEE operations, the dot
-    // stays a sequential fold), so the dispatch decision affects throughput
-    // only — bitwise parity between sequential, batched, and SIMD-enabled
-    // runs is preserved. The property tests below pin lane-vs-scalar and
-    // lane-vs-reference agreement.
-    if qos_linalg::simd::f64x4_runtime() {
-        return sgd_step_lanes(config, user_factors, service_factors, r, e_user, e_service);
     }
     sgd_step_dyn(config, user_factors, service_factors, r, e_user, e_service)
 }
@@ -159,96 +147,6 @@ fn sgd_step_dyn(
     let (eta_user, eta_service) = (eta * w_user, eta * w_service);
     let (lam_user, lam_service) = (config.lambda_user, config.lambda_service);
     for (u, s) in user_factors.iter_mut().zip(service_factors.iter_mut()) {
-        let (uk, sk) = (*u, *s);
-        let du = (eta_user * (coef * sk + lam_user * uk)).clamp(-STEP_CLIP, STEP_CLIP);
-        let ds = (eta_service * (coef * uk + lam_service * sk)).clamp(-STEP_CLIP, STEP_CLIP);
-        *u = uk - du;
-        *s = sk - ds;
-    }
-
-    UpdateOutcome {
-        r,
-        g,
-        sample_error,
-        w_user,
-        w_service,
-    }
-}
-
-/// f64x4 lane variant of the fused kernel.
-///
-/// The dot product stays a sequential scalar fold — its left-to-right
-/// accumulation order *is* the bitwise contract — but the element-wise
-/// update loop is lane-parallel: each component's step reads only that
-/// component of the two vectors, so processing four components per
-/// iteration with [`F64x4`] performs the identical per-component IEEE
-/// operations (multiply is commutative at the bit level, clamp is
-/// per-lane `f64::clamp`, and nothing is contracted into an FMA). The
-/// `lane_kernel_*` property tests pin bitwise agreement with both the
-/// scalar fused kernel and the pre-fusion reference across dimensions.
-fn sgd_step_lanes(
-    config: &AmfConfig,
-    user_factors: &mut [f64],
-    service_factors: &mut [f64],
-    r: f64,
-    e_user: f64,
-    e_service: f64,
-) -> UpdateOutcome {
-    use qos_linalg::simd::F64x4;
-
-    let r_safe = r.max(NORMALIZED_FLOOR);
-
-    let mut x = 0.0;
-    for (uk, sk) in user_factors.iter().zip(service_factors.iter()) {
-        x += uk * sk;
-    }
-    let g = sigmoid(x);
-    let gp = g * (1.0 - g);
-    let sample_error = (r - g).abs() / r_safe;
-
-    let (w_user, w_service) = if config.adaptive_weights {
-        crate::weights::adaptive_weights(e_user, e_service)
-    } else {
-        (1.0, 1.0)
-    };
-
-    let coef = match config.loss {
-        LossKind::Relative => (g - r) * gp / (r_safe * r_safe),
-        LossKind::Squared => (g - r) * gp,
-    }
-    .clamp(-GRADIENT_CLIP, GRADIENT_CLIP);
-
-    let eta = config.learning_rate;
-    let (eta_user, eta_service) = (eta * w_user, eta * w_service);
-    let (lam_user, lam_service) = (config.lambda_user, config.lambda_service);
-
-    let dim = user_factors.len();
-    let lanes_end = dim - dim % 4;
-    let v_coef = F64x4::splat(coef);
-    let v_eta_user = F64x4::splat(eta_user);
-    let v_eta_service = F64x4::splat(eta_service);
-    let v_lam_user = F64x4::splat(lam_user);
-    let v_lam_service = F64x4::splat(lam_service);
-    let mut k = 0;
-    while k < lanes_end {
-        let vu = F64x4::load(&user_factors[k..]);
-        let vs = F64x4::load(&service_factors[k..]);
-        // Per lane: du = (eta_user · (coef·sk + lam_user·uk)).clamp(…) —
-        // the same three multiplies, one add, one clamp as the scalar loop.
-        let du = v_eta_user
-            .mul(v_coef.mul(vs).add(v_lam_user.mul(vu)))
-            .clamp(-STEP_CLIP, STEP_CLIP);
-        let ds = v_eta_service
-            .mul(v_coef.mul(vu).add(v_lam_service.mul(vs)))
-            .clamp(-STEP_CLIP, STEP_CLIP);
-        vu.sub(du).store(&mut user_factors[k..]);
-        vs.sub(ds).store(&mut service_factors[k..]);
-        k += 4;
-    }
-    for (u, s) in user_factors[lanes_end..]
-        .iter_mut()
-        .zip(service_factors[lanes_end..].iter_mut())
-    {
         let (uk, sk) = (*u, *s);
         let du = (eta_user * (coef * sk + lam_user * uk)).clamp(-STEP_CLIP, STEP_CLIP);
         let ds = (eta_service * (coef * uk + lam_service * sk)).clamp(-STEP_CLIP, STEP_CLIP);
@@ -558,7 +456,7 @@ mod tests {
             }
 
             #[test]
-            fn lane_kernel_is_bitwise_identical_across_dims(
+            fn step_is_bitwise_identical_to_reference_across_dims(
                 dim in 1usize..=24,
                 samples in proptest::collection::vec(
                     (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64),
@@ -567,11 +465,9 @@ mod tests {
                 log_mag in -4.0..1.0f64,
                 seed in 0u64..1u64 << 32,
             ) {
-                // The SIMD dispatch must be invisible: regardless of the
-                // vector dimension (full f64x4 lanes, scalar tail, or
-                // shorter-than-a-lane), chained lane-kernel updates must
-                // match both the scalar fused kernel and the pre-fusion
-                // reference bit for bit.
+                // `sgd_step` at every dimension, the unrolled d = 10 form
+                // and the any-d loop alike: chained updates must match the
+                // pre-fusion reference bit for bit.
                 for (loss, adaptive) in [
                     (LossKind::Relative, true),
                     (LossKind::Relative, false),
@@ -585,23 +481,15 @@ mod tests {
                     let magnitude = 10f64.powf(log_mag);
                     let mut u = random_factors(&mut rng, dim, magnitude);
                     let mut s = random_factors(&mut rng, dim, magnitude);
-                    let mut u_scalar = u.clone();
-                    let mut s_scalar = s.clone();
                     let mut u_ref = u.clone();
                     let mut s_ref = s.clone();
                     for &(r, e_user, e_service) in &samples {
-                        let lanes = sgd_step_lanes(&cfg, &mut u, &mut s, r, e_user, e_service);
-                        let scalar = sgd_step_dyn(
-                            &cfg, &mut u_scalar, &mut s_scalar, r, e_user, e_service,
-                        );
+                        let step = sgd_step(&cfg, &mut u, &mut s, r, e_user, e_service);
                         let oracle = reference::sgd_step(
                             &cfg, &mut u_ref, &mut s_ref, r, e_user, e_service,
                         );
-                        prop_assert_eq!(lanes, scalar);
-                        prop_assert_eq!(lanes, oracle);
+                        prop_assert_eq!(step, oracle);
                         for k in 0..dim {
-                            prop_assert_eq!(u[k].to_bits(), u_scalar[k].to_bits());
-                            prop_assert_eq!(s[k].to_bits(), s_scalar[k].to_bits());
                             prop_assert_eq!(u[k].to_bits(), u_ref[k].to_bits());
                             prop_assert_eq!(s[k].to_bits(), s_ref[k].to_bits());
                         }

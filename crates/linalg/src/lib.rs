@@ -19,9 +19,6 @@
 //! * [`slab`] — read-only kernels over contiguous factor slabs: unrolled
 //!   dots, batch row scoring, and bounded-heap top-k selection for the
 //!   candidate-ranking query.
-//! * [`simd`] — portable `f64x4` lane arithmetic (bitwise identical to
-//!   per-lane scalar IEEE ops) plus runtime AVX detection, the substrate of
-//!   the fused SGD kernel's vector variant.
 //!
 //! # Examples
 //!
@@ -40,7 +37,6 @@ pub mod correlation;
 pub mod histogram;
 pub mod matrix;
 pub mod random;
-pub mod simd;
 pub mod slab;
 pub mod sparse;
 pub mod stats;

@@ -57,11 +57,6 @@ impl Counter {
         self.value.load(Ordering::Relaxed)
     }
 
-    /// Atomically reads the counter and resets it to zero (interval views).
-    pub fn take(&self) -> u64 {
-        self.value.swap(0, Ordering::Relaxed)
-    }
-
     /// Test/restore hook: force a value (used to exercise saturation).
     pub fn set(&self, v: u64) {
         self.value.store(v, Ordering::Relaxed);
@@ -230,8 +225,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        assert_eq!(c.take(), 5);
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

@@ -29,34 +29,25 @@ use crate::metrics::{bucket_upper_bound, BUCKETS};
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
 /// Registry families whose snapshot keys are `family.label`: the suffix
-/// after the family prefix is re-exposed as this label. Longest prefix wins,
-/// so `service.predict_source_interval` is matched before
-/// `service.predict_source` could mis-split it.
+/// after `family.` is re-exposed as this label.
 const LABELED_FAMILIES: &[(&str, &str)] = &[
     ("engine.chunk_apply_ns", "shard"),
     ("guard.rejected", "reason"),
     ("model.drift_alarms", "side"),
     ("service.predict_source", "source"),
-    ("service.predict_source_interval", "source"),
 ];
 
 /// Splits a snapshot key into `(family, Some((label_name, label_value)))`
 /// for known labeled families, or `(key, None)` otherwise.
 fn split_key(key: &str) -> (&str, Option<(&'static str, &str)>) {
-    let mut best: Option<(&str, &'static str)> = None;
     for &(family, label) in LABELED_FAMILIES {
-        if key.len() > family.len() + 1
-            && key.starts_with(family)
-            && key.as_bytes()[family.len()] == b'.'
-            && best.is_none_or(|(f, _)| family.len() > f.len())
-        {
-            best = Some((family, label));
+        if let Some(value) = key.strip_prefix(family).and_then(|r| r.strip_prefix('.')) {
+            if !value.is_empty() {
+                return (family, Some((label, value)));
+            }
         }
     }
-    match best {
-        Some((family, label)) => (family, Some((label, &key[family.len() + 1..]))),
-        None => (key, None),
-    }
+    (key, None)
 }
 
 /// Sanitizes a dotted registry family into a Prometheus metric name:
@@ -373,7 +364,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter_labeled("guard.rejected", "not_finite").add(3);
         reg.counter_labeled("guard.rejected", "outlier").add(1);
-        reg.counter_labeled("service.predict_source_interval", "model")
+        reg.counter_labeled("service.predict_source", "model")
             .add(2);
         let text = render_prometheus(&reg.snapshot_json(false));
         let samples = parse_exposition(&text).expect("output parses");
@@ -385,11 +376,10 @@ mod tests {
             sample(&samples, "amf_guard_rejected_total{reason=\"outlier\"}"),
             Some(1.0)
         );
-        // Longest-prefix match: the `_interval` family keeps its own name.
         assert_eq!(
             sample(
                 &samples,
-                "amf_service_predict_source_interval_total{source=\"model\"}"
+                "amf_service_predict_source_total{source=\"model\"}"
             ),
             Some(2.0)
         );

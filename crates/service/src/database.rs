@@ -3,16 +3,15 @@
 //!
 //! Stores the raw observation history per `(user, service)` pair with a
 //! bounded per-pair history, independent of the model's own expiry-driven
-//! store — this is the audit/query side, used by operators and by the
-//! monitoring parts of the middleware ("QoS manager monitors the QoS values
-//! of service invocations").
+//! store — this is the audit/query side, and the source of the prediction
+//! service's fallback means.
 //!
 //! Layout (DESIGN.md §10): a packed pair key maps to one dense slot holding
 //! the pair's newest observation, so a pair seen once costs no heap
 //! allocation of its own. Only pairs holding more than one observation get
 //! a deque of their older ones. Running sums per user, per service and
-//! overall are kept as observations come and go, so the fallback means are
-//! O(1) reads rather than scans over every pair.
+//! overall are kept as observations arrive and are evicted, so the fallback
+//! means are O(1) reads rather than scans over every pair.
 
 use amf_core::PairKey;
 use parking_lot::RwLock;
@@ -29,6 +28,10 @@ pub struct Observation {
 }
 
 /// Thread-safe QoS observation history store.
+///
+/// Each pair keeps its newest `history_cap` observations: recording one
+/// more evicts the pair's oldest, and that eviction is the only way an
+/// observation leaves the store or the means.
 ///
 /// Ids are dense indices, as the service's registries assign them: the
 /// per-user and per-service sums are indexed by id, so their memory grows
@@ -127,8 +130,7 @@ impl Sums {
 ///
 /// NaN and ±∞ members are counted apart from the finite sum, so once such a
 /// value leaves the set it stops affecting the mean, as it would in a sum
-/// taken afresh. The sum resets to exactly zero when the count reaches zero,
-/// so no rounding residue outlives the values that caused it.
+/// taken afresh.
 #[derive(Debug, Clone, Copy, Default)]
 struct RunningSum {
     count: u64,
@@ -163,10 +165,6 @@ impl RunningSum {
 
     fn remove(&mut self, value: f64) {
         self.count -= 1;
-        if self.count == 0 {
-            *self = Self::default();
-            return;
-        }
         match self.non_finite(value) {
             Some(n) => *n -= 1,
             None => self.finite -= value,
@@ -265,7 +263,7 @@ impl QosDatabase {
     }
 
     /// Mean of the retained values for one service across all users — the
-    /// kind of aggregate a monitoring dashboard would show.
+    /// fallback rung after the user's mean.
     pub fn service_mean(&self, service: usize) -> Option<f64> {
         self.pairs.read().sums.services.get(service)?.mean()
     }
@@ -280,62 +278,6 @@ impl QosDatabase {
     /// rung (degrades gracefully to "what does QoS look like on average").
     pub fn global_mean(&self) -> Option<f64> {
         self.pairs.read().sums.global.mean()
-    }
-
-    /// Removes all observations older than `cutoff`, returning how many were
-    /// dropped.
-    pub fn prune_before(&self, cutoff: u64) -> usize {
-        let mut pairs = self.pairs.write();
-        let Pairs {
-            index,
-            newest,
-            older,
-            sums,
-        } = &mut *pairs;
-        let before = sums.global.count;
-        // Pairs are visited in slot order, not the index's hash order, so the
-        // sums change in the same order in every process; surviving slots
-        // are compacted in place, keeping their order.
-        let mut keys = vec![None; newest.len()];
-        for (&key, &slot) in index.iter() {
-            keys[slot as usize] = Some(key);
-        }
-        let mut kept = 0;
-        for (slot, key) in keys.into_iter().enumerate() {
-            let key = key.expect("every slot belongs to one pair");
-            let mut keep = |o: &Observation| {
-                let fresh = o.timestamp >= cutoff;
-                if !fresh {
-                    sums.remove(key, o.value);
-                }
-                fresh
-            };
-            let mut history = older.get_mut(&key);
-            if let Some(history) = history.as_deref_mut() {
-                history.retain(&mut keep);
-            }
-            let latest = newest[slot];
-            let survivor = if keep(&latest) {
-                Some(latest)
-            } else {
-                history.and_then(VecDeque::pop_back)
-            };
-            if older.get(&key).is_some_and(VecDeque::is_empty) {
-                older.remove(&key);
-            }
-            match survivor {
-                Some(observation) => {
-                    newest[kept] = observation;
-                    index.insert(key, kept as u32);
-                    kept += 1;
-                }
-                None => {
-                    index.remove(&key);
-                }
-            }
-        }
-        newest.truncate(kept);
-        (before - sums.global.count) as usize
     }
 }
 
@@ -406,37 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_before_drops_old() {
-        let db = QosDatabase::new(8);
-        db.record(0, 0, 10, 1.0);
-        db.record(0, 0, 20, 2.0);
-        db.record(1, 1, 5, 3.0);
-        let removed = db.prune_before(15);
-        assert_eq!(removed, 2);
-        assert_eq!(db.observation_count(), 1);
-        assert_eq!(db.pair_count(), 1, "emptied pairs are removed");
-    }
-
-    #[test]
-    fn emptied_sums_read_none_and_restart_from_zero() {
-        let db = QosDatabase::new(4);
-        for (t, v) in [(1, 0.1), (2, 0.2), (3, 0.3)] {
-            db.record(0, 0, t, v);
-        }
-        assert_eq!(db.prune_before(10), 3);
-        assert_eq!(db.user_mean(0), None);
-        assert_eq!(db.service_mean(0), None);
-        assert_eq!(db.global_mean(), None);
-        assert_eq!(db.pair_count(), 0);
-        // 0.1 + 0.2 + 0.3 - 0.1 - 0.2 - 0.3 is 1.1e-16, not 0.0: a sum that
-        // kept that residue would not read exactly 1.3 here.
-        db.record(0, 0, 20, 1.3);
-        assert_eq!(db.user_mean(0), Some(1.3));
-        assert_eq!(db.service_mean(0), Some(1.3));
-        assert_eq!(db.global_mean(), Some(1.3));
-    }
-
-    #[test]
     fn a_non_finite_value_stops_counting_once_evicted() {
         let db = QosDatabase::new(1);
         db.record(0, 0, 1, f64::NAN);
@@ -447,39 +358,6 @@ mod tests {
         db.record(0, 1, 2, 4.0);
         assert_eq!(db.user_mean(0), Some(3.0));
         assert_eq!(db.global_mean(), Some(3.0));
-    }
-
-    #[test]
-    fn stale_newest_hands_over_to_the_freshest_older_observation() {
-        let db = QosDatabase::new(4);
-        db.record(0, 0, 30, 3.0);
-        db.record(0, 0, 40, 4.0);
-        db.record(0, 0, 5, 0.5);
-        assert_eq!(db.prune_before(10), 1);
-        assert_eq!(db.latest(0, 0).unwrap().value, 4.0);
-        assert_eq!(db.history(0, 0).len(), 2);
-        assert_eq!(db.user_mean(0), Some(3.5));
-    }
-
-    #[test]
-    fn pruned_means_do_not_depend_on_hash_order() {
-        // Each database's index hashes with its own random keys, so the two
-        // iterate their pairs in different orders.
-        let (a, b) = (QosDatabase::new(2), QosDatabase::new(2));
-        for db in [&a, &b] {
-            for k in 0..400u64 {
-                let value = 0.1 + (k % 7) as f64 * 1.1e-3 + (k % 13) as f64 * 3.7;
-                db.record(0, k as usize, k % 50, value);
-            }
-            db.prune_before(25);
-        }
-        assert_eq!(a.observation_count(), b.observation_count());
-        let bits = |db: &QosDatabase| db.user_mean(0).map(f64::to_bits);
-        assert_eq!(bits(&a), bits(&b));
-        assert_eq!(
-            a.global_mean().map(f64::to_bits),
-            b.global_mean().map(f64::to_bits)
-        );
     }
 
     #[test]
@@ -535,15 +413,6 @@ mod tests {
                 }
             }
 
-            fn prune_before(&mut self, cutoff: u64) -> usize {
-                let before: usize = self.pairs.values().map(Vec::len).sum();
-                for history in self.pairs.values_mut() {
-                    history.retain(|o| o.timestamp >= cutoff);
-                }
-                self.pairs.retain(|_, history| !history.is_empty());
-                before - self.pairs.values().map(Vec::len).sum::<usize>()
-            }
-
             fn mean(&self, select: impl Fn(usize, usize) -> bool) -> Option<f64> {
                 let values: Vec<f64> = self
                     .pairs
@@ -583,23 +452,16 @@ mod tests {
             fn compact_layout_matches_a_vec_per_pair(
                 cap in 1usize..5,
                 ops in proptest::collection::vec(
-                    (0u8..12, 0..IDS, 0..IDS, 0u64..40, (0u8..40, 0.05..20.0f64)),
+                    (0..IDS, 0..IDS, 0u64..40, (0u8..40, 0.05..20.0f64)),
                     0..160
                 )
             ) {
                 let db = QosDatabase::new(cap);
                 let mut reference = Reference { cap, pairs: BTreeMap::new() };
-                for (op, user, service, timestamp, (roll, finite)) in ops {
-                    if op == 0 {
-                        prop_assert_eq!(
-                            db.prune_before(timestamp),
-                            reference.prune_before(timestamp)
-                        );
-                    } else {
-                        let v = value(roll, finite);
-                        db.record(user, service, timestamp, v);
-                        reference.record(user, service, timestamp, v);
-                    }
+                for (user, service, timestamp, (roll, finite)) in ops {
+                    let v = value(roll, finite);
+                    db.record(user, service, timestamp, v);
+                    reference.record(user, service, timestamp, v);
                     prop_assert_eq!(db.pair_count(), reference.pairs.len());
                     prop_assert_eq!(
                         db.observation_count(),

@@ -30,7 +30,6 @@ pub mod adapt;
 pub mod database;
 pub mod managers;
 pub mod middleware;
-pub mod monitor;
 pub mod policy;
 pub mod prediction_service;
 pub mod scenario;
@@ -42,7 +41,6 @@ pub use adapt::{Planner, PlannerConfig, PlannerDecision, PlannerObservation, Pla
 pub use database::QosDatabase;
 pub use managers::{EntityId, Registry};
 pub use middleware::ExecutionMiddleware;
-pub use monitor::{MonitorConfig, QosMonitor};
 pub use policy::{AdaptationPolicy, BestPredictedPolicy, ThresholdPolicy};
 pub use prediction_service::{
     Prediction, PredictionSource, QosPredictionService, QosRecord, ServiceConfig, ServiceStats,

@@ -2,8 +2,8 @@
 //!
 //! Ties together the three stages the paper names:
 //!
-//! 1. **Input handling** — observed QoS records arrive as a stream (here via
-//!    a `crossbeam` channel or direct calls), are screened by a
+//! 1. **Input handling** — observed QoS records arrive as a stream (here as
+//!    batches, single records, or an unbounded input queue), are screened by a
 //!    [`SampleGuard`] (NaN/∞, non-positive, out-of-range, and statistical
 //!    outliers are quarantined, never trained on), resolved to dense ids by
 //!    the user/service managers, logged in the [`QosDatabase`], and fed to
@@ -19,10 +19,8 @@
 //! are unhealthy, so every stage degrades instead of failing:
 //!
 //! * **Ingestion** — garbage records are quarantined with exact counters
-//!   ([`QosPredictionService::guard_stats`]); a bounded input queue sheds
-//!   load under backpressure ([`QosPredictionService::offer`]) rather than
-//!   blocking the reporting path, counting every dropped record. Batches
-//!   train on the calling thread through [`amf_core::AmfTrainer::feed_batch`].
+//!   ([`QosPredictionService::guard_stats`]). Batches train on the calling
+//!   thread through [`amf_core::AmfTrainer::feed_batch`].
 //! * **Prediction** — [`QosPredictionService::predict_degraded`] never
 //!   returns an error or a non-finite value: when the model cannot price a
 //!   pair (unknown or cold entities, mid-recovery), it walks a fallback
@@ -35,7 +33,7 @@ use crate::managers::Registry;
 use crate::ServiceError;
 use amf_core::guard::{GuardConfig, GuardStats, SampleGuard};
 use amf_core::{AmfConfig, AmfTrainer, QuarantineDiagnostics};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use qos_obs::{Counter, Histogram, Json, MetricsRegistry};
 use std::sync::Arc;
@@ -79,10 +77,6 @@ pub struct ServiceConfig {
     /// gate off (hard validation only) — enable
     /// [`GuardConfig::outlier_gate`] for lossy transports.
     pub guard: Option<GuardConfig>,
-    /// Capacity of the input channel ([`QosPredictionService::input_channel`]
-    /// / [`QosPredictionService::offer`]). `0` keeps the channel unbounded
-    /// (no shedding, unbounded memory under overload).
-    pub input_queue_capacity: usize,
 }
 
 impl Default for ServiceConfig {
@@ -96,7 +90,6 @@ impl Default for ServiceConfig {
                 outlier_gate: false,
                 ..GuardConfig::for_amf(&amf)
             }),
-            input_queue_capacity: 0,
         }
     }
 }
@@ -171,14 +164,13 @@ pub struct SourceCounts {
 }
 
 impl SourceCounts {
-    fn from_counters(counters: &[Arc<Counter>; 5], take: bool) -> Self {
-        let read = |c: &Counter| if take { c.take() } else { c.get() };
+    fn from_counters(counters: &[Arc<Counter>; 5]) -> Self {
         Self {
-            model: read(&counters[0]),
-            user_mean: read(&counters[1]),
-            service_mean: read(&counters[2]),
-            global_mean: read(&counters[3]),
-            default: read(&counters[4]),
+            model: counters[0].get(),
+            user_mean: counters[1].get(),
+            service_mean: counters[2].get(),
+            global_mean: counters[3].get(),
+            default: counters[4].get(),
         }
     }
 
@@ -211,22 +203,15 @@ pub struct ServiceStats {
     pub accepted: u64,
     /// Records quarantined by the input guard.
     pub rejected: u64,
-    /// Records dropped by input-queue load shedding.
-    pub dropped: u64,
     /// Cumulative `predict_degraded` fallback-ladder tallies (never reset).
     pub sources_total: SourceCounts,
-    /// Fallback-ladder tallies since the *previous* [`QosPredictionService::stats`]
-    /// call — taking a snapshot resets this window, so two successive
-    /// snapshots measure disjoint intervals (the rate view a monitoring loop
-    /// wants; use [`ServiceStats::sources_total`] for lifetime counts).
-    pub sources_interval: SourceCounts,
 }
 
 /// The QoS prediction service.
 ///
-/// Thread-safe: records can be submitted from any thread (directly or through
-/// the channel returned by [`QosPredictionService::input_channel`]); the
-/// model is guarded by a mutex.
+/// Thread-safe: records can be submitted from any thread, directly or
+/// through the input queue ([`QosPredictionService::offer`]); the model is
+/// guarded by a mutex.
 ///
 /// # Examples
 ///
@@ -272,11 +257,9 @@ pub struct QosPredictionService {
     /// process-global instrumentation.
     metrics: MetricsRegistry,
     accepted: Arc<Counter>,
-    dropped: Arc<Counter>,
     predictions: Arc<Counter>,
     predict_ns: Arc<Histogram>,
     source_total: [Arc<Counter>; 5],
-    source_interval: [Arc<Counter>; 5],
 }
 
 impl QosPredictionService {
@@ -296,20 +279,13 @@ impl QosPredictionService {
     ///
     /// Returns [`ServiceError::Model`] when the AMF configuration is invalid.
     pub fn try_new(config: ServiceConfig) -> Result<Self, ServiceError> {
-        let (input_tx, input_rx) = if config.input_queue_capacity > 0 {
-            bounded(config.input_queue_capacity)
-        } else {
-            unbounded()
-        };
+        let (input_tx, input_rx) = unbounded();
         let metrics = MetricsRegistry::new();
         let accepted = metrics.counter("service.accepted");
-        let dropped = metrics.counter("service.dropped");
         let predictions = metrics.counter("service.predictions");
         let predict_ns = metrics.histogram("service.predict_ns");
         let source_total = PredictionSource::ALL
             .map(|s| metrics.counter_labeled("service.predict_source", s.label()));
-        let source_interval = PredictionSource::ALL
-            .map(|s| metrics.counter_labeled("service.predict_source_interval", s.label()));
         Ok(Self {
             trainer: Mutex::new(AmfTrainer::new(config.amf)?),
             users: Mutex::new(Registry::new()),
@@ -321,11 +297,9 @@ impl QosPredictionService {
             input_rx,
             metrics,
             accepted,
-            dropped,
             predictions,
             predict_ns,
             source_total,
-            source_interval,
         })
     }
 
@@ -339,42 +313,14 @@ impl QosPredictionService {
         &self.database
     }
 
-    /// A sender for the input-handling stream; cloneable and usable from any
-    /// thread. Queued records are applied by
-    /// [`QosPredictionService::drain_inputs`]. When
-    /// [`ServiceConfig::input_queue_capacity`] is non-zero the channel is
-    /// bounded and `send` blocks when full — use
-    /// [`QosPredictionService::offer`] for the non-blocking, load-shedding
-    /// variant.
-    pub fn input_channel(&self) -> Sender<QosRecord> {
-        self.input_tx.clone()
-    }
-
-    /// Non-blocking enqueue with bounded retry and load shedding: tries the
-    /// input queue a few times with a short backoff, then drops the record
-    /// and counts it in [`ServiceStats::dropped`]. Returns whether the
-    /// record was queued. On an unbounded queue this always succeeds.
+    /// Queues a record for the next [`QosPredictionService::drain_inputs`];
+    /// callable from any thread. The queue is unbounded and the service
+    /// holds its receiving end, so this never blocks and returns `true`.
     pub fn offer(&self, record: QosRecord) -> bool {
-        const ATTEMPTS: u32 = 8;
-        const BACKOFF: std::time::Duration = std::time::Duration::from_micros(100);
-        let mut record = record;
-        for attempt in 0..ATTEMPTS {
-            match self.input_tx.try_send(record) {
-                Ok(()) => return true,
-                Err(TrySendError::Full(back)) => {
-                    record = back;
-                    if attempt + 1 < ATTEMPTS {
-                        std::thread::sleep(BACKOFF);
-                    }
-                }
-                Err(TrySendError::Disconnected(_)) => break,
-            }
-        }
-        self.dropped.inc();
-        false
+        self.input_tx.send(record).is_ok()
     }
 
-    /// Applies all queued channel records as one
+    /// Applies all queued records as one
     /// [`QosPredictionService::submit_batch`]. Returns how many were
     /// accepted for training.
     pub fn drain_inputs(&self) -> usize {
@@ -504,31 +450,26 @@ impl QosPredictionService {
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::UnknownEntity`] when either identity was never
-    /// registered. For an infallible variant that degrades instead, see
-    /// [`QosPredictionService::predict_degraded`].
+    /// Returns [`ServiceError::UnknownEntity`] naming the side the model
+    /// cannot price: one never registered, or one whose every record was
+    /// quarantined, so it has no model row. For an infallible variant that
+    /// degrades instead, see [`QosPredictionService::predict_degraded`].
     pub fn predict(&self, user: &str, service: &str) -> Result<f64, ServiceError> {
-        let user_id =
-            self.users
-                .lock()
-                .resolve(user)
-                .ok_or_else(|| ServiceError::UnknownEntity {
-                    kind: "user",
-                    id: user.to_string(),
-                })?;
-        let service_id =
-            self.services
-                .lock()
-                .resolve(service)
-                .ok_or_else(|| ServiceError::UnknownEntity {
-                    kind: "service",
-                    id: service.to_string(),
-                })?;
-        self.predict_ids(user_id, service_id)
-            .ok_or_else(|| ServiceError::UnknownEntity {
-                kind: "service",
-                id: service.to_string(),
-            })
+        let unknown = |kind, id: &str| ServiceError::UnknownEntity {
+            kind,
+            id: id.to_string(),
+        };
+        let user_id = self.users.lock().resolve(user);
+        let user_id = user_id.ok_or_else(|| unknown("user", user))?;
+        let service_id = self.services.lock().resolve(service);
+        let service_id = service_id.ok_or_else(|| unknown("service", service))?;
+        self.predict_ids(user_id, service_id).ok_or_else(|| {
+            if self.trainer.lock().model().has_user(user_id) {
+                unknown("service", service)
+            } else {
+                unknown("user", user)
+            }
+        })
     }
 
     /// Prediction by dense ids (the hot path for the middleware).
@@ -560,7 +501,6 @@ impl QosPredictionService {
         self.predict_ns.record_duration(started.elapsed());
         self.predictions.inc();
         self.source_total[prediction.source.index()].inc();
-        self.source_interval[prediction.source.index()].inc();
         prediction
     }
 
@@ -696,13 +636,7 @@ impl QosPredictionService {
             .map(|g| QuarantineDiagnostics::of(&g.lock()))
     }
 
-    /// Operational counters snapshot.
-    ///
-    /// The fallback-ladder *interval* tallies
-    /// ([`ServiceStats::sources_interval`]) are take-and-reset: each call
-    /// returns the counts since the previous call and starts a new window.
-    /// Everything else (including [`ServiceStats::sources_total`]) is
-    /// cumulative.
+    /// Operational counters snapshot; every count is cumulative.
     pub fn stats(&self) -> ServiceStats {
         let updates = self.trainer.lock().model().update_count();
         ServiceStats {
@@ -715,9 +649,7 @@ impl QosPredictionService {
                 .as_ref()
                 .map(|g| g.lock().stats().rejected())
                 .unwrap_or(0),
-            dropped: self.dropped.get(),
-            sources_total: SourceCounts::from_counters(&self.source_total, false),
-            sources_interval: SourceCounts::from_counters(&self.source_interval, true),
+            sources_total: SourceCounts::from_counters(&self.source_total),
         }
     }
 
@@ -726,8 +658,7 @@ impl QosPredictionService {
     /// latency, fallback-ladder tallies) merged with the process-global
     /// registry's amf-core instrumentation (`engine.*`, `guard.*`,
     /// `model.*`) plus the global trace ring. Reading a snapshot never
-    /// resets anything (unlike [`QosPredictionService::stats`]'s interval
-    /// view).
+    /// resets anything.
     pub fn stats_snapshot(&self) -> Json {
         // Service-level state that lives outside the registry is mirrored
         // into it at snapshot time, so the JSON is self-contained. The
@@ -783,7 +714,6 @@ impl std::fmt::Debug for QosPredictionService {
             .field("services", &stats.services)
             .field("updates", &stats.updates)
             .field("rejected", &stats.rejected)
-            .field("dropped", &stats.dropped)
             .finish()
     }
 }
@@ -847,6 +777,25 @@ mod tests {
     }
 
     #[test]
+    fn predict_blames_the_side_without_a_model_row() {
+        let svc = QosPredictionService::new(ServiceConfig::default());
+        svc.submit(record("alice", "ws-1", 0, 1.0));
+        // Both get ids, but every record naming them is quarantined.
+        svc.submit(record("ghost", "ws-1", 1, f64::NAN));
+        svc.submit(record("alice", "ws-ghost", 2, f64::NAN));
+        let blamed = |user, service| match svc.predict(user, service) {
+            Err(ServiceError::UnknownEntity { kind, id }) => (kind, id),
+            other => panic!("{user}/{service}: {other:?}"),
+        };
+        assert_eq!(blamed("ghost", "ws-1"), ("user", "ghost".to_string()));
+        assert_eq!(
+            blamed("alice", "ws-ghost"),
+            ("service", "ws-ghost".to_string())
+        );
+        assert!(svc.predict("alice", "ws-1").is_ok());
+    }
+
+    #[test]
     fn rank_candidates_orders_by_prediction() {
         let svc = QosPredictionService::new(ServiceConfig::default());
         // Train three services to clearly separated response-time levels.
@@ -877,9 +826,8 @@ mod tests {
     #[test]
     fn channel_ingestion() {
         let svc = QosPredictionService::new(ServiceConfig::default());
-        let tx = svc.input_channel();
-        tx.send(record("u1", "s1", 0, 1.0)).unwrap();
-        tx.send(record("u2", "s1", 1, 2.0)).unwrap();
+        assert!(svc.offer(record("u1", "s1", 0, 1.0)));
+        assert!(svc.offer(record("u2", "s1", 1, 2.0)));
         assert_eq!(svc.drain_inputs(), 2);
         assert_eq!(svc.stats().updates, 2);
         assert_eq!(svc.drain_inputs(), 0);
@@ -888,11 +836,10 @@ mod tests {
     #[test]
     fn channel_works_across_threads() {
         let svc = Arc::new(QosPredictionService::new(ServiceConfig::default()));
-        let tx = svc.input_channel();
+        let producer_svc = Arc::clone(&svc);
         let producer = std::thread::spawn(move || {
             for k in 0..20 {
-                tx.send(record(&format!("u{}", k % 3), "s", k, 1.0))
-                    .unwrap();
+                assert!(producer_svc.offer(record(&format!("u{}", k % 3), "s", k, 1.0)));
             }
         });
         producer.join().unwrap();
@@ -981,10 +928,8 @@ mod tests {
     #[test]
     fn sharded_channel_drain() {
         let svc = QosPredictionService::new(ServiceConfig::default());
-        let tx = svc.input_channel();
         for k in 0..40u64 {
-            tx.send(record(&format!("u{}", k % 4), "s", k, 1.0))
-                .unwrap();
+            assert!(svc.offer(record(&format!("u{}", k % 4), "s", k, 1.0)));
         }
         assert_eq!(svc.drain_inputs(), 40);
         assert_eq!(svc.stats().updates, 40);
@@ -1036,7 +981,7 @@ mod tests {
         svc.submit(record("a", "b", 0, 1.0));
         let text = format!("{svc:?}");
         assert!(text.contains("users"));
-        assert!(text.contains("dropped"));
+        assert!(text.contains("rejected"));
     }
 
     #[test]
@@ -1095,26 +1040,6 @@ mod tests {
         assert_eq!(svc.stats().accepted, 1);
         assert_eq!(svc.stats().rejected, 0);
         assert!(svc.guard_stats().is_none());
-    }
-
-    #[test]
-    fn bounded_queue_offer_sheds_with_count() {
-        let svc = QosPredictionService::new(ServiceConfig {
-            input_queue_capacity: 4,
-            ..Default::default()
-        });
-        let mut queued = 0;
-        for k in 0..10u64 {
-            if svc.offer(record("u", "s", k, 1.0)) {
-                queued += 1;
-            }
-        }
-        assert_eq!(queued, 4, "queue holds exactly its capacity");
-        assert_eq!(svc.stats().dropped, 6);
-        assert_eq!(svc.drain_inputs(), 4);
-        // Space freed: offers succeed again.
-        assert!(svc.offer(record("u", "s", 10, 1.0)));
-        assert_eq!(svc.stats().dropped, 6);
     }
 
     #[test]
@@ -1180,7 +1105,7 @@ mod tests {
     }
 
     #[test]
-    fn fallback_source_counters_expose_total_and_interval_views() {
+    fn fallback_source_counters_are_cumulative() {
         let svc = QosPredictionService::new(ServiceConfig::default());
         // Three ladder walks with no data at all: all land on Default.
         for _ in 0..3 {
@@ -1189,30 +1114,18 @@ mod tests {
         }
         let first = svc.stats();
         assert_eq!(first.sources_total.default, 3);
-        assert_eq!(first.sources_interval.default, 3);
         assert_eq!(first.sources_total.total(), 3);
 
-        // A second snapshot with no predictions in between: the interval
-        // window is empty, the cumulative view unchanged. This is the
-        // regression pin for per-call tallies that were never reset between
-        // snapshots.
+        // A second snapshot with no predictions in between: unchanged.
         let second = svc.stats();
         assert_eq!(second.sources_total.default, 3, "total view is cumulative");
-        assert_eq!(
-            second.sources_interval.total(),
-            0,
-            "interval view must reset at each snapshot"
-        );
 
-        // New activity lands in the next window only.
         svc.submit(record("alice", "ws-1", 0, 2.0));
         let p = svc.predict_degraded("alice", "ghost");
         assert_eq!(p.source, PredictionSource::UserMean);
         let third = svc.stats();
         assert_eq!(third.sources_total.default, 3);
         assert_eq!(third.sources_total.user_mean, 1);
-        assert_eq!(third.sources_interval.user_mean, 1);
-        assert_eq!(third.sources_interval.default, 0);
     }
 
     #[test]

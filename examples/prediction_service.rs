@@ -1,5 +1,5 @@
 //! The QoS prediction service as a long-running component (paper Fig. 3):
-//! channel-based input handling, online updating, prediction serving,
+//! queued input handling, online updating, prediction serving,
 //! user/service churn, and model checkpointing.
 //!
 //! Run with: `cargo run --release --example prediction_service`
@@ -16,19 +16,17 @@ fn main() {
     });
     let service = QosPredictionService::new(ServiceConfig::default());
 
-    // Input handling: users' QoS managers push observations through a
-    // channel (cloneable across threads).
-    let tx = service.input_channel();
+    // Input handling: users' QoS managers queue observations (from any
+    // thread); `drain_inputs` applies whatever is queued as one batch.
     let mut pushed = 0;
     for user in 0..dataset.users() {
         for svc in (user % 7..dataset.services()).step_by(7) {
-            tx.send(QosRecord {
+            service.offer(QosRecord {
                 user: format!("planetlab-node-{user}"),
                 service: format!("ws://provider/{svc}"),
                 timestamp: 0,
                 value: dataset.value(Attribute::ResponseTime, user, svc, 0),
-            })
-            .expect("receiver alive");
+            });
             pushed += 1;
         }
     }
