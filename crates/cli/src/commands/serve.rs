@@ -39,26 +39,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let run_ms: u64 = args.parse_or("run-ms", 0)?;
     let interval_ms: u64 = args.parse_or("interval-ms", 200)?;
     let max_log_bytes: u64 = args.parse_or("max-log-bytes", DEFAULT_MAX_LOG_BYTES)?;
-    let workers: usize = args.parse_or("workers", 4)?;
-    let max_pending: usize = args.parse_or("max-pending", 128)?;
-    let deadline_ms: u64 = args.parse_or("deadline-ms", 1000)?;
-    let io_timeout_ms: u64 = args.parse_or("io-timeout-ms", 2000)?;
-    let max_body_bytes: usize = args.parse_or("max-body-bytes", 1024 * 1024)?;
-    let max_connections: usize = args.parse_or("max-conns", 256)?;
-    let max_requests_per_conn: u64 = args.parse_or("max-requests-per-conn", 1024)?;
-    let idle_timeout_ms: u64 = args.parse_or("idle-timeout-ms", 30_000)?;
+    let config = plane_config(args)?;
     let listen = args.get("listen").unwrap_or("127.0.0.1:0");
-    if workers == 0 {
-        return Err(CliError("--workers must be at least 1".into()));
-    }
-    if max_connections == 0 {
-        return Err(CliError("--max-conns must be at least 1".into()));
-    }
-    if max_requests_per_conn == 0 {
-        return Err(CliError(
-            "--max-requests-per-conn must be at least 1".into(),
-        ));
-    }
 
     let service = Arc::new(
         QosPredictionService::try_new(ServiceConfig::default())
@@ -76,23 +58,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         path: path.into(),
         max_bytes: max_log_bytes,
     });
-    let plane = ServePlane::start_with_flight(
-        listen,
-        Arc::clone(&service),
-        ServeConfig {
-            workers,
-            max_pending,
-            max_body_bytes,
-            max_connections,
-            max_requests_per_conn,
-            idle_timeout: Duration::from_millis(idle_timeout_ms.max(1)),
-            io_timeout: Duration::from_millis(io_timeout_ms.max(1)),
-            default_deadline: Duration::from_millis(deadline_ms.max(1)),
-            ..ServeConfig::default()
-        },
-        flight,
-    )
-    .map_err(|e| CliError(format!("--listen {listen}: {e}")))?;
+    let plane = ServePlane::start_with_flight(listen, Arc::clone(&service), config, flight)
+        .map_err(|e| CliError(format!("--listen {listen}: {e}")))?;
     let addr = plane.local_addr();
     if let Some(path) = args.get("addr-file") {
         // Written post-bind so a supervisor (or the CI smoke job) can poll
@@ -170,6 +137,38 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     ))
 }
 
+/// The plane's settings: each flag overrides its [`ServeConfig::default`]
+/// value.
+fn plane_config(args: &Args) -> Result<ServeConfig, CliError> {
+    let defaults = ServeConfig::default();
+    let ms = |flag: &str, default: Duration| -> Result<Duration, CliError> {
+        let default = u64::try_from(default.as_millis()).unwrap_or(u64::MAX);
+        Ok(Duration::from_millis(args.parse_or(flag, default)?.max(1)))
+    };
+    let config = ServeConfig {
+        workers: args.parse_or("workers", defaults.workers)?,
+        max_pending: args.parse_or("max-pending", defaults.max_pending)?,
+        max_body_bytes: args.parse_or("max-body-bytes", defaults.max_body_bytes)?,
+        io_timeout: ms("io-timeout-ms", defaults.io_timeout)?,
+        default_deadline: ms("deadline-ms", defaults.default_deadline)?,
+        max_connections: args.parse_or("max-conns", defaults.max_connections)?,
+        max_requests_per_conn: args
+            .parse_or("max-requests-per-conn", defaults.max_requests_per_conn)?,
+        idle_timeout: ms("idle-timeout-ms", defaults.idle_timeout)?,
+        ..defaults
+    };
+    for (flag, value) in [
+        ("workers", config.workers as u64),
+        ("max-conns", config.max_connections as u64),
+        ("max-requests-per-conn", config.max_requests_per_conn),
+    ] {
+        if value == 0 {
+            return Err(CliError(format!("--{flag} must be at least 1")));
+        }
+    }
+    Ok(config)
+}
+
 /// Streams the workload into the service: `--data` replays a triplet file,
 /// otherwise the CLI's seeded warm-up stream (the same one
 /// `amf-qos stats --obs` feeds).
@@ -230,6 +229,33 @@ mod tests {
 
     fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
+    }
+
+    #[test]
+    fn plane_flags_override_the_plane_defaults() {
+        assert_eq!(
+            plane_config(&args(&["serve"])).unwrap(),
+            ServeConfig::default()
+        );
+        let flags = "serve --workers 2 --max-pending 3 --max-body-bytes 4 --io-timeout-ms 5 \
+                     --deadline-ms 6 --max-conns 7 --max-requests-per-conn 8 --idle-timeout-ms 9";
+        let set = plane_config(&args(&flags.split_whitespace().collect::<Vec<_>>())).unwrap();
+        assert_eq!(
+            set,
+            ServeConfig {
+                workers: 2,
+                max_pending: 3,
+                max_body_bytes: 4,
+                io_timeout: Duration::from_millis(5),
+                default_deadline: Duration::from_millis(6),
+                max_connections: 7,
+                max_requests_per_conn: 8,
+                idle_timeout: Duration::from_millis(9),
+                ..ServeConfig::default()
+            }
+        );
+        let zero = plane_config(&args(&["serve", "--max-conns", "0"]));
+        assert_eq!(zero.unwrap_err().0, "--max-conns must be at least 1");
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! is obsolete (the QoS has likely drifted) and is discarded instead of
 //! replayed — "we check whether an existing QoS value has become expired,
 //! and if so, discard this value (set `I_ij = 0`)".
+//!
+//! The store is also the QoS database of the paper's Fig. 3: running sums
+//! per user, per service and overall follow every value that enters or
+//! leaves it, so the prediction service's fallback means are O(1) reads
+//! over exactly the stored observations.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -102,14 +107,135 @@ impl Entry {
     }
 }
 
+/// Sum and count of a set of values that gains and loses members.
+///
+/// NaN and ±∞ members are counted apart from the finite sum, so once such a
+/// value leaves the set it stops affecting the mean, as it would in a sum
+/// taken afresh.
+#[derive(Debug, Clone, Copy, Default)]
+struct RunningSum {
+    count: u64,
+    /// Sum of the finite members.
+    finite: f64,
+    nan: u32,
+    pos_inf: u32,
+    neg_inf: u32,
+}
+
+impl RunningSum {
+    /// The counter of a non-finite value's kind; `None` for finite values.
+    fn non_finite(&mut self, value: f64) -> Option<&mut u32> {
+        if value.is_nan() {
+            Some(&mut self.nan)
+        } else if value == f64::INFINITY {
+            Some(&mut self.pos_inf)
+        } else if value == f64::NEG_INFINITY {
+            Some(&mut self.neg_inf)
+        } else {
+            None
+        }
+    }
+
+    fn add(&mut self, value: f64) {
+        self.count += 1;
+        match self.non_finite(value) {
+            Some(n) => *n += 1,
+            None => self.finite += value,
+        }
+    }
+
+    /// Removes a member; an emptied set drops the rounding residue of its
+    /// finite sum, so it starts afresh.
+    fn remove(&mut self, value: f64) {
+        self.count -= 1;
+        match self.non_finite(value) {
+            Some(n) => *n -= 1,
+            None => self.finite -= value,
+        }
+        if self.count == 0 {
+            self.finite = 0.0;
+        }
+    }
+
+    fn mean(&self) -> Option<f64> {
+        if self.count == 0 {
+            return None;
+        }
+        let sum = if self.nan > 0 || (self.pos_inf > 0 && self.neg_inf > 0) {
+            f64::NAN
+        } else if self.pos_inf > 0 {
+            f64::INFINITY
+        } else if self.neg_inf > 0 {
+            f64::NEG_INFINITY
+        } else {
+            self.finite
+        };
+        Some(sum / self.count as f64)
+    }
+}
+
+/// Running sums per user, per service and over every stored value, indexed
+/// by id as the model's factor slabs are, so updating one costs no hashing.
+#[derive(Debug, Clone, Default)]
+struct Sums {
+    users: Vec<RunningSum>,
+    services: Vec<RunningSum>,
+    global: RunningSum,
+}
+
+impl Sums {
+    fn add(&mut self, key: PairKey, value: f64) {
+        for (sums, id) in [
+            (&mut self.users, key.user()),
+            (&mut self.services, key.service()),
+        ] {
+            if sums.len() <= id {
+                sums.resize(id + 1, RunningSum::default());
+            }
+            sums[id].add(value);
+        }
+        self.global.add(value);
+    }
+
+    /// Removes a value [`Sums::add`] added under the same key.
+    fn remove(&mut self, key: PairKey, value: f64) {
+        self.users[key.user()].remove(value);
+        self.services[key.service()].remove(value);
+        self.global.remove(value);
+    }
+}
+
 /// Keyed store of the latest observation per pair, with O(1) insert, O(1)
-/// random sampling, and lazy expiry.
+/// random sampling, lazy expiry, and O(1) means over the stored values.
+///
+/// Ids are dense indices: the per-user and per-service sums are indexed by
+/// id, so their memory grows with the largest id stored, as the model's
+/// factor slabs do.
+///
+/// # Examples
+///
+/// ```
+/// use amf_core::ObservationStore;
+///
+/// let mut store = ObservationStore::new();
+/// store.upsert(0, 0, 100, 1.0);
+/// store.upsert(0, 1, 100, 3.0);
+/// assert_eq!(store.user_mean(0), Some(2.0));
+/// // A refresh replaces the pair's value, in the means too.
+/// store.upsert(0, 1, 200, 5.0);
+/// assert_eq!(store.user_mean(0), Some(3.0));
+/// assert_eq!(store.service_mean(1), Some(5.0));
+/// store.remove(0, 0);
+/// assert_eq!(store.global_mean(), Some(5.0));
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct ObservationStore {
     /// Pair -> index into `entries`.
     index: HashMap<PairKey, u32>,
     /// Dense entry list enabling O(1) uniform sampling (swap-remove on expiry).
     entries: Vec<Entry>,
+    /// Sums over the values in `entries`.
+    sums: Sums,
 }
 
 impl ObservationStore {
@@ -128,7 +254,8 @@ impl ObservationStore {
         self.entries.is_empty()
     }
 
-    /// Inserts or refreshes the observation for `(user, service)`.
+    /// Inserts or refreshes the observation for `(user, service)`; a
+    /// refresh takes the pair's old value out of the means.
     ///
     /// # Panics
     ///
@@ -142,7 +269,8 @@ impl ObservationStore {
         };
         match self.index.entry(key) {
             std::collections::hash_map::Entry::Occupied(slot) => {
-                self.entries[*slot.get() as usize] = entry;
+                let old = std::mem::replace(&mut self.entries[*slot.get() as usize], entry);
+                self.sums.remove(key, old.value);
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
                 let idx = u32::try_from(self.entries.len()).expect("at most u32::MAX pairs");
@@ -150,6 +278,7 @@ impl ObservationStore {
                 self.entries.push(entry);
             }
         }
+        self.sums.add(key, value);
     }
 
     /// The current observation for a pair, if present.
@@ -161,6 +290,7 @@ impl ObservationStore {
     fn swap_remove(&mut self, idx: usize) -> StoredObservation {
         let removed = self.entries.swap_remove(idx);
         self.index.remove(&removed.key);
+        self.sums.remove(removed.key, removed.value);
         if let Some(moved) = self.entries.get(idx) {
             self.index.insert(moved.key, idx as u32);
         }
@@ -215,6 +345,23 @@ impl ObservationStore {
     /// Iterator over all stored observations (live status not checked).
     pub fn iter(&self) -> impl Iterator<Item = StoredObservation> + '_ {
         self.entries.iter().map(|entry| entry.observation())
+    }
+
+    /// Mean of the stored values `user` observed across services; `None`
+    /// when the user holds none.
+    pub fn user_mean(&self, user: usize) -> Option<f64> {
+        self.sums.users.get(user)?.mean()
+    }
+
+    /// Mean of the stored values observed of `service` across users; `None`
+    /// when the service holds none.
+    pub fn service_mean(&self, service: usize) -> Option<f64> {
+        self.sums.services.get(service)?.mean()
+    }
+
+    /// Mean of every stored value; `None` when the store is empty.
+    pub fn global_mean(&self) -> Option<f64> {
+        self.sums.global.mean()
     }
 }
 
@@ -358,5 +505,138 @@ mod tests {
         let mut pairs: Vec<(usize, usize)> = store.iter().map(|o| (o.user, o.service)).collect();
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(0, 1), (2, 3)]);
+    }
+
+    #[test]
+    fn service_mean_aggregates_users() {
+        let mut store = ObservationStore::new();
+        store.upsert(0, 5, 1, 2.0);
+        store.upsert(1, 5, 1, 4.0);
+        store.upsert(0, 6, 1, 100.0);
+        assert_eq!(store.service_mean(5), Some(3.0));
+        assert_eq!(store.service_mean(7), None);
+    }
+
+    #[test]
+    fn user_and_global_means() {
+        let mut store = ObservationStore::new();
+        store.upsert(0, 5, 1, 2.0);
+        store.upsert(0, 6, 1, 4.0);
+        store.upsert(1, 5, 1, 6.0);
+        assert_eq!(store.user_mean(0), Some(3.0));
+        assert_eq!(store.user_mean(9), None);
+        assert_eq!(store.global_mean(), Some(4.0));
+        assert_eq!(ObservationStore::new().global_mean(), None);
+    }
+
+    #[test]
+    fn a_non_finite_value_stops_counting_once_replaced() {
+        let mut store = ObservationStore::new();
+        store.upsert(0, 0, 1, f64::NAN);
+        store.upsert(0, 1, 1, f64::INFINITY);
+        assert!(store.user_mean(0).unwrap().is_nan());
+        assert_eq!(store.service_mean(1), Some(f64::INFINITY));
+        store.upsert(0, 0, 2, 2.0);
+        store.upsert(0, 1, 2, 4.0);
+        assert_eq!(store.user_mean(0), Some(3.0));
+        assert_eq!(store.global_mean(), Some(3.0));
+    }
+
+    #[test]
+    fn dropped_values_leave_the_means() {
+        let mut store = ObservationStore::new();
+        store.upsert(0, 0, 0, 1.0); // expired at t=1000
+        store.upsert(0, 1, 950, 3.0);
+        store.upsert(1, 1, 950, 5.0);
+        let mut rng = StdRng::seed_from_u64(6);
+        while store.len() > 2 {
+            store.sample_live(&mut rng, 1000, EXPIRY).unwrap();
+        }
+        assert_eq!(store.user_mean(0), Some(3.0));
+        assert_eq!(store.service_mean(0), None);
+        store.remove(1, 1);
+        assert_eq!(store.service_mean(1), Some(3.0));
+        assert_eq!(store.purge_expired(2000, EXPIRY), 1);
+        assert_eq!((store.user_mean(0), store.service_mean(1)), (None, None));
+        assert_eq!(store.global_mean(), None);
+        store.upsert(2, 2, 2000, 0.1);
+        assert_eq!(
+            store.global_mean(),
+            Some(0.1),
+            "an emptied sum starts afresh"
+        );
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        const IDS: usize = 4;
+        const SHORT: Duration = Duration::from_secs(10);
+
+        /// The mean of the stored values `keep` selects, summed afresh.
+        fn fresh(
+            store: &ObservationStore,
+            keep: impl Fn(&StoredObservation) -> bool,
+        ) -> Option<f64> {
+            let values: Vec<f64> = store.iter().filter(keep).map(|o| o.value).collect();
+            (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
+        }
+
+        fn same_mean(actual: Option<f64>, expected: Option<f64>) {
+            match (actual, expected) {
+                (Some(a), Some(e)) if a.is_finite() && e.is_finite() => {
+                    prop_assert!(
+                        (a - e).abs() <= 1e-9 * e.abs().max(1e-300),
+                        "mean {a} vs fresh {e}"
+                    );
+                }
+                (Some(a), Some(e)) if a.is_nan() => prop_assert!(e.is_nan(), "NaN vs {e}"),
+                _ => prop_assert_eq!(actual, expected),
+            }
+        }
+
+        /// Mostly QoS-like values, with an occasional NaN or ±∞.
+        fn value(roll: u8, finite: f64) -> f64 {
+            match roll {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                _ => finite,
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn means_match_a_fresh_recomputation(
+                seed in 0u64..1_000,
+                ops in proptest::collection::vec(
+                    (0u8..8, 0..IDS, 0..IDS, 0u64..40, (0u8..40, 0.05..20.0f64)),
+                    0..160
+                )
+            ) {
+                let mut store = ObservationStore::new();
+                let mut rng = StdRng::seed_from_u64(seed);
+                for (op, user, service, t, (roll, finite)) in ops {
+                    match op {
+                        0 => {
+                            store.remove(user, service);
+                        }
+                        1 => {
+                            store.sample_live(&mut rng, t, SHORT);
+                        }
+                        2 => {
+                            store.purge_expired(t, SHORT);
+                        }
+                        _ => store.upsert(user, service, t, value(roll, finite)),
+                    }
+                    for id in 0..IDS {
+                        same_mean(store.user_mean(id), fresh(&store, |o| o.user == id));
+                        same_mean(store.service_mean(id), fresh(&store, |o| o.service == id));
+                    }
+                    same_mean(store.global_mean(), fresh(&store, |_| true));
+                }
+            }
+        }
     }
 }

@@ -81,7 +81,7 @@ const SLO_DUMP_THRESHOLD: f64 = 0.5;
 const FLIGHT_COOLDOWN: Duration = Duration::from_millis(500);
 
 /// Serving-plane configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Fixed worker-pool size.
     pub workers: usize,
@@ -104,7 +104,9 @@ pub struct ServeConfig {
     /// Requests served per connection before it is closed
     /// (`Connection: close` on the final response).
     pub max_requests_per_conn: u64,
-    /// Idle keep-alive connections are closed after this long.
+    /// Idle keep-alive connections are closed after this long. The default,
+    /// two minutes, outlasts the half-minute a client may hold a control
+    /// connection quiet while it drives load on others.
     pub idle_timeout: Duration,
 }
 
@@ -119,7 +121,7 @@ impl Default for ServeConfig {
             max_deadline: Duration::from_secs(30),
             max_connections: 256,
             max_requests_per_conn: 1024,
-            idle_timeout: Duration::from_secs(30),
+            idle_timeout: Duration::from_secs(120),
         }
     }
 }

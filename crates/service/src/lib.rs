@@ -8,7 +8,9 @@
 //!   online ("online updating"), and serves predictions on demand ("QoS
 //!   prediction") through one interface. [`managers`] provides the user and
 //!   service managers that map external identities to model indices and track
-//!   join/leave churn; [`database`] is the QoS record store.
+//!   join/leave churn. The QoS database is the embedded trainer's
+//!   [`amf_core::ObservationStore`]: each pair's newest value, until it
+//!   expires.
 //!
 //! * **Execution middleware** ([`middleware`], [`workflow`], [`policy`]) — a
 //!   BPEL-engine stand-in: an application is a [`workflow::Workflow`] of
@@ -27,7 +29,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod adapt;
-pub mod database;
 pub mod managers;
 pub mod middleware;
 pub mod policy;
@@ -38,13 +39,12 @@ pub mod telemetry;
 pub mod workflow;
 
 pub use adapt::{Planner, PlannerConfig, PlannerDecision, PlannerObservation, PlannerTier};
-pub use database::QosDatabase;
 pub use managers::{EntityId, Registry};
 pub use middleware::ExecutionMiddleware;
 pub use policy::{AdaptationPolicy, BestPredictedPolicy, ThresholdPolicy};
 pub use prediction_service::{
     Prediction, PredictionSource, QosPredictionService, QosRecord, ServiceConfig, ServiceStats,
-    SourceCounts, HISTORY_CAP,
+    SourceCounts,
 };
 pub use scenario::{
     catalog, find_scenario, report_json, RunMetrics, ScenarioConfig, ScenarioEngine,

@@ -6,10 +6,10 @@
 //!    batches, single records, or an unbounded input queue), are screened by a
 //!    [`SampleGuard`] (NaN/∞, non-positive, out-of-range, and statistical
 //!    outliers are quarantined, never trained on), resolved to dense ids by
-//!    the user/service managers, logged in the [`QosDatabase`], and fed to
-//!    the model;
-//! 2. **Online updating** — the embedded [`amf_core::AmfTrainer`] applies
-//!    each sample immediately and replays live samples during idle time;
+//!    the user/service managers, and fed to the model;
+//! 2. **Online updating** — the embedded [`amf_core::AmfTrainer`] stores
+//!    each sample as its pair's live observation, applies it immediately,
+//!    and replays live samples during idle time, dropping expired ones;
 //! 3. **QoS prediction** — [`QosPredictionService::predict`] serves estimates
 //!    for *candidate* services the user never invoked.
 //!
@@ -26,9 +26,10 @@
 //!   pair (unknown or cold entities, mid-recovery), it walks a fallback
 //!   ladder — user mean → service mean → global mean → configured default —
 //!   and tags the answer with its [`PredictionSource`] so callers can weigh
-//!   it accordingly.
+//!   it accordingly. The means are the trainer's
+//!   [`amf_core::ObservationStore`] means: over each pair's newest value,
+//!   until replay expires it.
 
-use crate::database::QosDatabase;
 use crate::managers::Registry;
 use crate::ServiceError;
 use amf_core::guard::{GuardConfig, GuardStats, SampleGuard};
@@ -52,9 +53,6 @@ pub struct QosRecord {
     pub value: f64,
 }
 
-/// Observations retained per pair in the QoS database.
-pub const HISTORY_CAP: usize = 16;
-
 /// EMA-error level at or above which an entity counts as *cold* for
 /// [`QosPredictionService::predict_degraded`] (freshly registered entities
 /// start at exactly `1.0`).
@@ -72,10 +70,10 @@ pub struct ServiceConfig {
     #[doc(hidden)]
     pub shards: usize,
     /// Input screening. `Some` quarantines invalid samples before they reach
-    /// the database or the model; `None` disables screening entirely. The
-    /// default matches the model's QoS range with the statistical outlier
-    /// gate off (hard validation only) — enable
-    /// [`GuardConfig::outlier_gate`] for lossy transports.
+    /// the model; `None` disables screening entirely. The default matches
+    /// the model's QoS range with the statistical outlier gate off (hard
+    /// validation only) — enable [`GuardConfig::outlier_gate`] for lossy
+    /// transports.
     pub guard: Option<GuardConfig>,
 }
 
@@ -101,11 +99,11 @@ impl Default for ServiceConfig {
 pub enum PredictionSource {
     /// The AMF model, both entities known and warm.
     Model,
-    /// Mean of the user's retained observations across services.
+    /// Mean of the user's live observations across services.
     UserMean,
-    /// Mean of the service's retained observations across users.
+    /// Mean of the service's live observations across users.
     ServiceMean,
-    /// Mean of every retained observation.
+    /// Mean of every live observation.
     GlobalMean,
     /// No data at all: the configured default (midpoint of the QoS range).
     Default,
@@ -248,7 +246,6 @@ pub struct QosPredictionService {
     users: Mutex<Registry>,
     services: Mutex<Registry>,
     guard: Option<Mutex<SampleGuard>>,
-    database: QosDatabase,
     config: ServiceConfig,
     input_tx: Sender<QosRecord>,
     input_rx: Receiver<QosRecord>,
@@ -291,7 +288,6 @@ impl QosPredictionService {
             users: Mutex::new(Registry::new()),
             services: Mutex::new(Registry::new()),
             guard: config.guard.map(|g| Mutex::new(SampleGuard::new(g))),
-            database: QosDatabase::new(HISTORY_CAP),
             config,
             input_tx,
             input_rx,
@@ -308,9 +304,10 @@ impl QosPredictionService {
         &self.config
     }
 
-    /// The QoS database (read-side access for monitoring).
-    pub fn database(&self) -> &QosDatabase {
-        &self.database
+    /// Number of live observations, which the fallback means cover: one
+    /// per pair, until replay expires it.
+    pub fn live_observations(&self) -> usize {
+        self.trainer.lock().store().len()
     }
 
     /// Queues a record for the next [`QosPredictionService::drain_inputs`];
@@ -367,14 +364,13 @@ impl QosPredictionService {
     /// [`QosPredictionService::join_service`] return them).
     ///
     /// Each step takes its lock once per batch: the guard screens every
-    /// sample, the database logs the admitted ones, and
-    /// [`amf_core::AmfTrainer::feed_batch`] trains on them on the calling
-    /// thread and in stream order. Returns the number of samples accepted
-    /// for training.
+    /// sample, and [`amf_core::AmfTrainer::feed_batch`] stores and trains on
+    /// the admitted ones on the calling thread and in stream order. Returns
+    /// the number of samples accepted for training.
     ///
     /// A sample naming an id at or above its registry's [`Registry::len`]
-    /// is refused: it is not screened, logged, trained on or counted, so no
-    /// caller can make the model or the database grow rows for an entity
+    /// is refused: it is not screened, stored, trained on or counted, so no
+    /// caller can make the model or the store grow rows for an entity
     /// nobody registered.
     pub fn submit_batch_ids(&self, samples: &[(usize, usize, u64, f64)]) -> usize {
         let users = self.users.lock().len();
@@ -393,7 +389,6 @@ impl QosPredictionService {
         if admitted.is_empty() {
             return 0;
         }
-        self.database.record_batch(&admitted);
         self.accepted.add(admitted.len() as u64);
         self.trainer.lock().feed_batch(admitted)
     }
@@ -487,7 +482,7 @@ impl QosPredictionService {
     /// fallback ladder — user mean, service mean, global mean, configured
     /// default — and tags the result with its [`PredictionSource`]. This is
     /// the adaptation loop's view of the service during recovery: degraded
-    /// answers beat no answers.
+    /// answers beat no answers. The whole walk takes the trainer lock once.
     pub fn predict_degraded(&self, user: &str, service: &str) -> Prediction {
         let user_id = self.users.lock().resolve(user);
         let service_id = self.services.lock().resolve(service);
@@ -506,49 +501,33 @@ impl QosPredictionService {
 
     /// The fallback-ladder walk itself (counter-free).
     fn degraded_lookup(&self, user: Option<usize>, service: Option<usize>) -> Prediction {
-        if let (Some(u), Some(s)) = (user, service) {
-            let trainer = self.trainer.lock();
-            let model = trainer.model();
-            let warm = |error: Option<f64>| error.is_some_and(|e| e < COLD_ERROR_THRESHOLD);
-            if warm(model.user_error(u)) && warm(model.service_error(s)) {
-                if let Some(value) = model.predict(u, s) {
-                    if value.is_finite() {
-                        return Prediction {
-                            value,
-                            source: PredictionSource::Model,
-                        };
-                    }
-                }
+        let trainer = self.trainer.lock();
+        let (model, store) = (trainer.model(), trainer.store());
+        let warm = |error: Option<f64>| error.is_some_and(|e| e < COLD_ERROR_THRESHOLD);
+        let rung = |value: Option<f64>, source| {
+            let value = value.filter(|v| v.is_finite())?;
+            Some(Prediction { value, source })
+        };
+        let modelled = || match (user, service) {
+            (Some(u), Some(s)) if warm(model.user_error(u)) && warm(model.service_error(s)) => {
+                model.predict(u, s)
             }
-        }
-        if let Some(value) = user.and_then(|u| self.database.user_mean(u)) {
-            if value.is_finite() {
-                return Prediction {
-                    value,
-                    source: PredictionSource::UserMean,
-                };
-            }
-        }
-        if let Some(value) = service.and_then(|s| self.database.service_mean(s)) {
-            if value.is_finite() {
-                return Prediction {
-                    value,
-                    source: PredictionSource::ServiceMean,
-                };
-            }
-        }
-        if let Some(value) = self.database.global_mean() {
-            if value.is_finite() {
-                return Prediction {
-                    value,
-                    source: PredictionSource::GlobalMean,
-                };
-            }
-        }
-        Prediction {
-            value: 0.5 * (self.config.amf.r_min + self.config.amf.r_max),
-            source: PredictionSource::Default,
-        }
+            _ => None,
+        };
+        rung(modelled(), PredictionSource::Model)
+            .or_else(|| {
+                let mean = user.and_then(|u| store.user_mean(u));
+                rung(mean, PredictionSource::UserMean)
+            })
+            .or_else(|| {
+                let mean = service.and_then(|s| store.service_mean(s));
+                rung(mean, PredictionSource::ServiceMean)
+            })
+            .or_else(|| rung(store.global_mean(), PredictionSource::GlobalMean))
+            .unwrap_or(Prediction {
+                value: 0.5 * (self.config.amf.r_min + self.config.amf.r_max),
+                source: PredictionSource::Default,
+            })
     }
 
     /// Ranks every registered service for `user` by predicted QoS and
@@ -744,7 +723,7 @@ mod tests {
         assert_eq!(stats.updates, 2);
         assert_eq!(stats.accepted, 2);
         assert_eq!(stats.rejected, 0);
-        assert_eq!(svc.database().observation_count(), 2);
+        assert_eq!(svc.live_observations(), 2);
     }
 
     #[test]
@@ -882,12 +861,18 @@ mod tests {
         assert_eq!((stats.users, stats.services, stats.rejected), (14, 12, 48));
         assert_eq!(stats, batched.stats());
         assert_eq!(seq.guard_stats(), batched.guard_stats());
+        let (seq_trainer, batched_trainer) = (seq.trainer.lock(), batched.trainer.lock());
+        let (a, b) = (seq_trainer.store(), batched_trainer.store());
+        assert!(a.iter().eq(b.iter()), "same live observations, same order");
+        let bits = |mean: Option<f64>| mean.map(f64::to_bits);
+        assert_eq!(bits(a.global_mean()), bits(b.global_mean()));
+        for id in 0..stats.users.max(stats.services) {
+            assert_eq!(bits(a.user_mean(id)), bits(b.user_mean(id)));
+            assert_eq!(bits(a.service_mean(id)), bits(b.service_mean(id)));
+        }
+        drop((seq_trainer, batched_trainer));
         for u in 0..stats.users {
             for s in 0..stats.services {
-                assert_eq!(
-                    seq.database().history(u, s),
-                    batched.database().history(u, s)
-                );
                 assert_eq!(
                     seq.predict_ids(u, s).map(f64::to_bits),
                     batched.predict_ids(u, s).map(f64::to_bits)
@@ -904,7 +889,7 @@ mod tests {
             let trainer = svc.trainer.lock();
             (trainer.model().num_users(), trainer.model().num_services())
         };
-        let (stats, pairs, model_rows) = (svc.stats(), svc.database().pair_count(), rows(&svc));
+        let (stats, pairs, model_rows) = (svc.stats(), svc.live_observations(), rows(&svc));
         let unissued = [
             (1, 0, 1, 1.0),
             (0, 1, 2, 1.0),
@@ -912,7 +897,7 @@ mod tests {
         ];
         assert_eq!(svc.submit_batch_ids(&unissued), 0);
         assert_eq!(svc.stats(), stats);
-        assert_eq!(svc.database().pair_count(), pairs);
+        assert_eq!(svc.live_observations(), pairs);
         assert_eq!(rows(&svc), model_rows);
         assert_eq!(
             svc.guard_stats().unwrap().seen(),
@@ -933,7 +918,7 @@ mod tests {
         }
         assert_eq!(svc.drain_inputs(), 40);
         assert_eq!(svc.stats().updates, 40);
-        assert_eq!(svc.database().observation_count(), 40);
+        assert_eq!(svc.live_observations(), 4, "one per (u0..u3, s) pair");
     }
 
     #[test]
@@ -996,10 +981,11 @@ mod tests {
         assert_eq!(stats.accepted, 2);
         assert_eq!(stats.rejected, 3);
         assert_eq!(stats.updates, 2, "rejects must not train");
+        let stored = svc.trainer.lock().store().get(0, 0).map(|o| o.value);
         assert_eq!(
-            svc.database().observation_count(),
-            2,
-            "rejects stay out of the db"
+            stored,
+            Some(1.2),
+            "rejects never replace a live observation"
         );
         let g = svc.guard_stats().unwrap();
         assert_eq!(g.not_finite, 2);
@@ -1126,6 +1112,40 @@ mod tests {
         let third = svc.stats();
         assert_eq!(third.sources_total.default, 3);
         assert_eq!(third.sources_total.user_mean, 1);
+    }
+
+    #[test]
+    fn fallback_means_cover_only_live_observations() {
+        let svc = QosPredictionService::new(ServiceConfig::default());
+        let expiry = svc.config().amf.expiry.as_secs();
+        let user_mean = |svc: &QosPredictionService| svc.predict_degraded("alice", "ghost");
+        svc.submit(record("alice", "ws-1", 0, 1.0));
+        svc.submit(record("alice", "ws-1", 1, 3.0));
+        assert_eq!(
+            user_mean(&svc),
+            Prediction {
+                value: 3.0,
+                source: PredictionSource::UserMean
+            },
+            "a refresh replaces the pair's old value"
+        );
+        svc.submit(record("alice", "ws-2", expiry, 5.0));
+        svc.advance_clock(expiry + 1);
+        svc.idle();
+        assert_eq!(
+            svc.live_observations(),
+            1,
+            "replay dropped the expired pair"
+        );
+        assert_eq!(user_mean(&svc).value, 5.0);
+        assert_eq!(
+            svc.predict_degraded("ghost", "ws-1"),
+            Prediction {
+                value: 5.0,
+                source: PredictionSource::GlobalMean
+            },
+            "ws-1 holds no live observation"
+        );
     }
 
     #[test]

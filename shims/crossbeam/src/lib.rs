@@ -13,10 +13,6 @@ pub mod channel {
     struct Shared<T> {
         queue: Mutex<State<T>>,
         available: Condvar,
-        /// Signalled when a slot frees up in a bounded channel.
-        space: Condvar,
-        /// `None` = unbounded.
-        capacity: Option<usize>,
     }
 
     struct State<T> {
@@ -48,16 +44,6 @@ pub mod channel {
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
 
-    /// Error for [`Sender::try_send`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// The channel is bounded and currently full; the message is
-        /// returned to the caller.
-        Full(T),
-        /// All receivers dropped; the message is returned to the caller.
-        Disconnected(T),
-    }
-
     impl<T> std::fmt::Display for SendError<T> {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
             f.write_str("sending on a disconnected channel")
@@ -66,7 +52,8 @@ pub mod channel {
 
     impl<T: std::fmt::Debug> std::error::Error for SendError<T> {}
 
-    fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
+    /// Creates an unbounded MPMC channel.
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             queue: Mutex::new(State {
                 items: VecDeque::new(),
@@ -74,57 +61,16 @@ pub mod channel {
                 receivers: 1,
             }),
             available: Condvar::new(),
-            space: Condvar::new(),
-            capacity,
         });
         (Sender(shared.clone()), Receiver(shared))
     }
 
-    /// Creates an unbounded MPMC channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        with_capacity(None)
-    }
-
-    /// Creates a bounded MPMC channel holding at most `capacity` messages
-    /// (at least 1 — the real crossbeam's zero-capacity rendezvous channel
-    /// is not reproduced).
-    pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-        with_capacity(Some(capacity.max(1)))
-    }
-
     impl<T> Sender<T> {
-        /// Enqueues a message, blocking while a bounded channel is full;
-        /// fails only when every receiver is gone.
+        /// Enqueues a message; fails only when every receiver is gone.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let mut state = self.0.queue.lock().expect("channel mutex");
-            loop {
-                if state.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                match self.0.capacity {
-                    Some(cap) if state.items.len() >= cap => {
-                        state = self.0.space.wait(state).expect("channel mutex");
-                    }
-                    _ => break,
-                }
-            }
-            state.items.push_back(value);
-            drop(state);
-            self.0.available.notify_one();
-            Ok(())
-        }
-
-        /// Enqueues without blocking: on a full bounded channel the message
-        /// comes straight back as [`TrySendError::Full`].
-        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let mut state = self.0.queue.lock().expect("channel mutex");
             if state.receivers == 0 {
-                return Err(TrySendError::Disconnected(value));
-            }
-            if let Some(cap) = self.0.capacity {
-                if state.items.len() >= cap {
-                    return Err(TrySendError::Full(value));
-                }
+                return Err(SendError(value));
             }
             state.items.push_back(value);
             drop(state);
@@ -156,11 +102,7 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.0.queue.lock().expect("channel mutex");
             match state.items.pop_front() {
-                Some(v) => {
-                    drop(state);
-                    self.0.space.notify_one();
-                    Ok(v)
-                }
+                Some(v) => Ok(v),
                 None if state.senders == 0 => Err(TryRecvError::Disconnected),
                 None => Err(TryRecvError::Empty),
             }
@@ -171,8 +113,6 @@ pub mod channel {
             let mut state = self.0.queue.lock().expect("channel mutex");
             loop {
                 if let Some(v) = state.items.pop_front() {
-                    drop(state);
-                    self.0.space.notify_one();
                     return Ok(v);
                 }
                 if state.senders == 0 {
@@ -207,14 +147,7 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            let mut state = self.0.queue.lock().expect("channel mutex");
-            state.receivers -= 1;
-            if state.receivers == 0 {
-                drop(state);
-                // Wake senders blocked on a full bounded channel so they can
-                // observe the disconnection.
-                self.0.space.notify_all();
-            }
+            self.0.queue.lock().expect("channel mutex").receivers -= 1;
         }
     }
 }
@@ -254,31 +187,6 @@ mod tests {
         producer.join().unwrap();
         let got: Vec<i32> = rx.try_iter().collect();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn bounded_try_send_reports_full() {
-        use super::channel::{bounded, TrySendError};
-        let (tx, rx) = bounded(2);
-        assert!(tx.try_send(1).is_ok());
-        assert!(tx.try_send(2).is_ok());
-        assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-        assert_eq!(rx.try_recv(), Ok(1));
-        assert!(tx.try_send(3).is_ok(), "recv frees a slot");
-        drop(rx);
-        assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
-    }
-
-    #[test]
-    fn bounded_send_blocks_until_space() {
-        use super::channel::bounded;
-        let (tx, rx) = bounded(1);
-        tx.send(1).unwrap();
-        let producer = std::thread::spawn(move || tx.send(2).unwrap());
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        assert_eq!(rx.recv(), Ok(1));
-        producer.join().unwrap();
-        assert_eq!(rx.recv(), Ok(2));
     }
 
     #[test]

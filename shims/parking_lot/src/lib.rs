@@ -47,44 +47,6 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// Reader-writer lock with parking_lot's `read()`/`write()` API.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-/// Guard for [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
-/// Guard for [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Creates a lock owning `value`.
-    pub const fn new(value: T) -> Self {
-        Self(sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,14 +58,6 @@ mod tests {
         assert_eq!(*m.lock(), 2);
         assert!(m.try_lock().is_some());
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_basics() {
-        let l = RwLock::new(vec![1, 2]);
-        assert_eq!(l.read().len(), 2);
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
     }
 
     #[test]

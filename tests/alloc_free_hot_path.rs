@@ -20,7 +20,7 @@
 //! it on others.
 
 use amf_core::{AmfConfig, AmfModel, AmfTrainer};
-use qos_service::{QosPredictionService, ServiceConfig, HISTORY_CAP};
+use qos_service::{QosPredictionService, ServiceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -159,21 +159,19 @@ fn service_id_stage_allocates_per_batch_not_per_sample() {
     for s in 0..SERVICES {
         service.join_service(&format!("svc-{s}"));
     }
-    // Every pair in serve's steady state: each holds `HISTORY_CAP`
-    // observations, so a new one evicts the oldest, and the model and the
-    // observation store already know it.
+    // Every pair in serve's steady state: the model and the observation
+    // store already know it, so a new observation replaces the stored one.
     let pairs = USERS * SERVICES;
     let sample = |t: usize| {
         let pair = t % pairs;
         let value = 0.5 + (t % 7) as f64 * 0.25;
         (pair / SERVICES, pair % SERVICES, t as u64, value)
     };
-    let cap = HISTORY_CAP;
-    let warm: Vec<_> = (0..pairs * (cap + 1)).map(sample).collect();
+    let warm: Vec<_> = (0..pairs * 2).map(sample).collect();
     for batch in warm.chunks(256) {
         service.submit_batch_ids(batch);
     }
-    assert_eq!(service.database().observation_count(), pairs * cap);
+    assert_eq!(service.live_observations(), pairs);
 
     let mut t = warm.len();
     let mut allocations = |n: usize| {
@@ -190,5 +188,5 @@ fn service_id_stage_allocates_per_batch_not_per_sample() {
         "submit_batch_ids allocated {small} times for 16 samples and {large} for 256; \
          the id stage must allocate per batch, not per sample"
     );
-    assert_eq!(service.database().observation_count(), pairs * cap);
+    assert_eq!(service.live_observations(), pairs);
 }
