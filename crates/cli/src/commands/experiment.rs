@@ -85,6 +85,15 @@ mod tests {
     }
 
     #[test]
+    fn small_simulation_runs() {
+        let out = run(&args(&["experiment", "adaptation"])).unwrap();
+        assert!(out.contains("static"));
+        assert!(out.contains("threshold"));
+        assert!(out.contains("best-predicted"));
+        assert!(out.contains("improves steady-state RT"));
+    }
+
+    #[test]
     fn unknown_id_lists_usage() {
         let err = run(&args(&["experiment", "fig99"])).unwrap_err();
         assert!(err.to_string().contains("unknown experiment"));

@@ -11,7 +11,6 @@ pub mod predict;
 pub mod report;
 pub mod scenario;
 pub mod serve;
-pub mod simulate;
 pub mod stats;
 pub mod trace;
 pub mod train;

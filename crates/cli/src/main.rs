@@ -37,7 +37,6 @@ evaluate    run the Table I accuracy protocol on synthetic data\n  \
 experiment  regenerate a paper artifact (fig2..fig14, table1, ablations)\n  \
 stats       dataset statistics (Fig. 6); --obs for a runtime metrics snapshot\n  \
 diagnose    health snapshot of a saved model\n  \
-simulate    end-to-end runtime-adaptation simulation\n  \
 serve       run the hardened serving plane (predict/observe/rank + metrics)\n  \
 loadtest    fault-injecting load harness against a live serve endpoint\n  \
 scenario    closed-loop adaptation scenarios, amf-scenario/v1 reports\n  \
@@ -59,7 +58,6 @@ fn dispatch(args: &Args) -> Result<String, commands::CliError> {
         Some("experiment") => (experiment::run, experiment::USAGE),
         Some("stats") => (stats::run, stats::USAGE),
         Some("diagnose") => (diagnose::run, diagnose::USAGE),
-        Some("simulate") => (simulate::run, simulate::USAGE),
         Some("serve") => (serve::run, serve::USAGE),
         Some("loadtest") => (loadtest::run, loadtest::USAGE),
         Some("scenario") => (scenario::run, scenario::USAGE),

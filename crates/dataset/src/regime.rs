@@ -509,8 +509,9 @@ fn mix(seed: u64, a: u64, b: u64, c: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Uniform draw in [0, 1) from the mixed coordinates.
-fn hash01(seed: u64, a: u64, b: u64, c: u64) -> f64 {
+/// Uniform draw in [0, 1) from the mixed coordinates: a pure function of
+/// its arguments, so draws do not depend on the order they are taken in.
+pub fn hash01(seed: u64, a: u64, b: u64, c: u64) -> f64 {
     (mix(seed, a, b, c) >> 11) as f64 / (1u64 << 53) as f64
 }
 

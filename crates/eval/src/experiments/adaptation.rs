@@ -5,48 +5,60 @@
 //! but never quantifies the loop end to end; this experiment closes it:
 //! service-based applications run on the execution middleware, report
 //! observations to the AMF-backed prediction service, and rebind tasks per
-//! policy. Compared: never adapting, SLA-threshold-triggered adaptation, and
-//! greedy best-predicted adaptation.
+//! policy. It plays the dataset's time slices on the closed-loop scenario
+//! engine ([`ScenarioEngine::run_slices`]), once per policy: never adapting,
+//! SLA-threshold-triggered adaptation, and greedy best-predicted adaptation.
 
 use crate::Scale;
 use qos_service::policy::StaticPolicy;
 use qos_service::{
-    AdaptationSimulation, BestPredictedPolicy, SimulationConfig, SimulationReport, ThresholdPolicy,
+    AdaptationPolicy, BestPredictedPolicy, RunMetrics, ScenarioConfig, ScenarioEngine,
+    ThresholdPolicy,
 };
-use serde::{Deserialize, Serialize};
 
-/// E-SIM result: one report per policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// E-SIM result: one run per policy.
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptationResult {
-    /// The simulation parameters used.
-    pub config: SimulationConfig,
+    /// The engine configuration used.
+    pub config: ScenarioConfig,
+    /// Dataset time slices run (one tick each).
+    pub slices: usize,
     /// Never-adapt baseline.
-    pub static_run: SimulationReport,
+    pub static_run: RunMetrics,
     /// SLA-threshold-triggered adaptation.
-    pub threshold_run: SimulationReport,
+    pub threshold_run: RunMetrics,
     /// Greedy best-predicted adaptation.
-    pub greedy_run: SimulationReport,
+    pub greedy_run: RunMetrics,
 }
 
-/// Runs the simulation with a workload sized to the scale.
+/// Runs the three policies over the scale's dataset on the scenario engine,
+/// with a workload sized to the scale.
 pub fn run(scale: &Scale) -> AdaptationResult {
     let dataset = super::dataset_for(scale);
-    let config = SimulationConfig {
-        applications: 8.min(scale.users / 2).max(1),
-        tasks_per_workflow: 3,
-        candidates_per_task: 5.min(scale.services / 3).max(1),
-        sla_threshold: 2.0,
-        slices: scale.time_slices.min(10),
-        background_density: 0.12,
+    let config = ScenarioConfig {
         seed: scale.seed,
+        users: dataset.users(),
+        services: dataset.services(),
+        apps: 8.min(scale.users / 2).max(1),
+        tasks_per_app: 3,
+        candidates_per_task: 5.min(scale.services / 3).max(1),
+        slo: 2.0,
+        background_density: 0.12,
+        ..ScenarioConfig::default()
     };
-    let simulation =
-        AdaptationSimulation::new(&dataset, config).expect("scaled config fits the dataset");
+    let slices = scale.time_slices.min(10);
+    let engine = ScenarioEngine::new(config).expect("scaled config is valid");
+    let run = |policy: &dyn AdaptationPolicy| {
+        engine
+            .run_slices(&dataset, slices, policy)
+            .expect("scaled config fits the dataset")
+    };
     AdaptationResult {
         config,
-        static_run: simulation.run(&StaticPolicy),
-        threshold_run: simulation.run(&ThresholdPolicy::new(config.sla_threshold)),
-        greedy_run: simulation.run(&BestPredictedPolicy),
+        slices,
+        static_run: run(&StaticPolicy),
+        threshold_run: run(&ThresholdPolicy::new(config.slo)),
+        greedy_run: run(&BestPredictedPolicy),
     }
 }
 
@@ -62,11 +74,11 @@ impl AdaptationResult {
     pub fn render(&self) -> String {
         let mut out = format!(
             "# E-SIM: runtime adaptation, {} apps x {} tasks x {} candidates, {} slices, SLA {}s\n",
-            self.config.applications,
-            self.config.tasks_per_workflow,
+            self.config.apps,
+            self.config.tasks_per_app,
             self.config.candidates_per_task,
-            self.config.slices,
-            self.config.sla_threshold
+            self.slices,
+            self.config.slo
         );
         let mut table = crate::report::TextTable::new(vec![
             "policy".into(),
@@ -77,11 +89,11 @@ impl AdaptationResult {
         ]);
         for report in [&self.static_run, &self.threshold_run, &self.greedy_run] {
             table.row(vec![
-                report.policy.clone(),
-                format!("{:.3}", report.mean_rt()),
+                report.policy.to_string(),
+                format!("{:.3}", report.mean_end_to_end_rt),
                 format!("{:.3}", report.steady_state_rt()),
-                report.total_adaptations().to_string(),
-                report.total_violations().to_string(),
+                report.rebinds.to_string(),
+                report.violations.to_string(),
             ]);
         }
         out.push_str(&table.render());
@@ -89,19 +101,14 @@ impl AdaptationResult {
             "\n# greedy adaptation improves steady-state RT by {:.1}% over static\n",
             self.greedy_improvement_percent()
         ));
-        let x: Vec<f64> = (0..self.static_run.slices.len())
-            .map(|t| t as f64)
-            .collect();
-        let series = |r: &SimulationReport| -> Vec<f64> {
-            r.slices.iter().map(|s| s.mean_end_to_end_rt).collect()
-        };
+        let x: Vec<f64> = (0..self.slices).map(|t| t as f64).collect();
         out.push_str(&crate::report::render_multi_series(
             "slice",
             &x,
             &[
-                ("static", series(&self.static_run)),
-                ("threshold", series(&self.threshold_run)),
-                ("best_predicted", series(&self.greedy_run)),
+                ("static", self.static_run.tick_mean_rt.clone()),
+                ("threshold", self.threshold_run.tick_mean_rt.clone()),
+                ("best_predicted", self.greedy_run.tick_mean_rt.clone()),
             ],
         ));
         out
@@ -125,11 +132,11 @@ mod tests {
     #[test]
     fn all_policies_complete() {
         let r = result();
-        assert_eq!(r.static_run.slices.len(), 6);
-        assert_eq!(r.threshold_run.slices.len(), 6);
-        assert_eq!(r.greedy_run.slices.len(), 6);
-        assert_eq!(r.static_run.total_adaptations(), 0);
-        assert!(r.greedy_run.total_adaptations() > 0);
+        assert_eq!(r.static_run.tick_mean_rt.len(), 6);
+        assert_eq!(r.threshold_run.tick_mean_rt.len(), 6);
+        assert_eq!(r.greedy_run.tick_mean_rt.len(), 6);
+        assert_eq!(r.static_run.rebinds, 0);
+        assert!(r.greedy_run.rebinds > 0);
     }
 
     #[test]

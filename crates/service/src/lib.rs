@@ -20,9 +20,11 @@
 //!   [`policy::AdaptationPolicy`] decide re-bindings ("adaptation actions")
 //!   based on predicted QoS of the candidates.
 //!
-//! [`simulation`] drives the whole loop against a synthetic
-//! [`qos_dataset::QosDataset`] to measure end-to-end adaptation quality —
-//! the system-level payoff the paper motivates in its introduction.
+//! [`scenario`] is the one closed-loop harness: it drives a fleet of
+//! applications through the whole loop against a phase-regime world or a
+//! synthetic [`qos_dataset::QosDataset`]'s time slices, one policy per run,
+//! to measure end-to-end adaptation quality — the system-level payoff the
+//! paper motivates in its introduction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +36,6 @@ pub mod middleware;
 pub mod policy;
 pub mod prediction_service;
 pub mod scenario;
-pub mod simulation;
 pub mod telemetry;
 pub mod workflow;
 
@@ -50,7 +51,6 @@ pub use scenario::{
     catalog, find_scenario, report_json, RunMetrics, ScenarioConfig, ScenarioEngine,
     ScenarioOutcome, ScenarioSpec, SCENARIO_SCHEMA,
 };
-pub use simulation::{AdaptationSimulation, SimulationConfig, SimulationReport};
 pub use telemetry::HEALTH_SCHEMA;
 pub use workflow::{AbstractTask, Workflow};
 
@@ -68,7 +68,7 @@ pub enum ServiceError {
     Model(amf_core::AmfError),
     /// A workflow definition was invalid.
     InvalidWorkflow(String),
-    /// A simulation configuration was invalid.
+    /// A scenario or planner configuration was invalid.
     InvalidConfig(String),
 }
 

@@ -1,29 +1,40 @@
-//! Closed-loop adaptation scenarios: phase-regime worlds driven through the
-//! full MAPE-K loop, measured against a static-selection baseline.
+//! The closed-loop adaptation harness (paper Section III): a fleet of
+//! applications runs through the MAPE-K loop against a world, under one
+//! pluggable [`AdaptationPolicy`] per run.
 //!
-//! Each [`ScenarioSpec`] names a seeded [`qos_dataset::RegimeTimeline`]
-//! (good / congested / lossy / recovery, plus churn storms, flash crowds,
-//! regional outages, and correlated-outlier bursts). The [`ScenarioEngine`]
-//! runs the same world twice:
+//! A run plays against one of two worlds:
 //!
-//! * **adaptive** — monitoring feeds a [`crate::adapt::Planner`]; when it
-//!   plans, the Execute stage re-ranks every candidate via
-//!   [`QosPredictionService::rank_candidates_ids`] and applies a
-//!   [`ThresholdPolicy`] rebind with an improvement margin;
-//! * **static** — the initial bindings never change ([`StaticPolicy`]),
-//!   which is exactly what a system without runtime QoS prediction does.
+//! * **a phase-regime world.** A [`ScenarioSpec`] names a seeded
+//!   [`qos_dataset::RegimeTimeline`] (good / congested / lossy / recovery,
+//!   plus churn storms, flash crowds, regional outages, and
+//!   correlated-outlier bursts). [`ScenarioEngine::run_scenario`] runs it
+//!   twice: **adaptive**, where a [`crate::adapt::Planner`] decides each
+//!   tick whether a [`ThresholdPolicy`] may rebind, and **static**, where
+//!   the initial bindings never change ([`StaticPolicy`]), which is exactly
+//!   what a system without runtime QoS prediction does. The difference in
+//!   SLO-violation rate is the *adaptation gain*.
+//! * **a dataset's time slices.** [`ScenarioEngine::run_slices`] plays
+//!   slice `t` of a [`QosDataset`] as tick `t`, on the slice's start-time
+//!   clock, and lets its policy act on every tick. E-SIM compares static,
+//!   threshold and best-predicted policies this way.
 //!
-//! The difference in SLO-violation rate is the *adaptation gain* — the
-//! system-level payoff the paper's framework exists to deliver. Outcomes
-//! serialize to the committed `amf-scenario/v1` report; every draw is a pure
-//! function of the seed, so the same seed reproduces the report byte for
-//! byte.
+//! Everything else is one code path. App `i` belongs to user `i` and draws
+//! its candidates from a seed-pinned RNG; every user and service is
+//! registered up front; each tick submits one batch of background
+//! observations (a stateless hash draw per pair), replays the trainer to
+//! convergence, then steps every app on
+//! [`QosPredictionService::rank_candidates_ids`] predictions and feeds its
+//! own observations back. Every draw is a pure function of the seed, so the
+//! committed `amf-scenario/v1` report reproduces byte for byte.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use amf_core::{FaultContext, FaultPlan};
-use qos_dataset::{RegimePhase, RegimeTimeline, RegimeWorld, RegimeWorldConfig};
+use qos_dataset::regime::hash01;
+use qos_dataset::{
+    Attribute, QosDataset, RegimePhase, RegimeTimeline, RegimeWorld, RegimeWorldConfig,
+};
 use qos_obs::{FlightRecorder, Json, LogConfig, DEFAULT_MAX_LOG_BYTES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,7 +42,7 @@ use rand::SeedableRng;
 use crate::adapt::{Planner, PlannerConfig, PlannerObservation};
 use crate::middleware::ExecutionMiddleware;
 use crate::policy::{AdaptationPolicy, StaticPolicy, ThresholdPolicy};
-use crate::prediction_service::{QosPredictionService, QosRecord, ServiceConfig};
+use crate::prediction_service::{QosPredictionService, ServiceConfig};
 use crate::workflow::{AbstractTask, Workflow};
 use crate::ServiceError;
 use qos_linalg::random::sample_indices;
@@ -205,11 +216,11 @@ impl ScenarioConfig {
     }
 }
 
-/// Metrics of one run (one mode over one scenario).
+/// Metrics of one run (one policy over one world).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
-    /// `"adaptive"` or `"static"`.
-    pub mode: &'static str,
+    /// The policy's [`AdaptationPolicy::name`].
+    pub policy: &'static str,
     /// Task executions (apps × tasks × ticks).
     pub executions: u64,
     /// Task executions that violated the SLO.
@@ -226,12 +237,26 @@ pub struct RunMetrics {
     /// Ticks from the first disruptive phase's start until the fleet's
     /// per-tick violation rate stayed at or below the recover threshold for
     /// three consecutive ticks. `None` when it never recovered (or the
-    /// scenario has no disruption).
+    /// world has no disruptive phase, as a dataset's slices do not).
     pub time_to_recover: Option<u32>,
-    /// Plans the MAPE-K planner issued (0 in static mode).
+    /// Plans the MAPE-K planner issued (0 for a run without a planner).
     pub planner_plans: u64,
     /// `(user-side, service-side)` drift alarms raised after warm-up.
     pub drift_alarms: (u64, u64),
+    /// Mean end-to-end workflow RT across apps, per tick.
+    pub tick_mean_rt: Vec<f64>,
+}
+
+impl RunMetrics {
+    /// Mean of [`RunMetrics::tick_mean_rt`] over the trailing half of the
+    /// run, after the model warms up.
+    pub fn steady_state_rt(&self) -> f64 {
+        let half = &self.tick_mean_rt[self.tick_mean_rt.len() / 2..];
+        if half.is_empty() {
+            return f64::NAN;
+        }
+        half.iter().sum::<f64>() / half.len() as f64
+    }
 }
 
 /// Both runs of one scenario.
@@ -257,16 +282,79 @@ impl ScenarioOutcome {
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Adaptive,
-    Static,
+/// What a run plays against.
+enum World<'a> {
+    /// A phase-regime world: tick `t` is clock `t`, and monitors report
+    /// through the phase's outlier bursts and transport faults.
+    Regime {
+        spec: &'a ScenarioSpec,
+        world: RegimeWorld,
+        faults: BTreeMap<&'static str, FaultPlan>,
+    },
+    /// A dataset's first `slices` time slices: slice `t` is tick `t`, its
+    /// clock is the slice's start time, and monitors report the true RT.
+    Slices {
+        dataset: &'a QosDataset,
+        slices: u32,
+    },
 }
 
-/// Runs scenarios and aggregates their outcomes.
+impl World<'_> {
+    fn ticks(&self) -> u32 {
+        match self {
+            World::Regime { world, .. } => world.timeline().total_ticks(),
+            World::Slices { slices, .. } => *slices,
+        }
+    }
+
+    fn clock(&self, tick: u32) -> u64 {
+        match self {
+            World::Regime { .. } => u64::from(tick),
+            World::Slices { dataset, .. } => dataset.slice_start_time(tick as usize),
+        }
+    }
+
+    /// The QoS `user` gets from `service` at `tick`.
+    fn actual(&self, user: usize, service: usize, tick: u32) -> f64 {
+        match self {
+            World::Regime { world, .. } => world.actual(user, service, tick),
+            World::Slices { dataset, .. } => {
+                dataset.value(Attribute::ResponseTime, user, service, tick as usize)
+            }
+        }
+    }
+
+    /// What a monitor reports for that invocation.
+    fn reported(&self, user: usize, service: usize, tick: u32) -> f64 {
+        match self {
+            World::Regime { world, .. } => world.observe(user, service, tick).reported,
+            World::Slices { .. } => self.actual(user, service, tick),
+        }
+    }
+
+    /// The transport fault plan of the phase in force at `tick`.
+    fn faults(&self, tick: u32) -> Option<&FaultPlan> {
+        match self {
+            World::Regime { world, faults, .. } => faults.get(world.phase_at(tick).0.label()),
+            World::Slices { .. } => None,
+        }
+    }
+
+    fn spec(&self) -> Option<&ScenarioSpec> {
+        match self {
+            World::Regime { spec, .. } => Some(spec),
+            World::Slices { .. } => None,
+        }
+    }
+}
+
+/// The closed-loop harness: runs regime scenarios, or one policy over a
+/// dataset's time slices.
 #[derive(Debug, Clone)]
 pub struct ScenarioEngine {
     config: ScenarioConfig,
+    /// The validated planner; every adaptive run starts from a clone.
+    planner: Planner,
     flight_dir: Option<PathBuf>,
 }
 
@@ -278,9 +366,9 @@ impl ScenarioEngine {
     /// Returns [`ServiceError::InvalidConfig`] for degenerate configs.
     pub fn new(config: ScenarioConfig) -> Result<Self, ServiceError> {
         config.validate()?;
-        Planner::new(config.planner)?;
         Ok(Self {
             config,
+            planner: Planner::new(config.planner)?,
             flight_dir: None,
         })
     }
@@ -341,18 +429,60 @@ impl ScenarioEngine {
                     .map_err(|e| ServiceError::InvalidConfig(e.to_string()))?;
             }
         }
-        let fault_plans = self.phase_fault_plans(spec)?;
-        let adaptive = self.run_mode(spec, &world, &fault_plans, Mode::Adaptive);
-        let baseline = self.run_mode(spec, &world, &fault_plans, Mode::Static);
+        let world = World::Regime {
+            spec,
+            world,
+            faults: self.phase_fault_plans(spec)?,
+        };
+        let threshold = ThresholdPolicy {
+            threshold: self.config.slo,
+            min_improvement: self.config.min_improvement,
+        };
         let outcome = ScenarioOutcome {
             name: spec.name.to_string(),
             spans: spec.spans.clone(),
-            ticks: world.timeline().total_ticks(),
-            adaptive,
-            baseline,
+            ticks: world.ticks(),
+            adaptive: self.run(&world, &threshold, Some(self.planner.clone())),
+            baseline: self.run(&world, &StaticPolicy, None),
         };
         self.dump_flight(&outcome);
         Ok(outcome)
+    }
+
+    /// Runs `policy` on every tick over the first `slices` time slices of
+    /// `dataset`, whose users and services must be the configured ones.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServiceError::InvalidConfig`] when the dataset's dimensions
+    /// differ from the configuration's, or `slices` is not in
+    /// `1..=dataset.time_slices()`.
+    pub fn run_slices(
+        &self,
+        dataset: &QosDataset,
+        slices: usize,
+        policy: &dyn AdaptationPolicy,
+    ) -> Result<RunMetrics, ServiceError> {
+        let c = &self.config;
+        if (dataset.users(), dataset.services()) != (c.users, c.services) {
+            return Err(ServiceError::InvalidConfig(format!(
+                "scenario: dataset is {}x{}, config is {}x{}",
+                dataset.users(),
+                dataset.services(),
+                c.users,
+                c.services
+            )));
+        }
+        let Some(slices) = u32::try_from(slices)
+            .ok()
+            .filter(|&t| t > 0 && t as usize <= dataset.time_slices())
+        else {
+            return Err(ServiceError::InvalidConfig(format!(
+                "scenario: slices must be in 1..={}",
+                dataset.time_slices()
+            )));
+        };
+        Ok(self.run(&World::Slices { dataset, slices }, policy, None))
     }
 
     /// Flight-records one finished scenario when a dump directory is set.
@@ -425,8 +555,8 @@ impl ScenarioEngine {
     }
 
     /// Deterministic fleet: app `i` belongs to user `i`; candidate sets are
-    /// drawn without replacement from a seed-pinned RNG, so the adaptive and
-    /// static runs start from identical bindings.
+    /// drawn without replacement from a seed-pinned RNG, so every run over
+    /// one configuration starts from identical bindings.
     fn build_fleet(&self) -> Vec<ExecutionMiddleware> {
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xF1EE7);
         (0..self.config.apps)
@@ -447,12 +577,13 @@ impl ScenarioEngine {
             .collect()
     }
 
-    fn run_mode(
+    /// One run of the loop. With a planner, `policy` may rebind only on the
+    /// ticks the planner acts; without one, on every tick.
+    fn run(
         &self,
-        spec: &ScenarioSpec,
-        world: &RegimeWorld,
-        fault_plans: &BTreeMap<&'static str, FaultPlan>,
-        mode: Mode,
+        world: &World<'_>,
+        policy: &dyn AdaptationPolicy,
+        mut planner: Option<Planner>,
     ) -> RunMetrics {
         let c = &self.config;
         let service = QosPredictionService::new(ServiceConfig {
@@ -467,7 +598,7 @@ impl ScenarioEngine {
             ..Default::default()
         });
         // Register the whole population up front so dense ids equal world
-        // indices in both modes.
+        // indices in every run.
         for u in 0..c.users {
             service.join_user(&format!("u{u}"));
         }
@@ -475,26 +606,18 @@ impl ScenarioEngine {
             service.join_service(&format!("s{s}"));
         }
         let mut fleet = self.build_fleet();
-        let mut planner = match Planner::new(c.planner) {
-            Ok(p) => p,
-            Err(_) => unreachable!("config validated in ScenarioEngine::new"),
-        };
 
-        let total_ticks = world.timeline().total_ticks();
-        let warmup_end = spec.spans.first().map_or(0, |&(_, t)| t);
+        let total_ticks = world.ticks();
+        let warmup_end = world.spec().and_then(|s| s.spans.first()).map(|&(_, t)| t);
         let tasks_per_tick = (fleet.len() * c.tasks_per_app) as u64;
-        let threshold_policy = ThresholdPolicy {
-            threshold: c.slo,
-            min_improvement: c.min_improvement,
-        };
 
         let mut executions = 0u64;
         let mut violations = 0u64;
         let mut rebinds = 0u64;
         let mut flaps = 0u64;
-        let mut plans_issued = 0u64;
         let mut rt_sum = 0.0;
         let mut tick_rates: Vec<f64> = Vec::with_capacity(total_ticks as usize);
+        let mut tick_mean_rt: Vec<f64> = Vec::with_capacity(total_ticks as usize);
         let mut prev_rate = 0.0;
         let mut prev_alarm_total = 0u64;
         // Per (app, task): the most recent rebind as (tick, previous binding).
@@ -502,86 +625,70 @@ impl ScenarioEngine {
             vec![vec![None; c.tasks_per_app]; fleet.len()];
 
         for tick in 0..total_ticks {
-            let (phase, _) = world.phase_at(tick);
-            service.advance_clock(u64::from(tick));
+            let now = world.clock(tick);
+            service.advance_clock(now);
 
             // Monitor: background traffic — a seeded slice of the matrix,
             // possibly mangled by the phase's transport fault plan.
-            let mut batch: Vec<QosRecord> = Vec::new();
+            let mut batch = Vec::new();
             for u in 0..c.users {
                 for s in 0..c.services {
                     if hash01(c.seed ^ 0xBAC6, u as u64, s as u64, u64::from(tick))
                         < c.background_density
                     {
-                        batch.push(QosRecord {
-                            user: format!("u{u}"),
-                            service: format!("s{s}"),
-                            timestamp: u64::from(tick),
-                            value: world.observe(u, s, tick).reported,
-                        });
+                        batch.push((u, s, now, world.reported(u, s, tick)));
                     }
                 }
             }
-            if let Some(plan) = fault_plans.get(phase.label()) {
+            if let Some(plan) = world.faults(tick) {
                 batch = plan.mutate_stream(&batch);
             }
-            service.submit_batch(batch);
+            service.submit_batch_ids(&batch);
             service.idle();
 
             // The initial phase is warm-up: cold-start error transients can
             // trip the drift sentinel, so at the boundary the sentinel is
             // reset — scenario alarms then attribute to the disruption, never
             // to model warm-up (and never to a previous run).
-            if tick == warmup_end {
+            if Some(tick) == warmup_end {
                 service.reset_drift_sentinel();
                 prev_alarm_total = 0;
             }
 
-            // Analyze + Plan (adaptive mode only).
-            let acting = match mode {
-                Mode::Static => false,
-                Mode::Adaptive => {
-                    let (ua, sa) = service.drift_alarms();
-                    let alarm_total = ua + sa;
-                    let decision = planner.observe(&PlannerObservation {
-                        accuracy: service.windowed_accuracy(),
-                        drift_alarm: alarm_total > prev_alarm_total,
-                        violation_rate: prev_rate,
-                    });
-                    prev_alarm_total = alarm_total;
-                    if decision.act {
-                        plans_issued += 1;
-                    }
-                    decision.act
-                }
-            };
+            // Analyze + Plan: without a planner the policy acts every tick.
+            let acting = planner.as_mut().is_none_or(|planner| {
+                let (ua, sa) = service.drift_alarms();
+                let alarm_total = ua + sa;
+                let decision = planner.observe(&PlannerObservation {
+                    accuracy: service.windowed_accuracy(),
+                    drift_alarm: alarm_total > prev_alarm_total,
+                    violation_rate: prev_rate,
+                });
+                prev_alarm_total = alarm_total;
+                decision.act
+            });
 
-            // Execute: every app runs its workflow; when the planner acted,
-            // candidates are re-ranked and the threshold policy may rebind.
+            // Execute: every app runs its workflow; when acting, candidates
+            // are re-ranked and the policy may rebind.
             let mut tick_violations = 0u64;
+            let mut tick_rt = 0.0;
             for (app_idx, app) in fleet.iter_mut().enumerate() {
                 let user = app.user();
                 let before = app.workflow().bound_services();
-                let outcome = if acting {
-                    let ranked = service.rank_candidates_ids(user, c.services);
-                    let mut values: Vec<Option<f64>> = vec![None; c.services];
-                    for (s, v) in ranked {
-                        if s < values.len() {
-                            values[s] = Some(v);
+                let mut predicted: Vec<Option<f64>> = Vec::new();
+                if acting {
+                    predicted.resize(c.services, None);
+                    for (s, v) in service.rank_candidates_ids(user, c.services) {
+                        if let Some(slot) = predicted.get_mut(s) {
+                            *slot = Some(v);
                         }
                     }
-                    app.step(
-                        |svc| world.actual(user, svc, tick),
-                        |_, s| values.get(s).copied().flatten(),
-                        &threshold_policy as &dyn AdaptationPolicy,
-                    )
-                } else {
-                    app.step(
-                        |svc| world.actual(user, svc, tick),
-                        |_, _| None,
-                        &StaticPolicy as &dyn AdaptationPolicy,
-                    )
-                };
+                }
+                let outcome = app.step(
+                    |svc| world.actual(user, svc, tick),
+                    |_, s| predicted.get(s).copied().flatten(),
+                    if acting { policy } else { &StaticPolicy },
+                );
                 let after = app.workflow().bound_services();
                 for (task_idx, (&b, &a)) in before.iter().zip(after.iter()).enumerate() {
                     if b != a {
@@ -596,20 +703,17 @@ impl ScenarioEngine {
                 }
                 // The app's own observations feed the predictor too — as
                 // *reported* values (outlier bursts corrupt these as well).
-                let mut own: Vec<QosRecord> = Vec::with_capacity(outcome.observations.len());
-                for &(svc, _) in &outcome.observations {
-                    own.push(QosRecord {
-                        user: format!("u{user}"),
-                        service: format!("s{svc}"),
-                        timestamp: u64::from(tick),
-                        value: world.observe(user, svc, tick).reported,
-                    });
-                }
-                service.submit_batch(own);
+                let own: Vec<_> = outcome
+                    .observations
+                    .iter()
+                    .map(|&(svc, _)| (user, svc, now, world.reported(user, svc, tick)))
+                    .collect();
+                service.submit_batch_ids(&own);
                 executions += app.workflow().len() as u64;
                 violations += outcome.violations as u64;
                 tick_violations += outcome.violations as u64;
                 rt_sum += outcome.end_to_end_rt;
+                tick_rt += outcome.end_to_end_rt;
             }
             let rate = if tasks_per_tick == 0 {
                 0.0
@@ -617,15 +721,17 @@ impl ScenarioEngine {
                 tick_violations as f64 / tasks_per_tick as f64
             };
             tick_rates.push(rate);
+            tick_mean_rt.push(if fleet.is_empty() {
+                0.0
+            } else {
+                tick_rt / fleet.len() as f64
+            });
             prev_rate = rate;
         }
 
         let (ua, sa) = service.drift_alarms();
         RunMetrics {
-            mode: match mode {
-                Mode::Adaptive => "adaptive",
-                Mode::Static => "static",
-            },
+            policy: policy.name(),
             executions,
             violations,
             slo_violation_rate: if executions == 0 {
@@ -640,9 +746,12 @@ impl ScenarioEngine {
             },
             rebinds,
             flaps,
-            time_to_recover: time_to_recover(spec, &tick_rates, c.recover_threshold),
-            planner_plans: plans_issued,
+            time_to_recover: world
+                .spec()
+                .and_then(|spec| time_to_recover(spec, &tick_rates, c.recover_threshold)),
+            planner_plans: planner.as_ref().map_or(0, Planner::plans),
             drift_alarms: (ua, sa),
+            tick_mean_rt,
         }
     }
 }
@@ -769,21 +878,11 @@ pub fn report_json(config: &ScenarioConfig, quick: bool, outcomes: &[ScenarioOut
     root
 }
 
-/// SplitMix64-style stateless draw in [0, 1) (mirrors the regime world's
-/// hashing so background sampling is order-independent).
-fn hash01(seed: u64, a: u64, b: u64, c: u64) -> f64 {
-    let mut z = seed
-        .wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(b.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(c.wrapping_mul(0x94D0_49BB_1331_11EB));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::BestPredictedPolicy;
+    use qos_dataset::DatasetConfig;
 
     fn quick_config() -> ScenarioConfig {
         ScenarioConfig::default()
@@ -960,5 +1059,157 @@ mod tests {
             spans: vec![(RegimePhase::Good, 6)],
         };
         assert_eq!(time_to_recover(&calm, &rates, 0.05), None);
+    }
+
+    /// E-SIM's small shape: 4 apps x 2 tasks x 4 candidates over a
+    /// 20 x 40 dataset's 6 slices.
+    fn slices_dataset() -> QosDataset {
+        QosDataset::generate(&DatasetConfig {
+            users: 20,
+            services: 40,
+            time_slices: 6,
+            ..DatasetConfig::small()
+        })
+    }
+
+    fn slices_config() -> ScenarioConfig {
+        ScenarioConfig {
+            seed: 7,
+            users: 20,
+            services: 40,
+            apps: 4,
+            tasks_per_app: 2,
+            candidates_per_task: 4,
+            slo: 2.0,
+            background_density: 0.15,
+            ..ScenarioConfig::default()
+        }
+    }
+
+    fn run_slices(
+        config: ScenarioConfig,
+        dataset: &QosDataset,
+        slices: usize,
+        policy: &dyn AdaptationPolicy,
+    ) -> Result<RunMetrics, ServiceError> {
+        ScenarioEngine::new(config)?.run_slices(dataset, slices, policy)
+    }
+
+    #[test]
+    fn config_validation() {
+        let ds = slices_dataset();
+        run_slices(slices_config(), &ds, 6, &StaticPolicy).unwrap();
+        for bad in [
+            ScenarioConfig {
+                apps: 0,
+                ..slices_config()
+            },
+            ScenarioConfig {
+                apps: 100,
+                ..slices_config()
+            },
+            ScenarioConfig {
+                tasks_per_app: 10,
+                candidates_per_task: 10,
+                ..slices_config()
+            },
+            ScenarioConfig {
+                background_density: 0.0,
+                ..slices_config()
+            },
+            ScenarioConfig {
+                slo: 0.0,
+                ..slices_config()
+            },
+            ScenarioConfig {
+                users: 21,
+                ..slices_config()
+            },
+        ] {
+            assert!(run_slices(bad, &ds, 6, &StaticPolicy).is_err());
+        }
+        assert!(run_slices(slices_config(), &ds, 100, &StaticPolicy).is_err());
+        assert!(run_slices(slices_config(), &ds, 0, &StaticPolicy).is_err());
+    }
+
+    #[test]
+    fn impossible_config_rejected() {
+        // More candidate slots than services exist.
+        let ds = QosDataset::generate(&DatasetConfig {
+            users: 10,
+            services: 8,
+            time_slices: 2,
+            ..DatasetConfig::small()
+        });
+        let config = ScenarioConfig {
+            users: 10,
+            services: 8,
+            apps: 8,
+            tasks_per_app: 4,
+            candidates_per_task: 4,
+            ..ScenarioConfig::default()
+        };
+        assert!(run_slices(config, &ds, 2, &StaticPolicy).is_err());
+    }
+
+    #[test]
+    fn static_run_produces_full_report() {
+        let report = run_slices(slices_config(), &slices_dataset(), 6, &StaticPolicy).unwrap();
+        assert_eq!(report.policy, "static");
+        assert_eq!(report.tick_mean_rt.len(), 6);
+        assert_eq!(report.rebinds, 0);
+        assert!(report.mean_end_to_end_rt > 0.0);
+        assert!(report.steady_state_rt() > 0.0);
+    }
+
+    #[test]
+    fn adaptive_beats_static_at_steady_state() {
+        let ds = slices_dataset();
+        let static_report = run_slices(slices_config(), &ds, 6, &StaticPolicy).unwrap();
+        let adaptive_report = run_slices(slices_config(), &ds, 6, &BestPredictedPolicy).unwrap();
+        assert!(adaptive_report.rebinds > 0);
+        // Greedy adaptation with a trained predictor should not be worse at
+        // steady state than never adapting (both fleets start identically).
+        assert!(
+            adaptive_report.steady_state_rt() <= static_report.steady_state_rt() * 1.05,
+            "adaptive {} vs static {}",
+            adaptive_report.steady_state_rt(),
+            static_report.steady_state_rt()
+        );
+    }
+
+    #[test]
+    fn runs_are_deterministic() {
+        let ds = slices_dataset();
+        let engine = ScenarioEngine::new(slices_config()).unwrap();
+        let a = engine.run_slices(&ds, 6, &StaticPolicy).unwrap();
+        let b = engine.run_slices(&ds, 6, &StaticPolicy).unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn report_aggregates() {
+        let two_ticks = RunMetrics {
+            policy: "x",
+            executions: 4,
+            violations: 2,
+            slo_violation_rate: 0.5,
+            mean_end_to_end_rt: 3.0,
+            rebinds: 4,
+            flaps: 0,
+            time_to_recover: None,
+            planner_plans: 0,
+            drift_alarms: (0, 0),
+            tick_mean_rt: vec![2.0, 4.0],
+        };
+        assert_eq!(two_ticks.steady_state_rt(), 4.0);
+        // A run's totals agree with its per-tick series.
+        let c = slices_config();
+        let run = run_slices(c, &slices_dataset(), 5, &BestPredictedPolicy).unwrap();
+        assert_eq!(run.executions, (c.apps * c.tasks_per_app * 5) as u64);
+        let mean = run.tick_mean_rt.iter().sum::<f64>() / 5.0;
+        assert!((run.mean_end_to_end_rt - mean).abs() <= 1e-12 * mean);
+        let steady = run.tick_mean_rt[2..].iter().sum::<f64>() / 3.0;
+        assert!((run.steady_state_rt() - steady).abs() <= 1e-12 * steady);
     }
 }

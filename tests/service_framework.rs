@@ -1,12 +1,12 @@
 //! Integration: the Section III framework — prediction service, execution
-//! middleware, adaptation policies, and the full simulation loop — driven by
-//! the synthetic dataset.
+//! middleware, adaptation policies, and the closed loop over the dataset's
+//! time slices — driven by the synthetic dataset.
 
 use qos_dataset::{Attribute, DatasetConfig, QosDataset};
 use qos_service::policy::StaticPolicy;
 use qos_service::{
-    AbstractTask, AdaptationSimulation, BestPredictedPolicy, ExecutionMiddleware,
-    QosPredictionService, QosRecord, ServiceConfig, SimulationConfig, ThresholdPolicy, Workflow,
+    AbstractTask, AdaptationPolicy, BestPredictedPolicy, ExecutionMiddleware, QosPredictionService,
+    QosRecord, ScenarioConfig, ScenarioEngine, ServiceConfig, ThresholdPolicy, Workflow,
 };
 
 fn dataset() -> QosDataset {
@@ -107,29 +107,32 @@ fn middleware_with_live_service_adapts_workflows() {
 #[test]
 fn simulation_compares_policies_meaningfully() {
     let ds = dataset();
-    let config = SimulationConfig {
-        applications: 4,
-        tasks_per_workflow: 2,
-        candidates_per_task: 5,
-        sla_threshold: 2.0,
-        slices: 6,
-        background_density: 0.2,
+    let engine = ScenarioEngine::new(ScenarioConfig {
         seed: 11,
-    };
-    let sim = AdaptationSimulation::new(&ds, config).unwrap();
+        users: ds.users(),
+        services: ds.services(),
+        apps: 4,
+        tasks_per_app: 2,
+        candidates_per_task: 5,
+        slo: 2.0,
+        background_density: 0.2,
+        ..ScenarioConfig::default()
+    })
+    .unwrap();
+    let run = |policy: &dyn AdaptationPolicy| engine.run_slices(&ds, 6, policy).unwrap();
 
-    let static_run = sim.run(&StaticPolicy);
-    let threshold_run = sim.run(&ThresholdPolicy::new(2.0));
-    let greedy_run = sim.run(&BestPredictedPolicy);
+    let static_run = run(&StaticPolicy);
+    let threshold_run = run(&ThresholdPolicy::new(2.0));
+    let greedy_run = run(&BestPredictedPolicy);
 
-    assert_eq!(static_run.total_adaptations(), 0);
-    assert!(greedy_run.total_adaptations() > 0);
+    assert_eq!(static_run.rebinds, 0);
+    assert!(greedy_run.rebinds > 0);
     // Threshold policy adapts more conservatively than greedy.
-    assert!(threshold_run.total_adaptations() <= greedy_run.total_adaptations());
+    assert!(threshold_run.rebinds <= greedy_run.rebinds);
     // All runs report the same number of slices.
-    assert_eq!(static_run.slices.len(), 6);
-    assert_eq!(threshold_run.slices.len(), 6);
-    assert_eq!(greedy_run.slices.len(), 6);
+    assert_eq!(static_run.tick_mean_rt.len(), 6);
+    assert_eq!(threshold_run.tick_mean_rt.len(), 6);
+    assert_eq!(greedy_run.tick_mean_rt.len(), 6);
     // Adaptive policies do not end up worse than static at steady state.
     assert!(greedy_run.steady_state_rt() <= static_run.steady_state_rt() * 1.1);
 }
