@@ -1,7 +1,7 @@
 //! `bench-report` — the core performance trajectory, machine-readable.
 //!
 //! Unlike the Criterion benches (which regenerate paper artifacts), this
-//! binary measures the three hot paths the runtime-adaptation framework
+//! binary measures the hot paths the runtime-adaptation framework
 //! actually exercises, on a synthetic WSDream-shaped workload
 //! (339 users × 5825 services, the scale of the paper's dataset #1):
 //!
@@ -13,14 +13,17 @@
 //!    all pairs;
 //! 3. **Candidate ranking** — the adaptation framework's per-task query:
 //!    score every service for one user and keep the top-k
-//!    (`AmfModel::rank_candidates` vs. the naive per-pair `predict` scan).
+//!    (`AmfModel::rank_candidates` vs. the naive per-pair `predict` scan);
+//! 4. **Per-pair store** — [`ObservationStore`] upserts of new pairs,
+//!    refreshes of stored ones and `get`s, on as many distinct pairs as
+//!    the serving plane's paper-scale warm-up stores (63,727).
 //!
 //! Each arm runs [`TRIALS`] times ([`QUICK_TRIALS`] under `--quick`) and
 //! reports its median trial, plus `trials`, `secs_min` and `secs_max`, so a
 //! reader sees each number's spread.
 //!
 //! Output is a JSON document (default `BENCH_CORE.json` in the working
-//! directory) with a stable schema (`amf-bench-core/v4`) so CI can check it
+//! directory) with a stable schema (`amf-bench-core/v5`) so CI can check it
 //! with `jq` without gating on absolute numbers. The document embeds the
 //! run's own `amf-obs/v1` observability snapshot under `"obs"` — the timed
 //! sections exercise the real instrumented paths, so the snapshot carries a
@@ -38,7 +41,7 @@
 //! previously captured report under `"before"` so a single file carries the
 //! before/after trajectory of a change.
 
-use amf_core::{AmfConfig, AmfModel, AmfTrainer};
+use amf_core::{AmfConfig, AmfModel, AmfTrainer, ObservationStore};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -51,6 +54,7 @@ struct Workload {
     batch_samples: usize,
     rank_queries: usize,
     top_k: usize,
+    store_pairs: usize,
     trials: usize,
 }
 
@@ -63,6 +67,7 @@ impl Workload {
             batch_samples: 200_000,
             rank_queries: 339,
             top_k: 10,
+            store_pairs: 63_727,
             trials: TRIALS,
         }
     }
@@ -75,6 +80,7 @@ impl Workload {
             batch_samples: 30_000,
             rank_queries: 64,
             top_k: 10,
+            store_pairs: 16_384,
             trials: QUICK_TRIALS,
         }
     }
@@ -97,7 +103,12 @@ struct Timing {
 impl Timing {
     /// Runs `trial` `trials` times; each call returns its own timed seconds.
     fn of(trials: usize, mut trial: impl FnMut() -> f64) -> Self {
-        let mut secs: Vec<f64> = (0..trials).map(|_| trial()).collect();
+        Self::from_secs((0..trials).map(|_| trial()).collect())
+    }
+
+    /// The spread of an odd number of trials' seconds.
+    fn from_secs(mut secs: Vec<f64>) -> Self {
+        let trials = secs.len();
         secs.sort_by(f64::total_cmp);
         Self {
             secs: secs[trials / 2],
@@ -305,7 +316,7 @@ fn predict_and_rank(w: &Workload, out: &mut String) {
     );
     let _ = writeln!(
         out,
-        "    \"rank_candidates\": {{\"queries\": {}, \"services\": {}, \"k\": {}, \"secs\": {:.6}, \"queries_per_sec\": {:.2}, \"speedup_vs_per_pair\": {:.3}, {}}}",
+        "    \"rank_candidates\": {{\"queries\": {}, \"services\": {}, \"k\": {}, \"secs\": {:.6}, \"queries_per_sec\": {:.2}, \"speedup_vs_per_pair\": {:.3}, {}}},",
         w.rank_queries,
         w.services,
         w.top_k,
@@ -313,6 +324,65 @@ fn predict_and_rank(w: &Workload, out: &mut String) {
         rank_rate,
         speedup,
         rank.json()
+    );
+}
+
+/// `w.store_pairs` distinct cells of the workload grid, visited by a stride
+/// coprime to its size so they spread over every user and service.
+fn store_pairs(w: &Workload) -> Vec<(usize, usize)> {
+    // Prime, so coprime to every grid size it does not divide.
+    const STRIDE: usize = 7_919;
+    let cells = w.users * w.services;
+    assert!(w.store_pairs <= cells && !cells.is_multiple_of(STRIDE));
+    (0..w.store_pairs)
+        .map(|k| {
+            let cell = k * STRIDE % cells;
+            (cell / w.services, cell % w.services)
+        })
+        .collect()
+}
+
+fn store(w: &Workload, out: &mut String) {
+    let pairs = store_pairs(w);
+    let n = pairs.len();
+    let mut phases: [Vec<f64>; 3] = Default::default();
+    let t = Timing::of(w.trials, || {
+        let mut store = ObservationStore::new();
+        let start = Instant::now();
+        for (k, &(u, s)) in pairs.iter().enumerate() {
+            store.upsert(u, s, k as u64, 1.0);
+        }
+        let inserted = Instant::now();
+        for (k, &(u, s)) in pairs.iter().enumerate() {
+            store.upsert(u, s, (n + k) as u64, 2.0);
+        }
+        let refreshed = Instant::now();
+        for &(u, s) in &pairs {
+            black_box(store.get(u, s));
+        }
+        let done = Instant::now();
+        assert_eq!(store.len(), n);
+        for (phase, secs) in
+            phases
+                .iter_mut()
+                .zip([inserted - start, refreshed - inserted, done - refreshed])
+        {
+            phase.push(secs.as_secs_f64());
+        }
+        (done - start).as_secs_f64()
+    });
+    let [new, refresh, get] = phases.map(|secs| Timing::from_secs(secs).secs * 1e9 / n as f64);
+    println!(
+        "store                  {:>9} pairs    {:>8.3} s  {new:.1} / {refresh:.1} / {get:.1} ns new / refresh / get  {}",
+        n,
+        t.secs,
+        t.range()
+    );
+    let _ = writeln!(
+        out,
+        "    \"store\": {{\"pairs\": {n}, \"secs\": {:.6}, \"upsert_new_ns\": {new:.2}, \"upsert_refresh_ns\": {refresh:.2}, \"get_ns\": {get:.2}, {}}}",
+        t.secs,
+        t.json()
     );
 }
 
@@ -362,10 +432,11 @@ fn main() {
     feed_sequential(&w, &mut results);
     feed_batch(&w, &mut results);
     predict_and_rank(&w, &mut results);
+    store(&w, &mut results);
 
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"amf-bench-core/v4\",");
+    let _ = writeln!(json, "  \"schema\": \"amf-bench-core/v5\",");
     if !label.is_empty() {
         let _ = writeln!(json, "  \"label\": \"{label}\",");
     }

@@ -12,18 +12,15 @@
 //! leaves it, so the prediction service's fallback means are O(1) reads
 //! over exactly the stored observations.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, RandomState};
 use std::time::Duration;
 
 use rand::Rng;
 
-/// A `(user, service)` pair as one hash key: the two ids narrowed to `u32`
-/// and hashed as the packed `u64` `user << 32 | service`.
+/// A `(user, service)` pair as one key: the two ids narrowed to `u32`.
 ///
-/// The halves are stored as `[u32; 2]`, so the key is 4-byte aligned and a
-/// `(PairKey, u32)` table entry takes 12 bytes where a `(u64, u32)` one
-/// takes 16.
+/// The store's index hashes a key as the packed `u64`
+/// `user << 32 | service`.
 ///
 /// # Examples
 ///
@@ -63,11 +60,9 @@ impl PairKey {
     pub fn service(self) -> usize {
         self.0[1] as usize
     }
-}
 
-impl Hash for PairKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(u64::from(self.0[0]) << 32 | u64::from(self.0[1]));
+    fn packed(self) -> u64 {
+        u64::from(self.0[0]) << 32 | u64::from(self.0[1])
     }
 }
 
@@ -205,6 +200,130 @@ impl Sums {
     }
 }
 
+/// Buckets of a fresh index; a power of two.
+const MIN_BUCKETS: usize = 8;
+
+/// Open-addressed index from a pair's key to its entry's position.
+///
+/// A bucket holds the entry's index plus one, and 0 marks it empty. Keys
+/// are read from the store's entries, never copied here, so a bucket costs
+/// 4 bytes. A key's home bucket is the top bits of its packed `u64` times
+/// an odd multiplier drawn once per index (multiply-shift hashing). The
+/// top bits depend on both ids, and a random multiplier means no client
+/// can precompute keys that collide. Probing is linear from the home
+/// bucket. Deletion shifts the rest of the probe run back instead of
+/// leaving tombstones, so expiry churn never lengthens probes. The table
+/// doubles before an insert would take it past 3/4 load.
+///
+/// Every method that takes `entries` probes through it, so each key an
+/// index bucket names must still be at that position of `entries`.
+#[derive(Debug, Clone)]
+struct SlotIndex {
+    /// A power-of-two number of buckets, at most 3/4 of them occupied.
+    buckets: Vec<u32>,
+    /// Odd, so multiplying by it permutes the packed keys.
+    multiplier: u64,
+    /// `64 - log2(buckets.len())`: the product's top bits pick the bucket.
+    shift: u32,
+}
+
+impl Default for SlotIndex {
+    fn default() -> Self {
+        Self {
+            buckets: vec![0; MIN_BUCKETS],
+            multiplier: RandomState::new().hash_one(0u64) | 1,
+            shift: 64 - MIN_BUCKETS.trailing_zeros(),
+        }
+    }
+}
+
+impl SlotIndex {
+    fn home(&self, key: PairKey) -> usize {
+        (key.packed().wrapping_mul(self.multiplier) >> self.shift) as usize
+    }
+
+    fn next(&self, bucket: usize) -> usize {
+        (bucket + 1) & (self.buckets.len() - 1)
+    }
+
+    /// Probes for `key`: `Ok` with the bucket naming its entry, or `Err`
+    /// with the empty bucket that ends its probe run.
+    fn probe(&self, entries: &[Entry], key: PairKey) -> Result<usize, usize> {
+        let mut bucket = self.home(key);
+        loop {
+            match self.buckets[bucket] {
+                0 => return Err(bucket),
+                slot if entries[slot as usize - 1].key == key => return Ok(bucket),
+                _ => bucket = self.next(bucket),
+            }
+        }
+    }
+
+    /// The entry position an occupied `bucket` names.
+    fn position(&self, bucket: usize) -> usize {
+        self.buckets[bucket] as usize - 1
+    }
+
+    /// The position of `key`'s entry, if it is stored.
+    fn get(&self, entries: &[Entry], key: PairKey) -> Option<usize> {
+        Some(self.position(self.probe(entries, key).ok()?))
+    }
+
+    /// Indexes `key`, whose probe ended at the empty `bucket`, as the entry
+    /// about to be pushed after `entries`.
+    fn insert(&mut self, entries: &[Entry], key: PairKey, mut bucket: usize) {
+        let slot = u32::try_from(entries.len() + 1).expect("fewer than u32::MAX pairs");
+        if (entries.len() + 1) * 4 > self.buckets.len() * 3 {
+            self.grow(entries);
+            bucket = self
+                .probe(entries, key)
+                .expect_err("a new key is not indexed");
+        }
+        self.buckets[bucket] = slot;
+    }
+
+    /// Doubles the table and re-indexes `entries`. The table is rebuilt
+    /// from the entries, so the old one is freed before the new one is
+    /// allocated and a doubling never holds both.
+    fn grow(&mut self, entries: &[Entry]) {
+        let len = self.buckets.len() * 2;
+        drop(std::mem::take(&mut self.buckets));
+        self.buckets = vec![0; len];
+        self.shift -= 1;
+        for (idx, entry) in entries.iter().enumerate() {
+            let mut bucket = self.home(entry.key);
+            while self.buckets[bucket] != 0 {
+                bucket = self.next(bucket);
+            }
+            self.buckets[bucket] = idx as u32 + 1;
+        }
+    }
+
+    /// Unlinks the stored `key`. Later members of its probe run shift
+    /// back, each into the hole when the hole lies between its home and
+    /// its bucket, so every key stays reachable from its home.
+    fn remove(&mut self, entries: &[Entry], key: PairKey) {
+        let mut hole = self.probe(entries, key).expect("the key is indexed");
+        let mask = self.buckets.len() - 1;
+        let mut bucket = self.next(hole);
+        while let slot @ 1.. = self.buckets[bucket] {
+            let home = self.home(entries[slot as usize - 1].key);
+            if bucket.wrapping_sub(home) & mask >= bucket.wrapping_sub(hole) & mask {
+                self.buckets[hole] = slot;
+                hole = bucket;
+            }
+            bucket = self.next(bucket);
+        }
+        self.buckets[hole] = 0;
+    }
+
+    /// Points the stored `key`'s bucket at entry position `idx`.
+    fn repoint(&mut self, entries: &[Entry], key: PairKey, idx: usize) {
+        let bucket = self.probe(entries, key).expect("the key is indexed");
+        self.buckets[bucket] = idx as u32 + 1;
+    }
+}
+
 /// Keyed store of the latest observation per pair, with O(1) insert, O(1)
 /// random sampling, lazy expiry, and O(1) means over the stored values.
 ///
@@ -230,8 +349,8 @@ impl Sums {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ObservationStore {
-    /// Pair -> index into `entries`.
-    index: HashMap<PairKey, u32>,
+    /// Pair -> position in `entries`.
+    index: SlotIndex,
     /// Dense entry list enabling O(1) uniform sampling (swap-remove on expiry).
     entries: Vec<Entry>,
     /// Sums over the values in `entries`.
@@ -267,14 +386,14 @@ impl ObservationStore {
             timestamp,
             value,
         };
-        match self.index.entry(key) {
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                let old = std::mem::replace(&mut self.entries[*slot.get() as usize], entry);
+        match self.index.probe(&self.entries, key) {
+            Ok(bucket) => {
+                let idx = self.index.position(bucket);
+                let old = std::mem::replace(&mut self.entries[idx], entry);
                 self.sums.remove(key, old.value);
             }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                let idx = u32::try_from(self.entries.len()).expect("at most u32::MAX pairs");
-                slot.insert(idx);
+            Err(bucket) => {
+                self.index.insert(&self.entries, key, bucket);
                 self.entries.push(entry);
             }
         }
@@ -283,24 +402,34 @@ impl ObservationStore {
 
     /// The current observation for a pair, if present.
     pub fn get(&self, user: usize, service: usize) -> Option<StoredObservation> {
-        let idx = *self.index.get(&PairKey::lookup(user, service)?)?;
-        Some(self.entries[idx as usize].observation())
+        let idx = self
+            .index
+            .get(&self.entries, PairKey::lookup(user, service)?)?;
+        Some(self.entries[idx].observation())
     }
 
     fn swap_remove(&mut self, idx: usize) -> StoredObservation {
-        let removed = self.entries.swap_remove(idx);
-        self.index.remove(&removed.key);
-        self.sums.remove(removed.key, removed.value);
-        if let Some(moved) = self.entries.get(idx) {
-            self.index.insert(moved.key, idx as u32);
+        // The index probes through `entries`, so it is updated while every
+        // entry is still in place: unlink the removed key, point the last
+        // entry's bucket at the position it moves to, then move it.
+        let removed = self.entries[idx];
+        self.index.remove(&self.entries, removed.key);
+        let last = self.entries.len() - 1;
+        if idx != last {
+            self.index
+                .repoint(&self.entries, self.entries[last].key, idx);
         }
+        self.entries.swap_remove(idx);
+        self.sums.remove(removed.key, removed.value);
         removed.observation()
     }
 
     /// Removes and returns the observation for a pair, if present.
     pub fn remove(&mut self, user: usize, service: usize) -> Option<StoredObservation> {
-        let idx = *self.index.get(&PairKey::lookup(user, service)?)?;
-        Some(self.swap_remove(idx as usize))
+        let idx = self
+            .index
+            .get(&self.entries, PairKey::lookup(user, service)?)?;
+        Some(self.swap_remove(idx))
     }
 
     /// Draws one uniformly random *live* observation: entries found expired
@@ -483,7 +612,51 @@ mod tests {
     #[test]
     fn entries_are_24_bytes() {
         assert_eq!(std::mem::size_of::<Entry>(), 24);
-        assert_eq!(std::mem::size_of::<(PairKey, u32)>(), 12);
+        let index = SlotIndex::default();
+        assert_eq!(std::mem::size_of_val(&index.buckets[..]), 4 * MIN_BUCKETS);
+    }
+
+    #[test]
+    fn the_index_doubles_past_three_quarters_load() {
+        let mut store = ObservationStore::new();
+        let mut buckets = MIN_BUCKETS;
+        for pair in 1..=98_305 {
+            store.upsert(pair % 142, pair / 142, 0, 1.0);
+            if pair * 4 > buckets * 3 {
+                buckets *= 2;
+            }
+            assert_eq!(store.index.buckets.len(), buckets, "after {pair} pairs");
+            if pair == 63_727 {
+                // The paper-scale warm-up fits 512 KiB of buckets.
+                assert_eq!(buckets, 1 << 17);
+            }
+        }
+        assert_eq!(buckets, 1 << 18, "pair 98,305 doubles the table");
+        store.upsert(1, 0, 1, 2.0);
+        assert_eq!(store.index.buckets.len(), 1 << 18, "a refresh never grows");
+    }
+
+    #[test]
+    fn deletes_inside_one_wrapping_probe_run_keep_every_key() {
+        let mut store = ObservationStore::new();
+        // Every nonzero key homes to the last bucket, so these six keys form
+        // one probe run that wraps round the end of the table.
+        store.index.multiplier = u64::MAX;
+        let pairs: Vec<(usize, usize)> = (1..=6).map(|s| (s % 2, s)).collect();
+        for (k, &(u, s)) in pairs.iter().enumerate() {
+            store.upsert(u, s, k as u64, k as f64);
+        }
+        assert_eq!(store.index.buckets.len(), MIN_BUCKETS);
+        let mut removed = Vec::new();
+        for victim in [2, 0, 5] {
+            let (u, s) = pairs[victim];
+            assert_eq!(store.remove(u, s).map(|o| o.value), Some(victim as f64));
+            removed.push(victim);
+            for (k, &(u, s)) in pairs.iter().enumerate() {
+                let expected = (!removed.contains(&k)).then_some(k as f64);
+                assert_eq!(store.get(u, s).map(|o| o.value), expected, "pair {k}");
+            }
+        }
     }
 
     #[test]
@@ -570,6 +743,7 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::HashMap;
 
         const IDS: usize = 4;
         const SHORT: Duration = Duration::from_secs(10);
@@ -606,7 +780,100 @@ mod tests {
             }
         }
 
+        const USERS: usize = 50;
+        const SERVICES: usize = 150;
+
+        type Reference = HashMap<(usize, usize), (u64, f64)>;
+
+        fn fields(o: StoredObservation) -> (u64, f64) {
+            (o.timestamp, o.value)
+        }
+
+        /// The store holds exactly the reference's pairs, finds each through
+        /// its index, and yields each once from `iter`.
+        fn matches(store: &ObservationStore, reference: &Reference) {
+            prop_assert_eq!(store.len(), reference.len());
+            let mut unseen = vec![false; USERS * SERVICES];
+            for (&(user, service), &stored) in reference {
+                let found = store.get(user, service).map(fields);
+                prop_assert_eq!(found, Some(stored), "get({}, {})", user, service);
+                unseen[user * SERVICES + service] = true;
+            }
+            for o in store.iter() {
+                let cell = &mut unseen[o.user * SERVICES + o.service];
+                prop_assert!(
+                    std::mem::take(cell),
+                    "iter yields ({}, {})",
+                    o.user,
+                    o.service
+                );
+                prop_assert_eq!(store.get(o.user, o.service), Some(o));
+            }
+        }
+
         proptest! {
+            #[test]
+            fn the_store_matches_a_reference_map(
+                seed in 0u64..1_000,
+                horizon in 20u64..2_000,
+                ops in proptest::collection::vec(
+                    (0u8..10, 0..USERS, 0..SERVICES, 0u64..3, 0.05..20.0f64),
+                    0..1_500
+                )
+            ) {
+                // Mostly upserts over 7,500 possible pairs: about half the
+                // cases grow the index from 8 to 1,024 or 2,048 buckets, and
+                // short horizons churn it through expiry instead.
+                let mut store = ObservationStore::new();
+                let mut reference = Reference::new();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let expiry = Duration::from_secs(horizon);
+                let mut now = 0;
+                for (op, user, service, dt, value) in ops {
+                    now += dt;
+                    match op {
+                        0 => {
+                            let removed = store.remove(user, service).map(fields);
+                            prop_assert_eq!(removed, reference.remove(&(user, service)));
+                        }
+                        1 => {
+                            let drawn = store.sample_live(&mut rng, now, expiry);
+                            // Whatever left the store on the way was expired.
+                            let mut kept = vec![false; USERS * SERVICES];
+                            for o in store.iter() {
+                                kept[o.user * SERVICES + o.service] = true;
+                            }
+                            for (&(u, s), &(t, _)) in &reference {
+                                let left = !kept[u * SERVICES + s];
+                                prop_assert!(!left || now - t >= horizon, "live ({}, {}) left", u, s);
+                            }
+                            reference.retain(|&(u, s), _| kept[u * SERVICES + s]);
+                            match drawn {
+                                Some(o) => {
+                                    prop_assert!(now - o.timestamp < horizon);
+                                    let stored = reference.get(&(o.user, o.service)).copied();
+                                    prop_assert_eq!(Some(fields(o)), stored);
+                                }
+                                None => prop_assert!(reference.is_empty()),
+                            }
+                        }
+                        2 => {
+                            let before = reference.len();
+                            reference.retain(|_, &mut (t, _)| now - t < horizon);
+                            let dropped = store.purge_expired(now, expiry);
+                            prop_assert_eq!(dropped, before - reference.len());
+                        }
+                        _ => {
+                            store.upsert(user, service, now, value);
+                            reference.insert((user, service), (now, value));
+                        }
+                    }
+                    matches(&store, &reference);
+                    let found = store.get(user, service).map(fields);
+                    prop_assert_eq!(found, reference.get(&(user, service)).copied());
+                }
+            }
+
             #[test]
             fn means_match_a_fresh_recomputation(
                 seed in 0u64..1_000,

@@ -17,8 +17,9 @@ use crate::config::{AmfConfig, LossKind};
 use crate::model::{AmfModel, EntityState};
 use crate::weights::ErrorTracker;
 use crate::AmfError;
+use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 const MAGIC: &str = "AMF1";
@@ -181,13 +182,41 @@ pub fn load<R: Read>(reader: R) -> Result<AmfModel, AmfError> {
     AmfModel::restore(config, users, services, updates)
 }
 
-/// Saves a model to a file path.
+/// Saves a model to a file path atomically: the model is written to
+/// `<path>.tmp` in the same directory and synced, then renamed over `path`,
+/// and the directory is synced. A save that fails at any step leaves the
+/// previous file as it was.
 ///
 /// # Errors
 ///
-/// Propagates file-creation and [`save`] errors.
+/// Propagates file-system and [`save`] errors, after removing the
+/// temporary file.
 pub fn save_file<P: AsRef<Path>>(model: &AmfModel, path: P) -> Result<(), AmfError> {
-    save(model, std::fs::File::create(path)?)
+    write_atomically(path.as_ref(), |file| save(model, file))
+}
+
+/// Writes `path` through `write` as [`save_file`] describes.
+fn write_atomically(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> Result<(), AmfError>,
+) -> Result<(), AmfError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let result = (|| -> Result<(), AmfError> {
+        let mut file = File::create(&tmp)?;
+        write(&mut file)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        // The rename is durable once the directory entry is.
+        let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        Ok(())
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 /// Loads a model from a file path.
@@ -290,6 +319,26 @@ mod tests {
         let restored = load_file(&path).unwrap();
         assert_eq!(restored.num_users(), model.num_users());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_save_keeps_the_previous_file() {
+        let dir = std::env::temp_dir().join(format!("amf_atomic_save_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.amf");
+        save_file(&trained_model(), &path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let failed = write_atomically(&path, |file| {
+            file.write_all(&before[..before.len() / 2])?;
+            Err(std::io::Error::other("disk full").into())
+        });
+        assert!(matches!(failed, Err(AmfError::Io(_))));
+        assert!(
+            std::fs::read(&path).unwrap() == before,
+            "the previous file changed"
+        );
+        assert!(!dir.join("model.amf.tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -254,20 +254,6 @@ impl RegimeTimeline {
         }
         unreachable!("timeline is never empty")
     }
-
-    /// Tick index at which the *last* disruptive phase starts, if any — the
-    /// reference point for time-to-recover measurements.
-    pub fn last_disruption_start(&self) -> Option<u32> {
-        let mut start = 0u32;
-        let mut found = None;
-        for span in &self.spans {
-            if span.phase.is_disruptive() {
-                found = Some(start);
-            }
-            start += span.ticks;
-        }
-        found
-    }
 }
 
 /// Dimensions and tuning of a [`RegimeWorld`].
@@ -553,7 +539,6 @@ mod tests {
         assert_eq!(tl.phase_at(15), (RegimePhase::Recovery, 0));
         // Past the end: the final phase's clock keeps counting.
         assert_eq!(tl.phase_at(30), (RegimePhase::Recovery, 15));
-        assert_eq!(tl.last_disruption_start(), Some(15));
         assert!(RegimeTimeline::new(vec![]).is_err());
         assert!(RegimeTimeline::new(vec![(RegimePhase::Good, 0)]).is_err());
     }
