@@ -84,9 +84,10 @@ impl StageClock {
     pub const PARSE: usize = 1;
     /// Stage index: admission-control decision (deadline parse + EDF push).
     pub const ADMISSION: usize = 2;
-    /// Stage index: EDF queue wait until a worker popped the job.
+    /// Stage index: EDF queue wait until a worker popped the job (0 for a
+    /// short read the poller answers itself).
     pub const QUEUE: usize = 3;
-    /// Stage index: handler execution on the worker.
+    /// Stage index: handler execution, on a worker or on the poller.
     pub const EXECUTE: usize = 4;
     /// Stage index: completion parked until rendered into the write queue.
     pub const FLUSH: usize = 5;

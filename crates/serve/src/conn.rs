@@ -57,8 +57,8 @@ pub enum RespKind {
 }
 
 impl RespKind {
-    /// Classifies a routed status (worker side; the inline paths pick
-    /// their kind explicitly).
+    /// Classifies a routed handler's status; the plane's own rejects pick
+    /// their kind explicitly.
     pub fn from_status(status: u16) -> Self {
         match status {
             200..=299 => RespKind::Ok,

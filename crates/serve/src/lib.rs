@@ -8,17 +8,18 @@
 //! * [`ServePlane`] — an HTTP/1.1 endpoint for `observe` / `predict` /
 //!   `rank` batches (newline-delimited JSON bodies, reusing [`qos_obs::Json`])
 //!   plus the observability routes (`/metrics`, `/healthz`,
-//!   `/snapshot.json`). A fixed worker pool feeds the prediction service; a
-//!   bounded accept queue gives **two-level admission control** (fast-reject
-//!   `503` when the queue is full, degraded-but-answered predictions via the
-//!   fallback ladder while the engine is unhealthy); **per-request
-//!   deadlines** (`x-amf-deadline-ms`) propagate as a budget — a request
-//!   whose queue wait already exceeds its budget is rejected on arrival
-//!   without touching the model, and batch handlers re-check the budget
-//!   between items. Connections are hardened: read/write timeouts, a head
-//!   cap, a body cap, and malformed-request `400`s that never panic.
-//!   Shutdown is a **graceful drain**: stop accepting, flush in-flight
-//!   requests, publish a final snapshot.
+//!   `/snapshot.json`). The poller answers short reads (small predict and
+//!   rank bodies, `/healthz`) itself; a fixed worker pool takes the rest
+//!   through a bounded queue, which gives **two-level admission control**
+//!   (fast-reject `503` when the queue is full, degraded-but-answered
+//!   predictions via the fallback ladder while the engine is unhealthy);
+//!   **per-request deadlines** (`x-amf-deadline-ms`) propagate as a
+//!   budget — a request whose queue wait already exceeds its budget is
+//!   rejected on arrival without touching the model, and batch handlers
+//!   re-check the budget between items. Connections are hardened:
+//!   read/write timeouts, a head cap, a body cap, and malformed-request
+//!   `400`s that never panic. Shutdown is a **graceful drain**: stop
+//!   accepting, flush in-flight requests, publish a final snapshot.
 //! * [`http`] — the incremental, buffer-based request parser / response
 //!   renderer behind it, written for hostile input (truncated heads, bad
 //!   `Content-Length`, oversized bodies, early FIN) and for pipelining

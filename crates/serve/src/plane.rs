@@ -7,23 +7,28 @@
 //! One **poller** thread owns every socket: the listener, a wake channel,
 //! and a bounded table of non-blocking client connections (each a
 //! [`crate::conn::ConnState`] state machine). Requests parsed off a
-//! connection are stamped with a deadline expiry and admitted into a
-//! bounded **earliest-deadline-first queue** ([`crate::edf::EdfQueue`]);
-//! a fixed pool of **workers** pops the soonest-to-expire request, routes
-//! it through the prediction service, and sends the completion back to the
-//! poller (wake channel), which flushes responses **in request order** per
-//! connection — pipelined clients get HTTP/1.1 semantics even though the
-//! work completes out of order.
+//! connection are stamped with a deadline expiry. A **short read** — a
+//! predict or rank body of at most 4 KiB, or `GET /healthz` — is answered
+//! right there, in the poller's loop turn. Every other request is admitted
+//! into a bounded **earliest-deadline-first queue**
+//! ([`crate::edf::EdfQueue`]); a fixed pool of **workers** pops the
+//! soonest-to-expire request and sends the completion back to the poller
+//! (wake channel). Both paths run one `execute`: the expiry re-check, the
+//! panic-fenced handler and the trace record. The poller flushes responses
+//! **in request order** per connection — pipelined clients get HTTP/1.1
+//! semantics even though the work completes out of order.
 //!
 //! ## Admission control (three levels)
 //!
 //! 1. **Connection table full** — the poller stops polling the listener:
 //!    accept backpressure, new connections wait in the SYN backlog.
-//! 2. **EDF queue full** — the request is answered `503 overloaded`
-//!    inline, without touching a worker (fast-reject).
+//! 2. **EDF queue full** — a queued request is answered `503 overloaded`
+//!    inline, without touching a worker (fast-reject). A short read takes
+//!    no queue slot, so this level never sheds it.
 //! 3. **Deadline** — a request whose `x-amf-deadline-ms` budget is already
-//!    zero fast-rejects inline; workers re-check expiry at pop (reject
-//!    after queue wait) and handlers re-check mid-batch.
+//!    zero fast-rejects inline; `execute` re-checks expiry before the
+//!    handler runs (reject after queue wait) and handlers re-check
+//!    mid-batch.
 //!
 //! Per-connection fairness: a connection may have at most 32 requests in
 //! flight — beyond that the poller stops re-arming its reads (TCP
@@ -34,10 +39,11 @@
 //!
 //! [`ServePlane::stop`] flips the draining flag (visible in `/healthz`),
 //! closes the EDF queue (workers flush every admitted request, then
-//! exit), and wakes the poller, which stops re-arming reads, answers
-//! still-arriving connections `503 draining`, renders every in-flight
-//! response with `Connection: close`, and exits once the last connection
-//! flushes — an *idle* keep-alive client cannot hang the drain.
+//! exit), and wakes the poller, which stops answering short reads inline
+//! (they take the closed queue's `503 draining`), stops re-arming reads,
+//! answers still-arriving connections `503 draining`, renders every
+//! in-flight response with `Connection: close`, and exits once the last
+//! connection flushes — an *idle* keep-alive client cannot hang the drain.
 
 use crate::conn::{CompletedResponse, ConnState, ReadEvent, ReadOutcome, ReqTiming, RespKind};
 use crate::edf::{EdfQueue, PushError};
@@ -71,6 +77,10 @@ const EXEMPLAR_CAPACITY: usize = 8;
 
 /// Recent trace records retained for flight dumps.
 const FLIGHT_RING_CAPACITY: usize = 256;
+
+/// Largest predict or rank body answered on the poller (about 90 predict
+/// lines); a larger batch goes to the worker pool.
+const INLINE_BODY_MAX: usize = 4 * 1024;
 
 /// Deadline-reject fraction per interval that triggers an automatic flight
 /// dump (above a minimum sample floor).
@@ -133,7 +143,8 @@ pub struct ServeStats {
     pub accepted: u64,
     /// Requests fully parsed and admitted for routing.
     pub requests: u64,
-    /// Jobs a worker has popped off the EDF queue.
+    /// Jobs a worker has popped off the EDF queue. Short reads answered on
+    /// the poller never enter the queue and are not counted here.
     pub dequeued: u64,
     /// `200` responses.
     pub ok: u64,
@@ -146,7 +157,8 @@ pub struct ServeStats {
     pub rejected_deadline: u64,
     /// Rejected because the plane was draining (`503`).
     pub rejected_draining: u64,
-    /// Worker panics caught by the pool (must stay 0; the pool survives).
+    /// Handler panics caught, on a worker or on the poller for a short
+    /// read (must stay 0; the plane survives).
     pub worker_panics: u64,
     /// Connections lost to transport errors with work pending.
     pub io_errors: u64,
@@ -204,7 +216,7 @@ impl Counters {
     }
 }
 
-/// One admitted request travelling to the worker pool.
+/// One admitted request, answered on the poller or by a worker.
 struct Job {
     conn_id: usize,
     gen: u64,
@@ -251,6 +263,29 @@ struct PlaneState {
 }
 
 impl PlaneState {
+    fn new(
+        service: Arc<QosPredictionService>,
+        config: ServeConfig,
+        flight: Option<LogConfig>,
+    ) -> Self {
+        Self {
+            service,
+            config,
+            counters: Counters::default(),
+            stop: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
+            open_connections: AtomicU64::new(0),
+            queue: EdfQueue::new(config.max_pending.max(1)),
+            trace_seq: AtomicU64::new(TRACE_SEED),
+            exemplars: TailExemplars::new(EXEMPLAR_CAPACITY),
+            flight_ring: Ring::new(FLIGHT_RING_CAPACITY),
+            queue_wait_us: qos_obs::global().histogram("serve.queue_wait_us"),
+            deadline_slack_us: qos_obs::global().histogram("serve.deadline_slack_us"),
+            flight: FlightRecorder::new(flight),
+            last_dump: Mutex::new(None),
+        }
+    }
+
     /// Mirrors the plane's counters into the process-global registry so
     /// `/metrics` scrapes and snapshots carry `serve.*` families alongside
     /// the service/engine instrumentation.
@@ -393,22 +428,7 @@ impl ServePlane {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let bound = listener.local_addr()?;
-        let state = Arc::new(PlaneState {
-            service,
-            config,
-            counters: Counters::default(),
-            stop: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            open_connections: AtomicU64::new(0),
-            queue: EdfQueue::new(config.max_pending.max(1)),
-            trace_seq: AtomicU64::new(TRACE_SEED),
-            exemplars: TailExemplars::new(EXEMPLAR_CAPACITY),
-            flight_ring: Ring::new(FLIGHT_RING_CAPACITY),
-            queue_wait_us: qos_obs::global().histogram("serve.queue_wait_us"),
-            deadline_slack_us: qos_obs::global().histogram("serve.deadline_slack_us"),
-            flight: FlightRecorder::new(flight),
-            last_dump: Mutex::new(None),
-        });
+        let state = Arc::new(PlaneState::new(service, config, flight));
 
         let (waker, wake_rx) = poller::wake_pair()?;
         let waker = Arc::new(waker);
@@ -528,78 +548,7 @@ fn worker_loop(state: &PlaneState, completions: &mpsc::Sender<Completion>, waker
             StageClock::QUEUE,
             u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX),
         );
-
-        let mut now = Instant::now();
-        let response = if now > job.expires {
-            // Reject-after-wait: the queue time burned the whole budget —
-            // the client has given up; serving it would be wasted work.
-            CompletedResponse::new(
-                503,
-                "application/json",
-                error_body("deadline exceeded in queue"),
-                job.keep_alive_wanted,
-                RespKind::RejDeadline,
-            )
-        } else {
-            // A panic in one request's handler must never take down the
-            // pool; it is counted, answered 500, and the worker moves on.
-            let started = now;
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                route(&job.request, state, job.expires)
-            }));
-            now = Instant::now();
-            job.stages.set(
-                StageClock::EXECUTE,
-                u64::try_from(
-                    now.checked_duration_since(started)
-                        .unwrap_or(Duration::ZERO)
-                        .as_nanos(),
-                )
-                .unwrap_or(u64::MAX),
-            );
-            match outcome {
-                Ok((status, content_type, body)) => CompletedResponse::new(
-                    status,
-                    content_type,
-                    body,
-                    job.keep_alive_wanted,
-                    RespKind::from_status(status),
-                ),
-                Err(_) => {
-                    state.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    qos_obs::global().trace().event(
-                        "serve_worker_panic",
-                        format!("endpoint={} trace_id={}", job.endpoint, job.trace_id),
-                    );
-                    // A handler panic is exactly the incident the flight
-                    // recorder exists for: capture the context window now.
-                    state.flight_dump("worker_panic", false);
-                    CompletedResponse::new(
-                        500,
-                        "application/json",
-                        error_body("internal error"),
-                        // A panicked handler leaves no framing doubt, but
-                        // trust is gone: close the connection.
-                        false,
-                        RespKind::Panic,
-                    )
-                }
-            }
-        };
-        let slack_us = match job.expires.checked_duration_since(now) {
-            Some(left) => i64::try_from(left.as_micros()).unwrap_or(i64::MAX),
-            None => now
-                .checked_duration_since(job.expires)
-                .and_then(|over| i64::try_from(over.as_micros()).ok())
-                .map_or(i64::MIN, |over| -over),
-        };
-        let response = response.with_trace(TraceRecord {
-            trace_id: std::mem::take(&mut job.trace_id),
-            endpoint: job.endpoint,
-            status: 0, // bound at flush
-            stages: job.stages,
-            deadline_slack_us: slack_us,
-        });
+        let response = execute(state, &mut job);
         if completions
             .send(Completion {
                 conn_id: job.conn_id,
@@ -613,6 +562,84 @@ fn worker_loop(state: &PlaneState, completions: &mpsc::Sender<Completion>, waker
         }
         waker.wake();
     }
+}
+
+/// Answers one admitted job: the expiry re-check, the routed handler behind
+/// a panic fence, and the job's trace record. Workers call it after a pop;
+/// the poller calls it for a short read, so both paths share every check.
+fn execute(state: &PlaneState, job: &mut Job) -> CompletedResponse {
+    let mut now = Instant::now();
+    let response = if now > job.expires {
+        // Reject-after-wait: the queue time burned the whole budget —
+        // the client has given up; serving it would be wasted work.
+        CompletedResponse::new(
+            503,
+            "application/json",
+            error_body("deadline exceeded in queue"),
+            job.keep_alive_wanted,
+            RespKind::RejDeadline,
+        )
+    } else {
+        // A panic in one request's handler must never take down a worker
+        // or the poller; it is counted, answered 500, and the thread moves
+        // on.
+        let started = now;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            route(&job.request, state, job.expires)
+        }));
+        now = Instant::now();
+        job.stages.set(
+            StageClock::EXECUTE,
+            u64::try_from(
+                now.checked_duration_since(started)
+                    .unwrap_or(Duration::ZERO)
+                    .as_nanos(),
+            )
+            .unwrap_or(u64::MAX),
+        );
+        match outcome {
+            Ok((status, content_type, body)) => CompletedResponse::new(
+                status,
+                content_type,
+                body,
+                job.keep_alive_wanted,
+                RespKind::from_status(status),
+            ),
+            Err(_) => {
+                state.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
+                qos_obs::global().trace().event(
+                    "serve_worker_panic",
+                    format!("endpoint={} trace_id={}", job.endpoint, job.trace_id),
+                );
+                // A handler panic is exactly the incident the flight
+                // recorder exists for: capture the context window now.
+                state.flight_dump("worker_panic", false);
+                CompletedResponse::new(
+                    500,
+                    "application/json",
+                    error_body("internal error"),
+                    // A panicked handler leaves no framing doubt, but
+                    // trust is gone: close the connection.
+                    false,
+                    RespKind::Panic,
+                )
+            }
+        }
+    };
+    let slack_us = match job.expires.checked_duration_since(now) {
+        Some(left) => i64::try_from(left.as_micros()).unwrap_or(i64::MAX),
+        None => now
+            .checked_duration_since(job.expires)
+            .and_then(|over| i64::try_from(over.as_micros()).ok())
+            .map_or(i64::MIN, |over| -over),
+    };
+    response.with_trace(TraceRecord {
+        trace_id: std::mem::take(&mut job.trace_id),
+        endpoint: job.endpoint,
+        status: 0, // bound at flush
+        stages: job.stages,
+        deadline_slack_us: slack_us,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -973,9 +1000,10 @@ fn reject_inline(state: &PlaneState, mut stream: TcpStream, error: &str) {
 }
 
 /// Parses the deadline header and either fast-rejects inline (bad header,
-/// zero budget, queue full, draining) or admits the request into the EDF
-/// queue. Every path stamps the request's trace: inline rejects finish
-/// their stage clock here; admitted jobs carry it to the worker.
+/// zero budget, queue full, draining), answers a short read on the spot,
+/// or admits the request into the EDF queue. Every path stamps the
+/// request's trace: inline answers finish their stage clock here (`queue`
+/// stays 0); queued jobs carry it to the worker.
 fn admit_request(
     state: &PlaneState,
     conn: &mut ConnState,
@@ -1056,7 +1084,7 @@ fn admit_request(
         u64::try_from(admit_started.elapsed().as_nanos()).unwrap_or(u64::MAX),
     );
     let expires = now + deadline;
-    let job = Job {
+    let mut job = Job {
         conn_id,
         gen: conn.gen,
         seq,
@@ -1068,6 +1096,13 @@ fn admit_request(
         endpoint,
         stages,
     };
+    // A short read is answered in this loop turn: no queue slot, no worker
+    // hand-off. While draining it takes the queue's path, whose closed
+    // queue answers `503 draining`.
+    if runs_inline(&job.request) && !state.draining.load(Ordering::SeqCst) {
+        conn.complete(seq, execute(state, &mut job));
+        return;
+    }
     match state.queue.try_push(expires, job) {
         Ok(()) => {}
         Err(PushError::Full(job)) => conn.complete(
@@ -1103,6 +1138,16 @@ fn admit_request(
     }
 }
 
+/// Whether `request` is a short read the poller answers itself: a predict
+/// or rank body of at most [`INLINE_BODY_MAX`] bytes, or `GET /healthz`.
+fn runs_inline(request: &Request) -> bool {
+    match (request.method.as_str(), request.route()) {
+        ("POST", "/v1/predict" | "/v1/rank") => request.body.len() <= INLINE_BODY_MAX,
+        ("GET", "/healthz") => true,
+        _ => false,
+    }
+}
+
 fn respond(
     status: u16,
     body: String,
@@ -1126,7 +1171,7 @@ fn count_response(state: &PlaneState, kind: RespKind) {
         RespKind::RejOverload => &state.counters.rejected_overload,
         RespKind::RejDeadline => &state.counters.rejected_deadline,
         RespKind::RejDraining => &state.counters.rejected_draining,
-        // The panic itself was counted by the worker; the 500 is not an
+        // The panic itself was counted by `execute`; the 500 is not an
         // ok/client-error/reject.
         RespKind::Panic => return,
     };
@@ -1159,6 +1204,9 @@ fn endpoint_label(request: &Request) -> &'static str {
 fn route(request: &Request, state: &PlaneState, expires: Instant) -> RouteResponse {
     let json = |status: u16, body: String| (status, "application/json".to_string(), body);
     match (request.method.as_str(), request.route()) {
+        // Lets this module's tests panic a handler on either path.
+        #[cfg(test)]
+        _ if request.header("x-amf-test-panic").is_some() => panic!("test handler panic"),
         ("POST", "/v1/observe") => handle_observe(request, state),
         ("POST", "/v1/predict") => handle_predict(request, state, expires),
         ("POST", "/v1/rank") => handle_rank(request, state),
@@ -1803,6 +1851,69 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(2)))
             .unwrap();
         let _ = stream.read_to_end(&mut rest);
+    }
+
+    #[test]
+    fn handler_panics_are_contained_on_the_poller_and_on_a_worker() {
+        let plane = test_plane(ServeConfig::default());
+        let addr = plane.local_addr();
+        // `/healthz` is answered on the poller, `/metrics` on a worker.
+        for (path, panics) in [("/healthz", 1), ("/metrics", 2)] {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let raw = format!("GET {path} HTTP/1.1\r\nHost: x\r\nx-amf-test-panic: 1\r\n\r\n");
+            stream.write_all(raw.as_bytes()).unwrap();
+            // No half-close: the 500 itself must end the connection.
+            let mut response = String::new();
+            let _ = stream.read_to_string(&mut response);
+            assert!(response.starts_with("HTTP/1.1 500"), "{path}: {response}");
+            let (head, _) = response.split_once("\r\n\r\n").unwrap();
+            assert_eq!(header_value(head, "connection").as_deref(), Some("close"));
+            assert_eq!(plane.stats().worker_panics, panics, "{path}");
+            let health = raw_request(addr, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+            assert!(health.starts_with("HTTP/1.1 200"), "after {path}: {health}");
+        }
+        assert_eq!(plane.stop().worker_panics, 2);
+    }
+
+    #[test]
+    fn short_reads_take_the_draining_reject_once_the_drain_begins() {
+        let service = Arc::new(QosPredictionService::new(ServiceConfig::default()));
+        let state = PlaneState::new(service, ServeConfig::default(), None);
+        state.draining.store(true, Ordering::SeqCst);
+        state.queue.close();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, peer) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let mut conn = ConnState::new(server, peer, 1, Instant::now());
+        let body = "{\"user\":\"u\",\"service\":\"s\"}\n";
+        let raw = format!(
+            "GET /healthz HTTP/1.1\r\n\r\nPOST /v1/predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        client.write_all(raw.as_bytes()).unwrap();
+        let mut events = Vec::new();
+        let begun = Instant::now();
+        while events.len() < 2 && begun.elapsed() < Duration::from_secs(5) {
+            events.extend(conn.read_and_parse(1024, 32, 1024, Instant::now()).0);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        for event in events {
+            let ReadEvent::Request(request, seq, timing) = event else {
+                panic!("both requests parse");
+            };
+            admit_request(&state, &mut conn, 0, seq, request, timing, Instant::now());
+        }
+        let answers: Vec<(u16, RespKind)> = conn
+            .flush_ready(true, 1024)
+            .into_iter()
+            .map(|(status, kind, _)| (status, kind))
+            .collect();
+        assert_eq!(answers, vec![(503, RespKind::RejDraining); 2]);
+        assert_eq!(state.counters.snapshot().predictions, 0);
     }
 
     #[test]

@@ -268,11 +268,9 @@ fn malformed_http_corpus_gets_4xx_never_panics() {
     assert!(stats.client_errors >= 9, "4xx path exercised: {stats:?}");
 }
 
-/// With one worker and a one-slot queue, a long-running batch saturates
-/// the plane and later arrivals are fast-rejected 503 by the acceptor.
-#[test]
-fn overload_fast_rejects_from_the_acceptor() {
-    let plane = plane(ServeConfig {
+/// One worker and a one-slot queue, the plane both overload tests use.
+fn one_slot_plane() -> ServePlane {
+    plane(ServeConfig {
         workers: 1,
         max_pending: 1,
         max_body_bytes: 8 * 1024 * 1024,
@@ -280,17 +278,18 @@ fn overload_fast_rejects_from_the_acceptor() {
         default_deadline: Duration::from_secs(30),
         max_deadline: Duration::from_secs(30),
         ..ServeConfig::default()
-    });
-    let addr = plane.local_addr();
+    })
+}
 
-    // Occupy the single worker with a batch that takes real time to churn
-    // through (each line is parsed and predicted individually).
+/// Occupies the single worker with a batch that takes real time to churn
+/// through (each line is parsed and predicted individually), and returns
+/// once the worker has popped it: until then the holder occupies the
+/// single queue slot. The returned thread yields the holder's response.
+fn pin_the_worker(plane: &ServePlane) -> std::thread::JoinHandle<String> {
+    let addr = plane.local_addr();
     let holder_body = slow_predict_body(100_000);
     let holder =
         std::thread::spawn(move || raw_exchange(addr, &post_raw("/v1/predict", &holder_body, "")));
-    // Probe only once the worker has popped the holder: until then the
-    // holder occupies the single queue slot, and every probe would be
-    // fast-rejected with none left to queue.
     let waited = std::time::Instant::now();
     while plane.stats().dequeued == 0 {
         assert!(
@@ -299,14 +298,26 @@ fn overload_fast_rejects_from_the_acceptor() {
         );
         std::thread::sleep(Duration::from_millis(1));
     }
+    holder
+}
+
+/// With one worker and a one-slot queue, a long-running batch saturates
+/// the plane and later queued arrivals are fast-rejected 503 by the
+/// acceptor.
+#[test]
+fn overload_fast_rejects_from_the_acceptor() {
+    let plane = one_slot_plane();
+    let addr = plane.local_addr();
+    let holder = pin_the_worker(&plane);
 
     // Four CONCURRENT probes: the first to reach the acceptor takes the
     // single queue slot (and waits for the worker); the rest find the
-    // queue full and must be answered 503 inline by the acceptor.
+    // queue full and must be answered 503 inline by the acceptor. The
+    // probes are `/metrics` scrapes because short reads never queue.
     let probes: Vec<_> = (0..4)
         .map(|_| {
             std::thread::spawn(move || {
-                raw_exchange(addr, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                raw_exchange(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
             })
         })
         .collect();
@@ -336,6 +347,45 @@ fn overload_fast_rejects_from_the_acceptor() {
         "the queued probe is flushed, not dropped: {responses:?}"
     );
     assert!(stats.rejected_overload >= 1, "{stats:?}");
+    assert_eq!(stats.worker_panics, 0);
+}
+
+/// Short reads never take a queue slot, so a full queue cannot shed them:
+/// while the single worker is pinned and a queued scrape fills the one
+/// slot, a short predict and `/healthz` are answered 200 from the poller
+/// and `rejected_overload` does not move. A second scrape then shows the
+/// queue was full all along.
+#[test]
+fn short_reads_are_answered_while_the_queue_is_full() {
+    let plane = one_slot_plane();
+    let addr = plane.local_addr();
+    let holder = pin_the_worker(&plane);
+    let queued =
+        std::thread::spawn(move || raw_exchange(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n"));
+    let waited = std::time::Instant::now();
+    while plane.stats().requests < 2 {
+        assert!(
+            waited.elapsed() < Duration::from_secs(30),
+            "the queued scrape was never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let predict = raw_exchange(
+        addr,
+        &post_raw("/v1/predict", "{\"user\":\"u\",\"service\":\"s\"}\n", ""),
+    );
+    assert!(predict.starts_with("HTTP/1.1 200"), "{predict}");
+    let health = raw_exchange(addr, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+    assert_eq!(plane.stats().rejected_overload, 0);
+
+    let shed = raw_exchange(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert!(shed.starts_with("HTTP/1.1 503"), "{shed}");
+    assert!(queued.join().unwrap().starts_with("HTTP/1.1 200"));
+    assert!(holder.join().unwrap().starts_with("HTTP/1.1 200"));
+    let stats = plane.stop();
+    assert_eq!(stats.rejected_overload, 1, "{stats:?}");
     assert_eq!(stats.worker_panics, 0);
 }
 
@@ -475,6 +525,70 @@ fn pipelined_requests_are_answered_in_order_on_one_connection() {
     let stats = plane.stop();
     assert_eq!(stats.accepted, 1, "one connection served all three");
     assert_eq!(stats.ok, 3, "{stats:?}");
+    assert_eq!(stats.worker_panics, 0);
+}
+
+/// The `queue` stage of a response head's `x-amf-stage-us`, in µs.
+fn queue_stage_us(head: &str) -> u64 {
+    head.lines()
+        .find_map(|line| line.strip_prefix("x-amf-stage-us: "))
+        .and_then(|stages| stages.split(';').find_map(|s| s.strip_prefix("queue=")))
+        .and_then(|us| us.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no queue stage: {head}"))
+}
+
+/// Short reads answered on the poller and queued requests answered by a
+/// worker share one connection's response order. Pipelined in one write: a
+/// predict batch over the inline bound (queued behind nothing, but slow on
+/// the single worker), a short predict and `/healthz` (both inline, so
+/// ready long before the batch), and `/metrics` (queued behind the batch).
+/// The answers come back in request order, the inline ones read `queue=0`,
+/// and only the two queued requests count as dequeued.
+#[test]
+fn inline_and_queued_answers_keep_request_order_on_one_connection() {
+    let plane = plane(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut stream = TcpStream::connect(plane.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut batch = post_raw("/v1/predict", &slow_predict_body(2_000), "");
+    batch.extend_from_slice(&post_raw(
+        "/v1/predict",
+        "{\"user\":\"short\",\"service\":\"s\"}\n",
+        "",
+    ));
+    batch.extend_from_slice(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    batch.extend_from_slice(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    stream.write_all(&batch).unwrap();
+
+    let mut buf = Vec::new();
+    let mut heads = Vec::new();
+    let needles = [
+        "\"user\":\"user-23\"",
+        "\"user\":\"short\"",
+        "\"status\":\"ok\"",
+        "amf_serve_requests",
+    ];
+    for needle in needles {
+        let (head, body) = read_framed_response(&mut stream, &mut buf)
+            .unwrap_or_else(|| panic!("no answer carrying {needle}"));
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(
+            body.contains(needle),
+            "out of order: wanted {needle} in {body}"
+        );
+        heads.push(head);
+    }
+    assert_eq!(queue_stage_us(&heads[1]), 0, "{}", heads[1]);
+    assert_eq!(queue_stage_us(&heads[2]), 0, "{}", heads[2]);
+    assert!(queue_stage_us(&heads[3]) > 0, "{}", heads[3]);
+
+    let stats = plane.stop();
+    assert_eq!(stats.dequeued, 2, "{stats:?}");
+    assert_eq!(stats.ok, 4, "{stats:?}");
     assert_eq!(stats.worker_panics, 0);
 }
 
