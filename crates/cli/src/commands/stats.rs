@@ -53,7 +53,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 }
 
 /// `amf-qos stats --obs`: feed a deterministic synthetic stream through the
-/// prediction service (guard on, batched parity ingestion) and print the merged
+/// prediction service (screened, batched ingestion) and print the merged
 /// `amf-obs/v1` snapshot. The output is pure JSON so it can be piped to
 /// `jq`; everything is derived from `--seed`, so repeated runs produce the
 /// same counter values (latency histograms naturally vary).

@@ -1,25 +1,24 @@
-//! `amf-qos train` — train an AMF model from a triplet file and save it.
+//! `amf-qos train` — screen a triplet file, train an AMF model on the
+//! admitted samples, and save it.
 
 use super::{amf_config_from, parse_attribute, CliError};
 use crate::args::Args;
-use amf_core::{
-    persistence, AmfTrainer, FaultContext, FaultPlan, GuardConfig, QuarantineDiagnostics,
-    SampleGuard,
-};
+use amf_core::{persistence, AmfTrainer, FaultContext, FaultPlan, QuarantineDiagnostics};
 use qos_dataset::io;
 
 /// Usage text for the subcommand.
 pub const USAGE: &str = "amf-qos train --data TRIPLETS --out MODEL [--attr rt|tp] \
 [--alpha A] [--lambda L] [--beta B] [--eta E] [--dim D] [--seed S] [--max-replays N] \
-[--guard] [--fault-plan SPEC]";
+[--fault-plan SPEC]";
 
 /// Runs the subcommand.
 ///
-/// The stream is fed in order on the calling thread
-/// ([`AmfTrainer::feed_batch`]), then replayed to convergence. `--guard`
-/// screens the stream through a [`SampleGuard`] (quarantining NaN/∞,
-/// non-positive, and out-of-range values) and reports the quarantine
-/// diagnostics. `--fault-plan` parses a deterministic fault script
+/// The stream is screened by the one rule every ingestion path applies
+/// ([`amf_core::SampleGuard`]: NaN/∞, non-positive and out-of-range values
+/// against the model's range are quarantined), fed in order on the calling
+/// thread ([`AmfTrainer::feed_batch`]), then replayed to convergence; the
+/// summary ends with the screening report ([`QuarantineDiagnostics`]).
+/// `--fault-plan` parses a deterministic fault script
 /// (`seed=N;drop=P;dup=P;reorder=N` — entries split on `;` or `,`) and
 /// applies its stream mutations to the input. The network verbs
 /// (`conn-reset`, `slow-read`, `blackhole`) are *rejected* here: they only
@@ -63,12 +62,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             stream.len()
         ));
     }
-    let mut quarantine: Option<QuarantineDiagnostics> = None;
-    if args.switch("guard") {
-        let mut guard = SampleGuard::new(GuardConfig::for_amf(&config));
-        stream.retain(|&(u, s, _, v)| guard.admit(u, s, v).is_ok());
-        quarantine = Some(QuarantineDiagnostics::of(&guard));
-    }
+    let quarantine = QuarantineDiagnostics::screen(&config, &mut stream);
     if stream.is_empty() {
         return Err(CliError(format!(
             "{data_path}: no samples survived screening/faults"
@@ -85,18 +79,16 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let report = trainer.replay_until_converged(options);
 
     persistence::save_file(trainer.model(), &out)?;
-    if let Some(diag) = &quarantine {
-        notes.push_str(&format!("\n{diag}"));
-    }
     Ok(format!(
         "trained on {} samples ({} users, {} services): {} replays in {:.2?} \
-         (converged: {}), model saved to {out}{notes}",
+         (converged: {}), model saved to {out}{notes}\n{}",
         stream.len(),
         trainer.model().num_users(),
         trainer.model().num_services(),
         report.iterations,
         report.elapsed,
-        report.converged
+        report.converged,
+        quarantine.to_string().trim_end()
     ))
 }
 
@@ -167,6 +159,7 @@ mod tests {
 
     #[test]
     fn guard_quarantines_garbage_and_reports() {
+        // No flag: `train` screens every stream.
         let dir = crate::test_dir("guard_quarantines_garbage_and_reports");
         let data = temp_path(&dir, "garbage.txt");
         let model = temp_path(&dir, "garbage.amf");
@@ -188,7 +181,6 @@ mod tests {
             &data,
             "--out",
             &model,
-            "--guard",
             "--max-replays",
             "500",
         ]))

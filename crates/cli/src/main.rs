@@ -140,15 +140,17 @@ mod tests {
     fn unknown_flags_fail_naming_the_flag() {
         // `--consistency` and `--shards` selected the removed relaxed lane;
         // accepting them now would quietly train sequentially instead.
-        for (flag, value) in [
-            ("--consistency", "relaxed"),
-            ("--shards", "4"),
-            ("--max-replay", "9"),
+        // `--guard` switched screening on; `train` now always screens.
+        for extra in [
+            &["--consistency", "relaxed"][..],
+            &["--shards", "4"],
+            &["--max-replay", "9"],
+            &["--guard"],
         ] {
-            let err = dispatch(&parse(&[
-                "train", "--data", "d.txt", "--out", "m.amf", flag, value,
-            ]))
-            .unwrap_err();
+            let flag = extra[0];
+            let mut tokens = vec!["train", "--data", "d.txt", "--out", "m.amf"];
+            tokens.extend_from_slice(extra);
+            let err = dispatch(&parse(&tokens)).unwrap_err();
             assert!(
                 err.0.starts_with(&format!("unknown flag {flag}\n")),
                 "{}",

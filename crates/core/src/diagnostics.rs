@@ -137,8 +137,8 @@ impl std::fmt::Display for ModelDiagnostics {
 /// Number of bins in the per-service reject-rate histogram.
 pub const QUARANTINE_HISTOGRAM_BINS: usize = 10;
 
-/// Ingestion-quarantine health snapshot, built from a
-/// [`SampleGuard`](crate::guard::SampleGuard) after (or during) a stream.
+/// Screening report for a finished stream: the guard's verdicts, tallied
+/// per service.
 ///
 /// The reject-rate histogram answers the operator question the raw counters
 /// cannot: *is garbage spread thinly across the fleet, or concentrated on a
@@ -160,28 +160,35 @@ pub struct QuarantineDiagnostics {
     /// The worst offenders: `(service, rejects, seen)` sorted by reject
     /// count descending, capped at ten entries.
     pub worst_services: Vec<(usize, u64, u64)>,
-    /// Samples currently retained in the bounded quarantine log.
-    pub quarantine_len: usize,
 }
 
 impl QuarantineDiagnostics {
-    /// Summarizes a guard's quarantine state.
-    pub fn of(guard: &crate::guard::SampleGuard) -> Self {
-        let seen = guard.per_service_seen();
-        let rejects = guard.per_service_rejects();
+    /// Screens `samples` (`(user, service, timestamp, value)`) through a
+    /// [`SampleGuard`](crate::guard::SampleGuard) on `config`'s range, keeps
+    /// the admitted ones in stream order, and reports the verdicts.
+    pub fn screen(config: &crate::AmfConfig, samples: &mut Vec<(usize, usize, u64, f64)>) -> Self {
+        let mut guard = crate::guard::SampleGuard::new(config);
+        // Per service: (seen, rejected).
+        let mut tallies: std::collections::HashMap<usize, (u64, u64)> = Default::default();
+        samples.retain(|&(user, service, _, value)| {
+            let admitted = guard.admit(user, service, value).is_ok();
+            let tally = tallies.entry(service).or_default();
+            tally.0 += 1;
+            tally.1 += u64::from(!admitted);
+            admitted
+        });
         let mut histogram = qos_linalg::histogram::Histogram::new(
             0.0,
             1.0 + f64::EPSILON, // keep rate 1.0 inside the last bin
             QUARANTINE_HISTOGRAM_BINS,
         );
         let mut worst: Vec<(usize, u64, u64)> = Vec::new();
-        for (&service, &count) in seen {
-            let rejected = rejects.get(&service).copied().unwrap_or(0);
+        for (&service, &(seen, rejected)) in &tallies {
             if let Some(h) = histogram.as_mut() {
-                h.add(rejected as f64 / count.max(1) as f64);
+                h.add(rejected as f64 / seen as f64);
             }
             if rejected > 0 {
-                worst.push((service, rejected, count));
+                worst.push((service, rejected, seen));
             }
         }
         let services_with_rejects = worst.len();
@@ -189,13 +196,12 @@ impl QuarantineDiagnostics {
         worst.truncate(10);
         Self {
             stats: guard.stats(),
-            services_seen: seen.len(),
+            services_seen: tallies.len(),
             services_with_rejects,
             reject_rate_histogram: histogram
                 .map(|h| h.counts().to_vec())
                 .unwrap_or_else(|| vec![0; QUARANTINE_HISTOGRAM_BINS]),
             worst_services: worst,
-            quarantine_len: guard.quarantine_len(),
         }
     }
 }
@@ -205,15 +211,13 @@ impl std::fmt::Display for QuarantineDiagnostics {
         writeln!(
             f,
             "screened: {} accepted, {} rejected ({:.2}% — {} not-finite, {} non-positive, \
-             {} out-of-range, {} outlier), quarantine holds {}",
+             {} out-of-range)",
             self.stats.accepted,
             self.stats.rejected(),
             self.stats.reject_rate() * 100.0,
             self.stats.not_finite,
             self.stats.non_positive,
             self.stats.out_of_range,
-            self.stats.outlier,
-            self.quarantine_len,
         )?;
         writeln!(
             f,
@@ -306,16 +310,12 @@ mod tests {
 
     #[test]
     fn quarantine_histogram_separates_clean_and_dirty_services() {
-        let mut guard = crate::guard::SampleGuard::new(crate::guard::GuardConfig::default());
         // Service 0: all clean. Service 1: half garbage.
-        for _ in 0..20 {
-            let _ = guard.admit(0, 0, 1.0);
-        }
-        for k in 0..20 {
-            let v = if k % 2 == 0 { 1.0 } else { f64::NAN };
-            let _ = guard.admit(0, 1, v);
-        }
-        let d = QuarantineDiagnostics::of(&guard);
+        let mut samples: Vec<(usize, usize, u64, f64)> = (0..20).map(|k| (0, 0, k, 1.0)).collect();
+        samples.extend((0..20).map(|k| (0, 1, k, if k % 2 == 0 { 1.0 } else { f64::NAN })));
+        let d = QuarantineDiagnostics::screen(&AmfConfig::response_time(), &mut samples);
+        assert_eq!(samples.len(), 30, "only the admitted samples remain");
+        assert!(samples.iter().all(|s| s.3 == 1.0));
         assert_eq!(d.services_seen, 2);
         assert_eq!(d.services_with_rejects, 1);
         assert_eq!(d.stats.accepted, 30);
@@ -332,9 +332,26 @@ mod tests {
     }
 
     #[test]
+    fn per_service_rejects_are_counted_exactly() {
+        // Every reject is tallied against its service, however many there
+        // are: ten NaNs on service 0, plus one reject each on 12 others.
+        let mut samples: Vec<(usize, usize, u64, f64)> =
+            (0..10).map(|k| (k, 0, k as u64, f64::NAN)).collect();
+        samples.extend((1..13).map(|s| (0, s, 0, -1.0)));
+        let d = QuarantineDiagnostics::screen(&AmfConfig::response_time(), &mut samples);
+        assert!(samples.is_empty());
+        assert_eq!(d.stats.not_finite, 10);
+        assert_eq!(d.stats.non_positive, 12);
+        assert_eq!((d.services_seen, d.services_with_rejects), (13, 13));
+        assert_eq!(d.reject_rate_histogram[QUARANTINE_HISTOGRAM_BINS - 1], 13);
+        assert_eq!(d.worst_services.len(), 10, "the offender list is capped");
+        assert_eq!(d.worst_services[0], (0, 10, 10));
+        assert_eq!(d.worst_services[1], (1, 1, 1));
+    }
+
+    #[test]
     fn quarantine_diagnostics_of_untouched_guard_is_empty() {
-        let guard = crate::guard::SampleGuard::new(crate::guard::GuardConfig::default());
-        let d = QuarantineDiagnostics::of(&guard);
+        let d = QuarantineDiagnostics::screen(&AmfConfig::response_time(), &mut Vec::new());
         assert_eq!(d.services_seen, 0);
         assert_eq!(d.stats.seen(), 0);
         assert_eq!(d.reject_rate_histogram.iter().sum::<u64>(), 0);

@@ -62,7 +62,7 @@ pub use config::{AmfConfig, LossKind};
 pub use diagnostics::{ModelDiagnostics, QuarantineDiagnostics};
 pub use expiry::{ObservationStore, PairKey};
 pub use fault::{FaultContext, FaultPlan, NetFault};
-pub use guard::{GuardConfig, GuardStats, QuarantinedSample, RejectReason, SampleGuard};
+pub use guard::{GuardStats, RejectReason, SampleGuard};
 pub use model::AmfModel;
 pub use stream::{
     AccuracyWindow, DriftConfig, DriftSentinel, DriftVerdict, PageHinkley, WindowedAccuracy,

@@ -76,7 +76,6 @@ pub(crate) struct GuardMetrics {
     not_finite: Arc<Counter>,
     non_positive: Arc<Counter>,
     out_of_range: Arc<Counter>,
-    outlier: Arc<Counter>,
 }
 
 impl GuardMetrics {
@@ -86,7 +85,6 @@ impl GuardMetrics {
             RejectReason::NotFinite => &self.not_finite,
             RejectReason::NonPositive => &self.non_positive,
             RejectReason::OutOfRange => &self.out_of_range,
-            RejectReason::Outlier => &self.outlier,
         }
     }
 }
@@ -100,7 +98,6 @@ pub(crate) fn guard_metrics() -> &'static GuardMetrics {
             not_finite: reg.counter_labeled("guard.rejected", RejectReason::NotFinite.label()),
             non_positive: reg.counter_labeled("guard.rejected", RejectReason::NonPositive.label()),
             out_of_range: reg.counter_labeled("guard.rejected", RejectReason::OutOfRange.label()),
-            outlier: reg.counter_labeled("guard.rejected", RejectReason::Outlier.label()),
         }
     })
 }

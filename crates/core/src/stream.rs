@@ -110,7 +110,7 @@ impl AccuracyWindow {
     /// [`AccuracyWindow::mre_refresh`] on paths that must stay off the heap.
     pub fn mre(&self) -> Option<f64> {
         let mut scratch = self.rel[..self.len].to_vec();
-        median_in_place(&mut scratch)
+        select_median(&mut scratch)
     }
 
     /// Like [`AccuracyWindow::mre`], but reusing the pre-allocated internal
@@ -119,7 +119,7 @@ impl AccuracyWindow {
     pub fn mre_refresh(&mut self) -> Option<f64> {
         self.scratch.clear();
         self.scratch.extend_from_slice(&self.rel[..self.len]);
-        median_in_place(&mut self.scratch)
+        select_median(&mut self.scratch)
     }
 
     /// Windowed NMAE: `Σ|r − g| / Σr` over the window (normalized domain).
@@ -137,7 +137,7 @@ impl AccuracyWindow {
 /// In-place median: exact, deterministic, no allocation beyond `values`.
 /// Even-length windows average the two middle elements (matching
 /// `qos-metrics`' offline MRE definition).
-fn median_in_place(values: &mut [f64]) -> Option<f64> {
+fn select_median(values: &mut [f64]) -> Option<f64> {
     let n = values.len();
     if n == 0 {
         return None;

@@ -3,10 +3,10 @@
 //! Ties together the three stages the paper names:
 //!
 //! 1. **Input handling** — observed QoS records arrive as a stream (here as
-//!    batches, single records, or an unbounded input queue), are screened by a
-//!    [`SampleGuard`] (NaN/∞, non-positive, out-of-range, and statistical
-//!    outliers are quarantined, never trained on), resolved to dense ids by
-//!    the user/service managers, and fed to the model;
+//!    batches, single records, or an unbounded input queue), are resolved to
+//!    dense ids by the user/service managers, screened by a [`SampleGuard`]
+//!    on the model's own range (NaN/∞, non-positive and out-of-range values
+//!    are quarantined, never trained on), and fed to the model;
 //! 2. **Online updating** — the embedded [`amf_core::AmfTrainer`] stores
 //!    each sample as its pair's live observation, applies it immediately,
 //!    and replays live samples during idle time, dropping expired ones;
@@ -32,8 +32,8 @@
 
 use crate::managers::Registry;
 use crate::ServiceError;
-use amf_core::guard::{GuardConfig, GuardStats, SampleGuard};
-use amf_core::{AmfConfig, AmfTrainer, QuarantineDiagnostics};
+use amf_core::guard::{GuardStats, SampleGuard};
+use amf_core::{AmfConfig, AmfTrainer};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use qos_obs::{Counter, Histogram, Json, MetricsRegistry};
@@ -61,7 +61,8 @@ const COLD_ERROR_THRESHOLD: f64 = 1.0;
 /// Prediction-service configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
-    /// Hyperparameters of the embedded AMF model.
+    /// Hyperparameters of the embedded AMF model. Its `[r_min, r_max]` is
+    /// also the range every submitted sample is screened against.
     pub amf: AmfConfig,
     /// Replay stopping criteria used by [`QosPredictionService::idle`].
     pub replay: amf_core::trainer::ReplayOptions,
@@ -69,25 +70,14 @@ pub struct ServiceConfig {
     /// call site in the next change to the benchmark.
     #[doc(hidden)]
     pub shards: usize,
-    /// Input screening. `Some` quarantines invalid samples before they reach
-    /// the model; `None` disables screening entirely. The default matches
-    /// the model's QoS range with the statistical outlier gate off (hard
-    /// validation only) — enable [`GuardConfig::outlier_gate`] for lossy
-    /// transports.
-    pub guard: Option<GuardConfig>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        let amf = AmfConfig::response_time();
         Self {
-            amf,
+            amf: AmfConfig::response_time(),
             replay: amf_core::trainer::ReplayOptions::default(),
             shards: 1,
-            guard: Some(GuardConfig {
-                outlier_gate: false,
-                ..GuardConfig::for_amf(&amf)
-            }),
         }
     }
 }
@@ -197,7 +187,7 @@ pub struct ServiceStats {
     pub services: usize,
     /// Online model updates applied.
     pub updates: u64,
-    /// Records admitted to training (screened in, or screening disabled).
+    /// Records admitted to training.
     pub accepted: u64,
     /// Records quarantined by the input guard.
     pub rejected: u64,
@@ -245,7 +235,7 @@ pub struct QosPredictionService {
     trainer: Mutex<AmfTrainer>,
     users: Mutex<Registry>,
     services: Mutex<Registry>,
-    guard: Option<Mutex<SampleGuard>>,
+    guard: Mutex<SampleGuard>,
     config: ServiceConfig,
     input_tx: Sender<QosRecord>,
     input_rx: Receiver<QosRecord>,
@@ -287,7 +277,7 @@ impl QosPredictionService {
             trainer: Mutex::new(AmfTrainer::new(config.amf)?),
             users: Mutex::new(Registry::new()),
             services: Mutex::new(Registry::new()),
-            guard: config.guard.map(|g| Mutex::new(SampleGuard::new(g))),
+            guard: Mutex::new(SampleGuard::new(&config.amf)),
             config,
             input_tx,
             input_rx,
@@ -379,12 +369,9 @@ impl QosPredictionService {
             .iter()
             .filter(|&&(user, service, _, _)| user < users && service < services);
         let mut admitted = Vec::with_capacity(samples.len());
-        match &self.guard {
-            Some(guard) => {
-                let mut guard = guard.lock();
-                admitted.extend(issued.filter(|&&(u, s, _, v)| guard.admit(u, s, v).is_ok()));
-            }
-            None => admitted.extend(issued),
+        {
+            let mut guard = self.guard.lock();
+            admitted.extend(issued.filter(|&&(u, s, _, v)| guard.admit(u, s, v).is_ok()));
         }
         if admitted.is_empty() {
             return 0;
@@ -601,18 +588,9 @@ impl QosPredictionService {
         self.services.lock().leave(name)
     }
 
-    /// The input guard's admission counters (`None` when screening is
-    /// disabled).
-    pub fn guard_stats(&self) -> Option<GuardStats> {
-        self.guard.as_ref().map(|g| g.lock().stats())
-    }
-
-    /// A quarantine health report: per-service reject rates, histogram, and
-    /// worst offenders (`None` when screening is disabled).
-    pub fn quarantine_diagnostics(&self) -> Option<QuarantineDiagnostics> {
-        self.guard
-            .as_ref()
-            .map(|g| QuarantineDiagnostics::of(&g.lock()))
+    /// The input guard's admission counters.
+    pub fn guard_stats(&self) -> GuardStats {
+        self.guard.lock().stats()
     }
 
     /// Operational counters snapshot; every count is cumulative.
@@ -623,11 +601,7 @@ impl QosPredictionService {
             services: self.services.lock().len(),
             updates,
             accepted: self.accepted.get(),
-            rejected: self
-                .guard
-                .as_ref()
-                .map(|g| g.lock().stats().rejected())
-                .unwrap_or(0),
+            rejected: self.guard_stats().rejected(),
             sources_total: SourceCounts::from_counters(&self.source_total),
         }
     }
@@ -656,7 +630,7 @@ impl QosPredictionService {
             .set(self.trainer.lock().model().update_count());
         self.metrics
             .counter("service.rejected")
-            .set(self.stats_rejected());
+            .set(self.guard_stats().rejected());
         let mut snapshot = qos_obs::global().snapshot_json(true);
         let own = self.metrics.snapshot_json(false);
         for section in ["counters", "gauges", "histograms"] {
@@ -675,13 +649,6 @@ impl QosPredictionService {
             dest.extend(own_map);
         }
         snapshot
-    }
-
-    fn stats_rejected(&self) -> u64 {
-        self.guard
-            .as_ref()
-            .map(|g| g.lock().stats().rejected())
-            .unwrap_or(0)
     }
 }
 
@@ -899,11 +866,7 @@ mod tests {
         assert_eq!(svc.stats(), stats);
         assert_eq!(svc.live_observations(), pairs);
         assert_eq!(rows(&svc), model_rows);
-        assert_eq!(
-            svc.guard_stats().unwrap().seen(),
-            1,
-            "refused, not screened"
-        );
+        assert_eq!(svc.guard_stats().seen(), 1, "refused, not screened");
         // Issued ids in the same batch still go through.
         assert_eq!(svc.submit_batch_ids(&[(0, 0, 4, 1.1), (1, 0, 5, 1.0)]), 1);
         assert_eq!(svc.stats().accepted, 2);
@@ -987,12 +950,28 @@ mod tests {
             Some(1.2),
             "rejects never replace a live observation"
         );
-        let g = svc.guard_stats().unwrap();
+        let g = svc.guard_stats();
         assert_eq!(g.not_finite, 2);
         assert_eq!(g.non_positive, 1);
         assert_eq!(g.seen(), 5);
-        let diag = svc.quarantine_diagnostics().unwrap();
-        assert_eq!(diag.services_with_rejects, 1);
+    }
+
+    #[test]
+    fn throughput_service_screens_against_its_own_range() {
+        // The screening range is the model's: a throughput service admits
+        // kbps values a response-time range would refuse.
+        let svc = QosPredictionService::new(ServiceConfig {
+            amf: AmfConfig::throughput(),
+            ..Default::default()
+        });
+        for (k, kbps) in [5.0, 11.35, 25.0, 300.0, 6_500.0].into_iter().enumerate() {
+            svc.submit(record("u", &format!("s{k}"), k as u64, kbps));
+        }
+        assert_eq!(svc.stats().accepted, 5);
+        assert_eq!(svc.stats().rejected, 0);
+        svc.submit(record("u", "s5", 5, 7_001.0));
+        assert_eq!((svc.stats().accepted, svc.stats().rejected), (5, 1));
+        assert_eq!(svc.guard_stats().out_of_range, 1);
     }
 
     #[test]
@@ -1012,20 +991,6 @@ mod tests {
         // Identity registration is independent of data quality.
         assert_eq!(stats.users, 2);
         assert_eq!(stats.services, 2);
-    }
-
-    #[test]
-    fn guard_disabled_accepts_everything() {
-        let svc = QosPredictionService::new(ServiceConfig {
-            guard: None,
-            ..Default::default()
-        });
-        // Non-finite values would poison the transform; the point here is
-        // only that the *gate* is off, so use an odd-but-finite value.
-        svc.submit(record("a", "s", 0, 1e9));
-        assert_eq!(svc.stats().accepted, 1);
-        assert_eq!(svc.stats().rejected, 0);
-        assert!(svc.guard_stats().is_none());
     }
 
     #[test]

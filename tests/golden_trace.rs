@@ -21,7 +21,7 @@
 
 mod support;
 
-use amf_core::{AmfConfig, AmfModel, GuardConfig, GuardStats, SampleGuard};
+use amf_core::{AmfConfig, AmfModel, GuardStats, SampleGuard};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -74,10 +74,7 @@ fn raw_stream() -> Vec<(usize, usize, f64)> {
 /// Screens the raw stream through the guard: the admitted samples, plus the
 /// guard's verdict tallies.
 fn admitted_stream(config: &AmfConfig) -> (Vec<(usize, usize, f64)>, GuardStats) {
-    let mut guard = SampleGuard::new(GuardConfig {
-        outlier_gate: false,
-        ..GuardConfig::for_amf(config)
-    });
+    let mut guard = SampleGuard::new(config);
     let admitted = raw_stream()
         .into_iter()
         .filter(|&(user, service, value)| guard.admit(user, service, value).is_ok())
