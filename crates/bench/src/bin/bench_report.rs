@@ -16,14 +16,20 @@
 //!    (`AmfModel::rank_candidates` vs. the naive per-pair `predict` scan);
 //! 4. **Per-pair store** — [`ObservationStore`] upserts of new pairs,
 //!    refreshes of stored ones and `get`s, on as many distinct pairs as
-//!    the serving plane's paper-scale warm-up stores (63,727).
+//!    the serving plane's paper-scale warm-up stores (63,727), over two key
+//!    sets: a stride through the id grid (`store`, an arithmetic
+//!    progression) and a random pair stream whose ids are issued in
+//!    arrival order, as the service's registries issue them
+//!    (`store_arrival`);
+//! 5. **Name registry** — [`Registry`] joins of new and of known names and
+//!    resolves that hit and that miss, at the paper's 4,500 services.
 //!
 //! Each arm runs [`TRIALS`] times ([`QUICK_TRIALS`] under `--quick`) and
 //! reports its median trial, plus `trials`, `secs_min` and `secs_max`, so a
 //! reader sees each number's spread.
 //!
 //! Output is a JSON document (default `BENCH_CORE.json` in the working
-//! directory) with a stable schema (`amf-bench-core/v5`) so CI can check it
+//! directory) with a stable schema (`amf-bench-core/v6`) so CI can check it
 //! with `jq` without gating on absolute numbers. The document embeds the
 //! run's own `amf-obs/v1` observability snapshot under `"obs"` — the timed
 //! sections exercise the real instrumented paths, so the snapshot carries a
@@ -42,6 +48,8 @@
 //! before/after trajectory of a change.
 
 use amf_core::{AmfConfig, AmfModel, AmfTrainer, ObservationStore};
+use qos_service::Registry;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -55,6 +63,8 @@ struct Workload {
     rank_queries: usize,
     top_k: usize,
     store_pairs: usize,
+    /// Fresh registries each `registry` trial fills and queries.
+    registry_rounds: usize,
     trials: usize,
 }
 
@@ -68,6 +78,7 @@ impl Workload {
             rank_queries: 339,
             top_k: 10,
             store_pairs: 63_727,
+            registry_rounds: 40,
             trials: TRIALS,
         }
     }
@@ -81,6 +92,7 @@ impl Workload {
             rank_queries: 64,
             top_k: 10,
             store_pairs: 16_384,
+            registry_rounds: 5,
             trials: QUICK_TRIALS,
         }
     }
@@ -342,8 +354,31 @@ fn store_pairs(w: &Workload) -> Vec<(usize, usize)> {
         .collect()
 }
 
-fn store(w: &Workload, out: &mut String) {
-    let pairs = store_pairs(w);
+/// `w.store_pairs` distinct pairs of a random stream over the workload
+/// grid, with ids issued in order of first appearance by a [`Registry`] per
+/// side, as the service issues them to `user-N` / `svc-N` names.
+fn arrival_pairs(w: &Workload) -> Vec<(usize, usize)> {
+    let (mut users, mut services) = (Registry::new(), Registry::new());
+    let mut seen = HashSet::with_capacity(w.store_pairs);
+    let mut pairs = Vec::with_capacity(w.store_pairs);
+    // Four draws per pair leave enough distinct pairs on either workload.
+    let mut stream = qos_stream(4 * w.store_pairs, w.users, w.services).into_iter();
+    while pairs.len() < w.store_pairs {
+        let (u, s, _) = stream.next().expect("enough distinct pairs");
+        let pair = (
+            users.join(&format!("user-{u}")),
+            services.join(&format!("svc-{s}")),
+        );
+        if seen.insert(pair) {
+            pairs.push(pair);
+        }
+    }
+    pairs
+}
+
+/// Times upserts of new pairs, refreshes and `get`s over `pairs`, and
+/// writes them as the result `name`.
+fn store(w: &Workload, name: &str, pairs: &[(usize, usize)], out: &mut String) {
     let n = pairs.len();
     let mut phases: [Vec<f64>; 3] = Default::default();
     let t = Timing::of(w.trials, || {
@@ -357,7 +392,7 @@ fn store(w: &Workload, out: &mut String) {
             store.upsert(u, s, (n + k) as u64, 2.0);
         }
         let refreshed = Instant::now();
-        for &(u, s) in &pairs {
+        for &(u, s) in pairs {
             black_box(store.get(u, s));
         }
         let done = Instant::now();
@@ -373,14 +408,77 @@ fn store(w: &Workload, out: &mut String) {
     });
     let [new, refresh, get] = phases.map(|secs| Timing::from_secs(secs).secs * 1e9 / n as f64);
     println!(
-        "store                  {:>9} pairs    {:>8.3} s  {new:.1} / {refresh:.1} / {get:.1} ns new / refresh / get  {}",
+        "{name:<22} {:>9} pairs    {:>8.3} s  {new:.1} / {refresh:.1} / {get:.1} ns new / refresh / get  {}",
         n,
         t.secs,
         t.range()
     );
     let _ = writeln!(
         out,
-        "    \"store\": {{\"pairs\": {n}, \"secs\": {:.6}, \"upsert_new_ns\": {new:.2}, \"upsert_refresh_ns\": {refresh:.2}, \"get_ns\": {get:.2}, {}}}",
+        "    \"{name}\": {{\"pairs\": {n}, \"secs\": {:.6}, \"upsert_new_ns\": {new:.2}, \"upsert_refresh_ns\": {refresh:.2}, \"get_ns\": {get:.2}, {}}},",
+        t.secs,
+        t.json()
+    );
+}
+
+/// Names per registry in the `registry` arm: the paper's service count.
+const REGISTRY_NAMES: usize = 4_500;
+
+fn registry(w: &Workload, out: &mut String) {
+    let names: Vec<String> = (0..REGISTRY_NAMES).map(|s| format!("svc-{s}")).collect();
+    let misses: Vec<String> = (REGISTRY_NAMES..2 * REGISTRY_NAMES)
+        .map(|s| format!("svc-{s}"))
+        .collect();
+    let mut phases: [Vec<f64>; 4] = Default::default();
+    let t = Timing::of(w.trials, || {
+        let mut secs = [0.0; 4];
+        for _ in 0..w.registry_rounds {
+            let mut registry = Registry::new();
+            let start = Instant::now();
+            for name in &names {
+                black_box(registry.join(name));
+            }
+            let joined = Instant::now();
+            for name in &names {
+                black_box(registry.join(name));
+            }
+            let rejoined = Instant::now();
+            for name in &names {
+                black_box(registry.resolve(name));
+            }
+            let resolved = Instant::now();
+            for name in &misses {
+                black_box(registry.resolve(name));
+            }
+            let done = Instant::now();
+            assert_eq!(registry.len(), REGISTRY_NAMES);
+            for (sum, phase) in secs.iter_mut().zip([
+                joined - start,
+                rejoined - joined,
+                resolved - rejoined,
+                done - resolved,
+            ]) {
+                *sum += phase.as_secs_f64();
+            }
+        }
+        for (phase, secs) in phases.iter_mut().zip(secs) {
+            phase.push(secs);
+        }
+        secs.iter().sum()
+    });
+    let ops = (w.registry_rounds * REGISTRY_NAMES) as f64;
+    let [join_new, join_known, hit, miss] =
+        phases.map(|secs| Timing::from_secs(secs).secs * 1e9 / ops);
+    println!(
+        "registry               {:>9} names    {:>8.3} s  {join_new:.1} / {join_known:.1} / {hit:.1} / {miss:.1} ns join new / known, resolve hit / miss  {}",
+        REGISTRY_NAMES,
+        t.secs,
+        t.range()
+    );
+    let _ = writeln!(
+        out,
+        "    \"registry\": {{\"names\": {REGISTRY_NAMES}, \"rounds\": {}, \"secs\": {:.6}, \"join_new_ns\": {join_new:.2}, \"join_known_ns\": {join_known:.2}, \"resolve_hit_ns\": {hit:.2}, \"resolve_miss_ns\": {miss:.2}, {}}}",
+        w.registry_rounds,
         t.secs,
         t.json()
     );
@@ -432,11 +530,13 @@ fn main() {
     feed_sequential(&w, &mut results);
     feed_batch(&w, &mut results);
     predict_and_rank(&w, &mut results);
-    store(&w, &mut results);
+    store(&w, "store", &store_pairs(&w), &mut results);
+    store(&w, "store_arrival", &arrival_pairs(&w), &mut results);
+    registry(&w, &mut results);
 
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"amf-bench-core/v5\",");
+    let _ = writeln!(json, "  \"schema\": \"amf-bench-core/v6\",");
     if !label.is_empty() {
         let _ = writeln!(json, "  \"label\": \"{label}\",");
     }

@@ -17,6 +17,8 @@ use std::time::Duration;
 
 use rand::Rng;
 
+use crate::SlotIndex;
+
 /// A `(user, service)` pair as one key: the two ids narrowed to `u32`.
 ///
 /// The store's index hashes a key as the packed `u64`
@@ -200,132 +202,33 @@ impl Sums {
     }
 }
 
-/// Buckets of a fresh index; a power of two.
-const MIN_BUCKETS: usize = 8;
-
-/// Open-addressed index from a pair's key to its entry's position.
+/// Multiply-shift hashing of pair keys for the store's [`SlotIndex`].
 ///
-/// A bucket holds the entry's index plus one, and 0 marks it empty. Keys
-/// are read from the store's entries, never copied here, so a bucket costs
-/// 4 bytes. A key's home bucket is the top bits of its packed `u64`,
-/// folded once by an xor-shift, times an odd multiplier drawn once per
-/// index (multiply-shift hashing). The top bits depend on both ids, and a
-/// random multiplier means no client can precompute keys that collide. The
-/// fold makes the hash non-linear: a bare product maps keys in arithmetic
-/// progression, such as a stride through the id grid, to buckets in
-/// arithmetic progression, which can pile them into long probe runs.
-/// Probing is linear from the home bucket. Deletion shifts the rest of the
-/// probe run back instead of leaving tombstones, so expiry churn never
-/// lengthens probes. The table doubles before an insert would take it past
-/// 3/4 load.
-///
-/// Every method that takes `entries` probes through it, so each key an
-/// index bucket names must still be at that position of `entries`.
-#[derive(Debug, Clone)]
-struct SlotIndex {
-    /// A power-of-two number of buckets, at most 3/4 of them occupied.
-    buckets: Vec<u32>,
-    /// Odd, so multiplying by it permutes the packed keys.
+/// A key's hash is its packed `u64`, folded once by an xor-shift, times an
+/// odd multiplier drawn once per store; the index reads the product's top
+/// bits. The top bits depend on both ids, and a random multiplier means no
+/// client can precompute keys that collide. The fold makes the hash
+/// non-linear: a bare product maps keys in arithmetic progression, such as
+/// a stride through the id grid, to buckets in arithmetic progression,
+/// which can pile them into long probe runs.
+#[derive(Debug, Clone, Copy)]
+struct PairHasher {
+    /// Odd, so multiplying by it permutes the folded keys.
     multiplier: u64,
-    /// `64 - log2(buckets.len())`: the product's top bits pick the bucket.
-    shift: u32,
 }
 
-impl Default for SlotIndex {
+impl Default for PairHasher {
     fn default() -> Self {
         Self {
-            buckets: vec![0; MIN_BUCKETS],
             multiplier: RandomState::new().hash_one(0u64) | 1,
-            shift: 64 - MIN_BUCKETS.trailing_zeros(),
         }
     }
 }
 
-impl SlotIndex {
-    fn home(&self, key: PairKey) -> usize {
+impl PairHasher {
+    fn hash(self, key: PairKey) -> u64 {
         let packed = key.packed();
-        ((packed ^ packed >> 32).wrapping_mul(self.multiplier) >> self.shift) as usize
-    }
-
-    fn next(&self, bucket: usize) -> usize {
-        (bucket + 1) & (self.buckets.len() - 1)
-    }
-
-    /// Probes for `key`: `Ok` with the bucket naming its entry, or `Err`
-    /// with the empty bucket that ends its probe run.
-    fn probe(&self, entries: &[Entry], key: PairKey) -> Result<usize, usize> {
-        let mut bucket = self.home(key);
-        loop {
-            match self.buckets[bucket] {
-                0 => return Err(bucket),
-                slot if entries[slot as usize - 1].key == key => return Ok(bucket),
-                _ => bucket = self.next(bucket),
-            }
-        }
-    }
-
-    /// The entry position an occupied `bucket` names.
-    fn position(&self, bucket: usize) -> usize {
-        self.buckets[bucket] as usize - 1
-    }
-
-    /// The position of `key`'s entry, if it is stored.
-    fn get(&self, entries: &[Entry], key: PairKey) -> Option<usize> {
-        Some(self.position(self.probe(entries, key).ok()?))
-    }
-
-    /// Indexes `key`, whose probe ended at the empty `bucket`, as the entry
-    /// about to be pushed after `entries`.
-    fn insert(&mut self, entries: &[Entry], key: PairKey, mut bucket: usize) {
-        let slot = u32::try_from(entries.len() + 1).expect("fewer than u32::MAX pairs");
-        if (entries.len() + 1) * 4 > self.buckets.len() * 3 {
-            self.grow(entries);
-            bucket = self
-                .probe(entries, key)
-                .expect_err("a new key is not indexed");
-        }
-        self.buckets[bucket] = slot;
-    }
-
-    /// Doubles the table and re-indexes `entries`. The table is rebuilt
-    /// from the entries, so the old one is freed before the new one is
-    /// allocated and a doubling never holds both.
-    fn grow(&mut self, entries: &[Entry]) {
-        let len = self.buckets.len() * 2;
-        drop(std::mem::take(&mut self.buckets));
-        self.buckets = vec![0; len];
-        self.shift -= 1;
-        for (idx, entry) in entries.iter().enumerate() {
-            let mut bucket = self.home(entry.key);
-            while self.buckets[bucket] != 0 {
-                bucket = self.next(bucket);
-            }
-            self.buckets[bucket] = idx as u32 + 1;
-        }
-    }
-
-    /// Unlinks the stored `key`. Later members of its probe run shift
-    /// back, each into the hole when the hole lies between its home and
-    /// its bucket, so every key stays reachable from its home.
-    fn remove(&mut self, entries: &[Entry], key: PairKey) {
-        let mut hole = self.probe(entries, key).expect("the key is indexed");
-        let mask = self.buckets.len() - 1;
-        let mut bucket = self.next(hole);
-        while let slot @ 1.. = self.buckets[bucket] {
-            let home = self.home(entries[slot as usize - 1].key);
-            if bucket.wrapping_sub(home) & mask >= bucket.wrapping_sub(hole) & mask {
-                self.buckets[hole] = slot;
-                hole = bucket;
-            }
-            bucket = self.next(bucket);
-        }
-        self.buckets[hole] = 0;
-    }
-
-    /// Points the stored `key`'s bucket at entry position `idx`.
-    fn repoint(&mut self, entries: &[Entry], key: PairKey, idx: usize) {
-        let bucket = self.probe(entries, key).expect("the key is indexed");
-        self.buckets[bucket] = idx as u32 + 1;
+        (packed ^ packed >> 32).wrapping_mul(self.multiplier)
     }
 }
 
@@ -354,8 +257,10 @@ impl SlotIndex {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ObservationStore {
-    /// Pair -> position in `entries`.
+    /// Pair -> position in `entries`. Keys are read from the entries, never
+    /// copied into the index.
     index: SlotIndex,
+    hasher: PairHasher,
     /// Dense entry list enabling O(1) uniform sampling (swap-remove on expiry).
     entries: Vec<Entry>,
     /// Sums over the values in `entries`.
@@ -391,38 +296,48 @@ impl ObservationStore {
             timestamp,
             value,
         };
-        match self.index.probe(&self.entries, key) {
+        let hash = self.hasher.hash(key);
+        match self.index.probe(hash, |p| self.entries[p].key == key) {
             Ok(bucket) => {
                 let idx = self.index.position(bucket);
                 let old = std::mem::replace(&mut self.entries[idx], entry);
                 self.sums.remove(key, old.value);
             }
             Err(bucket) => {
-                self.index.insert(&self.entries, key, bucket);
+                let (entries, hasher) = (&self.entries, self.hasher);
+                self.index
+                    .insert(bucket, hash, entries.len(), |p| hasher.hash(entries[p].key));
                 self.entries.push(entry);
             }
         }
         self.sums.add(key, value);
     }
 
+    /// The position of `(user, service)`'s entry, if it is stored.
+    fn find(&self, user: usize, service: usize) -> Option<usize> {
+        let key = PairKey::lookup(user, service)?;
+        self.index
+            .get(self.hasher.hash(key), |p| self.entries[p].key == key)
+    }
+
     /// The current observation for a pair, if present.
     pub fn get(&self, user: usize, service: usize) -> Option<StoredObservation> {
-        let idx = self
-            .index
-            .get(&self.entries, PairKey::lookup(user, service)?)?;
-        Some(self.entries[idx].observation())
+        Some(self.entries[self.find(user, service)?].observation())
     }
 
     fn swap_remove(&mut self, idx: usize) -> StoredObservation {
-        // The index probes through `entries`, so it is updated while every
-        // entry is still in place: unlink the removed key, point the last
-        // entry's bucket at the position it moves to, then move it.
-        let removed = self.entries[idx];
-        self.index.remove(&self.entries, removed.key);
-        let last = self.entries.len() - 1;
+        // The index re-hashes keys through `entries`, so it is updated while
+        // every entry is still in place: unlink the removed position, point
+        // the last entry's bucket at the position it moves to, then move it.
+        let (entries, hasher) = (&self.entries, self.hasher);
+        let removed = entries[idx];
+        self.index.remove(hasher.hash(removed.key), idx, |p| {
+            hasher.hash(entries[p].key)
+        });
+        let last = entries.len() - 1;
         if idx != last {
             self.index
-                .repoint(&self.entries, self.entries[last].key, idx);
+                .repoint(hasher.hash(entries[last].key), last, idx);
         }
         self.entries.swap_remove(idx);
         self.sums.remove(removed.key, removed.value);
@@ -431,9 +346,7 @@ impl ObservationStore {
 
     /// Removes and returns the observation for a pair, if present.
     pub fn remove(&mut self, user: usize, service: usize) -> Option<StoredObservation> {
-        let idx = self
-            .index
-            .get(&self.entries, PairKey::lookup(user, service)?)?;
+        let idx = self.find(user, service)?;
         Some(self.swap_remove(idx))
     }
 
@@ -617,20 +530,18 @@ mod tests {
     #[test]
     fn entries_are_24_bytes() {
         assert_eq!(std::mem::size_of::<Entry>(), 24);
-        let index = SlotIndex::default();
-        assert_eq!(std::mem::size_of_val(&index.buckets[..]), 4 * MIN_BUCKETS);
     }
 
     #[test]
     fn the_index_doubles_past_three_quarters_load() {
         let mut store = ObservationStore::new();
-        let mut buckets = MIN_BUCKETS;
+        let mut buckets = SlotIndex::MIN_BUCKETS;
         for pair in 1..=98_305 {
             store.upsert(pair % 142, pair / 142, 0, 1.0);
             if pair * 4 > buckets * 3 {
                 buckets *= 2;
             }
-            assert_eq!(store.index.buckets.len(), buckets, "after {pair} pairs");
+            assert_eq!(store.index.buckets(), buckets, "after {pair} pairs");
             if pair == 63_727 {
                 // The paper-scale warm-up fits 512 KiB of buckets.
                 assert_eq!(buckets, 1 << 17);
@@ -638,7 +549,7 @@ mod tests {
         }
         assert_eq!(buckets, 1 << 18, "pair 98,305 doubles the table");
         store.upsert(1, 0, 1, 2.0);
-        assert_eq!(store.index.buckets.len(), 1 << 18, "a refresh never grows");
+        assert_eq!(store.index.buckets(), 1 << 18, "a refresh never grows");
     }
 
     #[test]
@@ -656,19 +567,24 @@ mod tests {
             0x2545_f491_4f6c_dd1d,
         ] {
             let mut store = ObservationStore::new();
-            store.index.multiplier = multiplier;
+            store.hasher = PairHasher { multiplier };
             for k in 0..49_152 {
                 let cell = k * STRIDE % (142 * 4_500);
                 store.upsert(cell / 4_500, cell % 4_500, 0, 1.0);
             }
-            assert_eq!(store.index.buckets.len(), 1 << 16, "3/4 load");
-            let mask = store.index.buckets.len() - 1;
+            assert_eq!(store.index.buckets(), 1 << 16, "3/4 load");
+            let mask = store.index.buckets() - 1;
             let probes: usize = store
                 .entries
                 .iter()
                 .map(|entry| {
-                    let bucket = store.index.probe(&store.entries, entry.key).unwrap();
-                    (bucket.wrapping_sub(store.index.home(entry.key)) & mask) + 1
+                    let hash = store.hasher.hash(entry.key);
+                    let bucket = store
+                        .index
+                        .probe(hash, |p| store.entries[p].key == entry.key)
+                        .unwrap();
+                    // The home bucket is the hash's top 16 bits.
+                    (bucket.wrapping_sub((hash >> 48) as usize) & mask) + 1
                 })
                 .sum();
             let mean = probes as f64 / store.len() as f64;
@@ -684,12 +600,14 @@ mod tests {
         let mut store = ObservationStore::new();
         // Every nonzero key homes to the last bucket, so these six keys form
         // one probe run that wraps round the end of the table.
-        store.index.multiplier = u64::MAX;
+        store.hasher = PairHasher {
+            multiplier: u64::MAX,
+        };
         let pairs: Vec<(usize, usize)> = (1..=6).map(|s| (s % 2, s)).collect();
         for (k, &(u, s)) in pairs.iter().enumerate() {
             store.upsert(u, s, k as u64, k as f64);
         }
-        assert_eq!(store.index.buckets.len(), MIN_BUCKETS);
+        assert_eq!(store.index.buckets(), SlotIndex::MIN_BUCKETS);
         let mut removed = Vec::new();
         for victim in [2, 0, 5] {
             let (u, s) = pairs[victim];

@@ -54,6 +54,7 @@ pub mod model;
 pub(crate) mod obs;
 pub mod online;
 pub mod persistence;
+pub mod slot_index;
 pub mod stream;
 pub mod trainer;
 pub mod weights;
@@ -64,6 +65,7 @@ pub use expiry::{ObservationStore, PairKey};
 pub use fault::{FaultContext, FaultPlan, NetFault};
 pub use guard::{GuardStats, RejectReason, SampleGuard};
 pub use model::AmfModel;
+pub use slot_index::SlotIndex;
 pub use stream::{
     AccuracyWindow, DriftConfig, DriftSentinel, DriftVerdict, PageHinkley, WindowedAccuracy,
     ACCURACY_WINDOW,

@@ -156,13 +156,17 @@ pub fn load<R: Read>(reader: R) -> Result<AmfModel, AmfError> {
         .parse()
         .map_err(|_| corrupt(n, "bad update count"))?;
 
+    // The 0-based line the next entity is read from.
+    let mut next = n + 1;
     let mut read_entities = |kind: &str, count: usize| -> Result<Vec<EntityState>, AmfError> {
-        let mut out = Vec::with_capacity(count);
+        // Grown as lines arrive: the counts line cannot size an allocation.
+        let mut out = Vec::new();
         for _ in 0..count {
             let (n, line) = lines
                 .next()
-                .ok_or_else(|| corrupt(usize::MAX - 1, "unexpected end of file"))
+                .ok_or_else(|| corrupt(next, "unexpected end of file"))
                 .and_then(|(n, r)| r.map(|l| (n, l)).map_err(AmfError::from))?;
+            next = n + 1;
             let parts: Vec<&str> = line.split_whitespace().collect();
             if parts.len() != config.dimension + 2 || parts[0] != kind {
                 return Err(corrupt(n, "malformed entity line"));
@@ -296,6 +300,45 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         let truncated: String = text.lines().take(4).collect::<Vec<_>>().join("\n");
         assert!(load(truncated.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn a_truncated_file_names_the_line_after_the_last() {
+        let mut buf = Vec::new();
+        save(&trained_model(), &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        for kept in [4, 6] {
+            let truncated: String = text.lines().take(kept).map(|l| format!("{l}\n")).collect();
+            match load(truncated.as_bytes()) {
+                Err(AmfError::Corrupt { line, message }) => {
+                    assert_eq!(
+                        (line, message.as_str()),
+                        (kept + 1, "unexpected end of file")
+                    );
+                }
+                other => panic!("{kept} lines: expected a corrupt-file error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_count_past_the_end_of_the_file_is_corrupt() {
+        // Sized from the counts line, the user vector would take 32 TB.
+        let mut buf = Vec::new();
+        save(&trained_model(), &mut buf).unwrap();
+        let text: String = String::from_utf8(buf)
+            .unwrap()
+            .replace("counts 3 4", "counts 999999999999 20")
+            .lines()
+            .take(6)
+            .map(|l| format!("{l}\n"))
+            .collect();
+        match load(text.as_bytes()) {
+            Err(AmfError::Corrupt { line, message }) => {
+                assert_eq!((line, message.as_str()), (7, "unexpected end of file"));
+            }
+            other => panic!("expected a corrupt-file error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! per sample, and so does `AmfTrainer::feed_batch` — the serving plane's
 //! ingest path — once every pair in the stream is already stored. The
 //! service's id stage (`QosPredictionService::submit_batch_ids`) allocates
-//! per batch, never per sample. This suite pins these properties with a
+//! per batch, never per sample. A name registry allocates when its storage
+//! doubles, not per new name, and nothing for a known one; a request's
+//! header lookups allocate nothing. This suite pins these properties with a
 //! counting global allocator.
 //!
 //! It lives in its own integration-test binary (own process) so the
@@ -20,7 +22,8 @@
 //! it on others.
 
 use amf_core::{AmfConfig, AmfModel, AmfTrainer};
-use qos_service::{QosPredictionService, ServiceConfig};
+use qos_serve::http::{parse_request, Parsed};
+use qos_service::{QosPredictionService, Registry, ServiceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -189,4 +192,69 @@ fn service_id_stage_allocates_per_batch_not_per_sample() {
          the id stage must allocate per batch, not per sample"
     );
     assert_eq!(service.live_observations(), pairs);
+}
+
+#[test]
+fn registry_allocates_per_doubling_not_per_name() {
+    // The paper's service count. Names are formatted before measuring.
+    const NAMES: usize = 4_500;
+    let names: Vec<String> = (0..NAMES).map(|s| format!("svc-{s}")).collect();
+    let mut registry = Registry::new();
+    let joins = thread_allocations(|| {
+        for (id, name) in names.iter().enumerate() {
+            assert_eq!(registry.join(name), id);
+        }
+    });
+    assert!(
+        joins <= 64,
+        "joining {NAMES} new names allocated {joins} times; \
+         a registry must allocate when its storage doubles, not per name"
+    );
+
+    let known = thread_allocations(|| {
+        for (id, name) in names.iter().enumerate() {
+            assert_eq!(registry.join(name), id);
+            assert_eq!(registry.resolve(name), Some(id));
+        }
+        assert_eq!(registry.resolve("svc-unknown"), None);
+    });
+    assert_eq!(
+        known, 0,
+        "join and resolve of known names allocated {known} times"
+    );
+}
+
+#[test]
+fn header_lookups_do_not_allocate() {
+    let raw = b"POST /v1/predict HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\
+        Connection: keep-alive\r\nX-AMF-Trace-Id: probe-1\r\nx-amf-deadline-ms: 250\r\n\r\n{}";
+    let Ok(Parsed::Complete { request, .. }) = parse_request(raw, 1 << 20) else {
+        panic!("a complete request");
+    };
+    let mut found = Vec::with_capacity(6);
+    let allocs = thread_allocations(|| {
+        // The five lookups every request makes, and one by a mixed-case name.
+        for name in [
+            "transfer-encoding",
+            "content-length",
+            "connection",
+            "x-amf-trace-id",
+            "x-amf-deadline-ms",
+            "X-Amf-Trace-Id",
+        ] {
+            found.push(request.header(name));
+        }
+    });
+    assert_eq!(
+        found,
+        [
+            None,
+            Some("2"),
+            Some("keep-alive"),
+            Some("probe-1"),
+            Some("250"),
+            Some("probe-1")
+        ]
+    );
+    assert_eq!(allocs, 0, "six header lookups allocated {allocs} times");
 }

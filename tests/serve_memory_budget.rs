@@ -7,13 +7,14 @@
 //! peak heap of a default service warmed with 63,727 distinct pairs, the
 //! size of servebench's `ingest-paper` warm-up. The peak counts every
 //! transient, such as a table that doubles, and it is what the process's
-//! peak RSS reads.
+//! peak RSS reads. The per-entity structures come next: the suite also pins
+//! the two name registries alone, at the paper's 142 + 4,500 names.
 //!
 //! It lives in its own integration-test binary so its counting
 //! `#[global_allocator]` sees no other suite's allocations, and it runs a
 //! single `#[test]` so no concurrent test thread adds to the count.
 
-use qos_service::{QosPredictionService, QosRecord, ServiceConfig};
+use qos_service::{QosPredictionService, QosRecord, Registry, ServiceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -58,10 +59,13 @@ const USERS: usize = 142;
 const SERVICES: usize = 4_500;
 const PAIRS: usize = 63_727;
 const MIB: usize = 1 << 20;
-/// Live-heap ceiling of the warmed service, in bytes: 4.25 MiB.
-const BUDGET: usize = 4 * MIB + MIB / 4;
-/// Peak-heap ceiling while the service warms, in bytes: 4.5 MiB.
-const PEAK_BUDGET: usize = 4 * MIB + MIB / 2;
+/// Live-heap ceiling of the warmed service, in bytes: 3.4 MiB.
+const BUDGET: usize = 34 * MIB / 10;
+/// Peak-heap ceiling while the service warms, in bytes: 3.5 MiB.
+const PEAK_BUDGET: usize = 3 * MIB + MIB / 2;
+/// Live-heap ceiling of the paper-scale user and service registries, in
+/// bytes: 192 KiB.
+const REGISTRY_BUDGET: usize = 192 << 10;
 
 fn mib(bytes: usize) -> f64 {
     bytes as f64 / MIB as f64
@@ -114,6 +118,27 @@ fn warmed_service_at_paper_scale_fits_the_budget() {
         mib(PEAK_BUDGET)
     );
     drop(service);
+
+    let before = LIVE.load(Ordering::Relaxed);
+    let (mut users, mut services) = (Registry::new(), Registry::new());
+    for u in 0..USERS {
+        users.join(&format!("user-{u}"));
+    }
+    for s in 0..SERVICES {
+        services.join(&format!("svc-{s}"));
+    }
+    let registries = LIVE.load(Ordering::Relaxed) - before;
+    println!(
+        "registries: {:.0} KiB for {} names",
+        registries as f64 / 1024.0,
+        users.len() + services.len()
+    );
+    assert!(
+        registries <= REGISTRY_BUDGET,
+        "the paper-scale registries hold {:.0} KiB of heap, over the {} KiB budget",
+        registries as f64 / 1024.0,
+        REGISTRY_BUDGET >> 10
+    );
 }
 
 fn gcd(a: usize, b: usize) -> usize {
